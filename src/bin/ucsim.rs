@@ -949,11 +949,12 @@ fn main() {
             std::process::exit(2);
         });
         eprintln!(
-            "replaying {path} ({} insts) | capacity {} uops",
+            "replaying {path} ({} of {} recorded insts) | capacity {} uops",
+            trace.len().min((args.warmup + args.insts) as usize),
             trace.len(),
             args.capacity
         );
-        Simulator::new(cfg).run_stream(path, trace.iter())
+        Simulator::new(cfg).run_trace(path, &trace)
     } else {
         let Some(profile) = WorkloadProfile::by_name(&args.workload) else {
             eprintln!("unknown workload '{}' (try --list)", args.workload);
