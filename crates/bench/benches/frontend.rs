@@ -2,7 +2,7 @@
 //! prediction, and prediction-window generation throughput.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use ucsim_bpu::{BpuConfig, PwGenerator, Tage};
+use ucsim_bpu::{BpuConfig, SlicePwGen, Tage};
 use ucsim_model::Addr;
 use ucsim_trace::{Program, WorkloadProfile};
 
@@ -48,10 +48,10 @@ fn bench_pw_generation(c: &mut Criterion) {
     let n = 100_000usize;
     let mut g = c.benchmark_group("pwgen");
     g.throughput(Throughput::Elements(n as u64));
+    let insts: Vec<_> = program.walk(&profile).take(n).collect();
     g.bench_function("pws_over_100k_insts", |b| {
         b.iter(|| {
-            let stream = program.walk(&profile).take(n);
-            let mut gen = PwGenerator::new(BpuConfig::default(), stream);
+            let mut gen = SlicePwGen::new(BpuConfig::default(), &insts);
             let mut pws = 0u64;
             while gen.advance().is_some() {
                 pws += 1;

@@ -16,21 +16,21 @@
 //! # Example
 //!
 //! ```
-//! use ucsim_bpu::{BpuConfig, PwGenerator};
+//! use ucsim_bpu::{BpuConfig, SlicePwGen};
 //! use ucsim_model::{Addr, DynInst, InstClass};
 //!
 //! let insts = vec![
 //!     DynInst::simple(Addr::new(0x1000), 4, InstClass::IntAlu),
 //!     DynInst::simple(Addr::new(0x1004), 4, InstClass::IntAlu),
 //! ];
-//! let mut gen = PwGenerator::new(BpuConfig::default(), insts.into_iter());
-//! let batch = gen.advance().expect("one window");
-//! assert_eq!(batch.pw.start, Addr::new(0x1000));
-//! assert_eq!(batch.insts.len(), 2);
+//! let mut gen = SlicePwGen::new(BpuConfig::default(), &insts);
+//! let span = gen.advance().expect("one window");
+//! assert_eq!(span.pw.start, Addr::new(0x1000));
+//! assert_eq!(gen.batch_for(&span).insts.len(), 2);
 //! ```
 //!
-//! [`PwBatchRef`]es borrow the generator's internal storage; copy out what
-//! must outlive the next `advance` call.
+//! Windows are [`PwSpan`] index ranges into the generator's slice;
+//! [`SlicePwGen::batch_for`] turns one into a borrowed [`PwBatchRef`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,6 +43,6 @@ mod tage;
 
 pub use btb::{BranchKind, Btb, BtbStats};
 pub use config::BpuConfig;
-pub use pwgen::{BpuStats, Mispredict, PwBatchRef, PwGenerator, PwSpan, SlicePwGen};
+pub use pwgen::{BpuStats, Mispredict, PwBatchRef, PwSpan, SlicePwGen};
 pub use ras::ReturnAddressStack;
 pub use tage::{Tage, TageConfig, TageStats};

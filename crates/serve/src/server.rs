@@ -812,8 +812,9 @@ fn run_spec(
         }
         return Ok(pwt.replay_parallel(name, &spec.config, cell_threads));
     }
+    // The recording already stops at `warmup + measure` instructions.
     Simulator::new(spec.config.clone())
-        .run_trace_cancellable(name, &trace, cancel)
+        .run_slice_cancellable(name, trace.insts(), cancel)
         .map_err(|Cancelled| RunError::Cancelled)
 }
 

@@ -9,13 +9,11 @@
 //! once, and a replayed cell is bit-identical to a regenerated one (the
 //! walker is deterministic, so the recorded stream *is* the stream).
 //!
-//! Three pieces:
+//! Two pieces:
 //!
 //! - [`SharedTrace`]: an `Arc<Trace>` alias — the unit handed to sweep
-//!   cells, SMT threads and serve workers.
-//! - [`ReplayIter`]: an iterator that *owns* its `SharedTrace`, so a
-//!   replay can outlive the scope that looked the trace up (worker
-//!   threads, `PwGenerator` pipelines).
+//!   cells, SMT threads and serve workers, which run its instruction
+//!   slice through the slice-driven prediction-window generator.
 //! - [`TraceStore`]: a keyed record-once cache. The first caller for a
 //!   [`TraceKey`] records; concurrent callers for the same key block on
 //!   the same [`TraceHandle`] and share the recorded `Arc` — no
@@ -36,46 +34,6 @@ pub type SharedTrace = Arc<Trace>;
 pub fn record_workload(profile: &WorkloadProfile, program: &Program, insts: u64) -> SharedTrace {
     Arc::new(Trace::record(program.walk(profile).take(insts as usize)))
 }
-
-/// An owning replay cursor over a [`SharedTrace`].
-///
-/// Yields the recorded instructions by value in order, holding its own
-/// reference to the trace — suitable for handing to `PwGenerator` or
-/// across threads.
-#[derive(Debug, Clone)]
-pub struct ReplayIter {
-    trace: SharedTrace,
-    idx: usize,
-}
-
-impl ReplayIter {
-    /// Creates a replay cursor at the start of `trace`.
-    pub fn new(trace: SharedTrace) -> Self {
-        ReplayIter { trace, idx: 0 }
-    }
-
-    /// Instructions not yet yielded.
-    pub fn remaining(&self) -> usize {
-        self.trace.len() - self.idx
-    }
-}
-
-impl Iterator for ReplayIter {
-    type Item = DynInst;
-
-    fn next(&mut self) -> Option<DynInst> {
-        let inst = self.trace.insts().get(self.idx).copied()?;
-        self.idx += 1;
-        Some(inst)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.remaining();
-        (n, Some(n))
-    }
-}
-
-impl ExactSizeIterator for ReplayIter {}
 
 /// Identity of a recorded stream: workload × generation seed × length.
 ///
@@ -228,18 +186,6 @@ mod tests {
         let p = WorkloadProfile::quick_test();
         let prog = Program::generate(&p);
         prog.walk(&p).take(n).collect()
-    }
-
-    #[test]
-    fn replay_iter_yields_recorded_stream() {
-        let insts = quick_stream(300);
-        let t: SharedTrace = Arc::new(Trace::record(insts.iter().copied()));
-        let replayed: Vec<DynInst> = ReplayIter::new(Arc::clone(&t)).collect();
-        assert_eq!(replayed, insts);
-        let mut it = ReplayIter::new(t);
-        assert_eq!(it.len(), 300);
-        it.next();
-        assert_eq!(it.remaining(), 299);
     }
 
     #[test]

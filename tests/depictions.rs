@@ -1,7 +1,7 @@
 //! The paper's schematic figures (2, 7, 8, 10, 13, 14) as concrete,
 //! executable scenarios.
 
-use ucsim::bpu::{BpuConfig, PwGenerator};
+use ucsim::bpu::{BpuConfig, SlicePwGen};
 use ucsim::model::{Addr, BranchExec, DynInst, EntryTermination, InstClass, PwId, PwTermination};
 use ucsim::uopcache::{
     AccumulationBuffer, CompactionPolicy, PlacementKind, UopCache, UopCacheConfig, UopCacheEntry,
@@ -66,8 +66,8 @@ fn fig2a_pw_full_line_with_nt_branch() {
             pc += 7;
         }
     }
-    let mut gen = PwGenerator::new(BpuConfig::default(), insts.into_iter());
-    let b = gen.advance().unwrap();
+    let mut gen = SlicePwGen::new(BpuConfig::default(), &insts);
+    let b = gen.next_batch().unwrap();
     assert_eq!(b.pw.start, Addr::new(0x1000));
     assert_eq!(b.pw.termination, PwTermination::IcacheLineEnd);
     assert!(b.pw.end.get() >= 0x1040, "PW runs to the line boundary");
@@ -86,9 +86,9 @@ fn fig2b_pw_starts_mid_line() {
         alu(0x1038, 8),
         alu(0x1040, 4),
     ];
-    let mut gen = PwGenerator::new(BpuConfig::default(), insts.into_iter());
-    let _jump_pw = gen.advance().unwrap();
-    let b = gen.advance().unwrap();
+    let mut gen = SlicePwGen::new(BpuConfig::default(), &insts);
+    let _jump_pw = gen.next_batch().unwrap();
+    let b = gen.next_batch().unwrap();
     assert_eq!(b.pw.start, Addr::new(0x1020));
     assert_eq!(b.pw.end, Addr::new(0x1040));
     assert_eq!(b.pw.termination, PwTermination::IcacheLineEnd);
@@ -110,9 +110,9 @@ fn fig2c_pw_ends_at_taken_branch() {
     for _ in 0..8 {
         insts.extend(loop_body(0x1000));
     }
-    let mut gen = PwGenerator::new(BpuConfig::default(), insts.into_iter());
+    let mut gen = SlicePwGen::new(BpuConfig::default(), &insts);
     let mut saw = false;
-    while let Some(b) = gen.advance() {
+    while let Some(b) = gen.next_batch() {
         if b.pw.start == Addr::new(0x1020) && b.pw.termination == PwTermination::TakenBranch {
             assert!(b.pw.ends_in_taken_branch);
             assert!(b.pw.end.get() < 0x1040, "ends before the line boundary");

@@ -3,7 +3,7 @@
 //! control-flow-consistent traces, and PW streams that tile the trace.
 
 use proptest::prelude::*;
-use ucsim::bpu::{BpuConfig, PwGenerator};
+use ucsim::bpu::{BpuConfig, SlicePwGen};
 use ucsim::trace::{Program, Trace, WorkloadProfile};
 
 /// Strategy over small random-but-valid workload profiles.
@@ -74,11 +74,10 @@ proptest! {
     fn pws_tile_the_trace(profile in small_profile()) {
         let prog = Program::generate(&profile);
         let trace: Vec<_> = prog.walk(&profile).take(3_000).collect();
-        let expect = trace.clone();
-        let mut gen = PwGenerator::new(BpuConfig::default(), trace.into_iter());
+        let mut gen = SlicePwGen::new(BpuConfig::default(), &trace);
         let mut replayed = Vec::new();
         let max_nt = BpuConfig::default().max_not_taken_per_pw;
-        while let Some(b) = gen.advance() {
+        while let Some(b) = gen.next_batch() {
             // Window geometry: starts where its first inst starts, ends
             // where its last inst ends, stays within one I-cache line.
             prop_assert_eq!(b.pw.start, b.insts[0].pc);
@@ -97,7 +96,7 @@ proptest! {
             prop_assert!(nt <= max_nt as usize + 1, "NT budget exceeded: {nt}");
             replayed.extend_from_slice(b.insts);
         }
-        prop_assert_eq!(replayed, expect);
+        prop_assert_eq!(replayed, trace);
     }
 
     /// PW ids are strictly monotonic and sequence numbers line up.
@@ -105,10 +104,10 @@ proptest! {
     fn pw_ids_are_monotonic(profile in small_profile()) {
         let prog = Program::generate(&profile);
         let trace: Vec<_> = prog.walk(&profile).take(2_000).collect();
-        let mut gen = PwGenerator::new(BpuConfig::default(), trace.into_iter());
+        let mut gen = SlicePwGen::new(BpuConfig::default(), &trace);
         let mut last_id = None;
         let mut next_seq = 0u64;
-        while let Some(b) = gen.advance() {
+        while let Some(b) = gen.next_batch() {
             if let Some(prev) = last_id {
                 prop_assert_eq!(b.pw.id.0, prev + 1);
             }

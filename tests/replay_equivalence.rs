@@ -5,10 +5,15 @@
 //! This is the contract the sweep runners (bench matrix, serve
 //! `/v1/matrix`) rely on to share a single recording across a capacity ×
 //! policy cross; the served-vs-direct byte equality of `/v1/sim` and
-//! `/v1/matrix` responses is covered separately in `serve_integration.rs`.
+//! `/v1/matrix` responses is covered separately in `serve_integration.rs`,
+//! and every run path is pinned to checked-in report digests in
+//! `report_digests.rs`.
 
 use ucsim_model::ToJson;
-use ucsim_pipeline::{run_configs_on_trace, LabeledConfig, PwTrace, SimConfig, Simulator};
+use ucsim_pipeline::{
+    run_configs_on_trace, run_configs_on_trace_threads, LabeledConfig, PwTrace, SimConfig,
+    Simulator,
+};
 use ucsim_trace::{record_workload, Program, WorkloadProfile};
 
 const WORKLOADS: [&str; 3] = ["nutch", "bm-pb", "redis"];
@@ -90,5 +95,30 @@ fn pw_trace_replay_matches_full_runs_across_policies() {
             "policy {}",
             lc.label
         );
+    }
+}
+
+/// The sweep entry point with intra-cell parallelism enabled must report
+/// exactly what the sequential sweep reports, cell for cell.
+#[test]
+fn sweep_cell_threads_byte_identical() {
+    let cfg = SimConfig::table1().with_insts(2_000, 10_000);
+    let total = cfg.warmup_insts + cfg.measure_insts;
+    let profile = WorkloadProfile::by_name("jvm").expect("known workload");
+    let trace = record_workload(&profile, &Program::generate(&profile), total);
+    let configs = vec![
+        LabeledConfig::new("table1", cfg.clone()),
+        LabeledConfig::new("8-wide", {
+            let mut wide = cfg.clone();
+            wide.core.dispatch_width = 8;
+            wide
+        }),
+    ];
+
+    let seq = run_configs_on_trace_threads(profile.name, &trace, &configs, 1);
+    let par = run_configs_on_trace_threads(profile.name, &trace, &configs, 4);
+    assert_eq!(seq.len(), par.len());
+    for (a, b) in seq.iter().zip(par.iter()) {
+        assert_eq!(a.to_json_string(), b.to_json_string());
     }
 }

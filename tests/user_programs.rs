@@ -13,7 +13,7 @@ use ucsim::isa::assemble;
 use ucsim::model::{Json, ToJson};
 use ucsim::pipeline::Simulator;
 use ucsim::serve::{fnv1a, format_key, request, Client, Server, ServerConfig, SimRequest};
-use ucsim::trace::{load_asm, Program, Trace, WorkloadProfile};
+use ucsim::trace::{load_asm, record_workload, Program, Trace, WorkloadProfile};
 
 /// A small hand-written ucasm program: a hot loop calling two handlers.
 const LOOP_ASM: &str = "\
@@ -93,10 +93,10 @@ fn direct_program_report(body: &str, asm_src: &str) -> String {
     let req = SimRequest::parse(body).expect("test body parses");
     let spec = req.resolve(fnv1a(asm_src.as_bytes()));
     let profile = WorkloadProfile::user_program(spec.seed);
-    let total = (spec.config.warmup_insts + spec.config.measure_insts) as usize;
+    let total = spec.config.warmup_insts + spec.config.measure_insts;
     let program = load_asm(&assemble(asm_src).unwrap(), spec.seed);
-    let report = Simulator::new(spec.config.clone())
-        .run_stream(&spec.workload, program.walk(&profile).take(total));
+    let trace = record_workload(&profile, &program, total);
+    let report = Simulator::new(spec.config.clone()).run_trace(&spec.workload, &trace);
     report.to_json_string()
 }
 
@@ -495,10 +495,9 @@ fn shipped_examples_assemble_upload_and_simulate() {
         let profile = WorkloadProfile::user_program(seed);
         let program = load_asm(&asm, seed);
         let cfg = ucsim::pipeline::SimConfig::table1().with_insts(500, 5000);
-        let report = Simulator::new(cfg).run_stream(
-            &format!("program:{}", format_key(seed)),
-            program.walk(&profile).take(5500),
-        );
+        let trace = record_workload(&profile, &program, 5500);
+        let report =
+            Simulator::new(cfg).run_trace(&format!("program:{}", format_key(seed)), &trace);
         assert!(report.upc > 0.0, "{name} made no progress");
 
         // Served: the example uploads as a fresh asm program.
