@@ -273,6 +273,13 @@ impl Iterator for TraceWalker<'_> {
     fn next(&mut self) -> Option<DynInst> {
         Some(self.step())
     }
+
+    /// The walk never ends, so `walk().take(n).collect()` sizes its
+    /// buffer for exactly `n` instructions instead of growing by
+    /// doubling.
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (usize::MAX, None)
+    }
 }
 
 #[cfg(test)]
