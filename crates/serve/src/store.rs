@@ -35,8 +35,7 @@
 //! is FNV-1a over the concatenated canonical + payload bytes. Replay
 //! stops at the first short, unknown-kind, or checksum-failing record and
 //! truncates the file there, so a crash mid-append costs at most the last
-//! record — never the log. Older logs (`UCSTOR01` — no kind byte, results
-//! only — and `UCSTOR02`) are migrated to v3 in place on open.
+//! record — never the log. A file with any other magic is refused.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -52,13 +51,9 @@ use crate::api::fnv1a;
 use crate::jobs::JobFailure;
 
 const MAGIC: &[u8; 8] = b"UCSTOR03";
-const MAGIC_V2: &[u8; 8] = b"UCSTOR02";
-const MAGIC_V1: &[u8; 8] = b"UCSTOR01";
 /// Per-record fixed header: kind (1) + key (8) + lengths (4+4) +
 /// checksum (8).
 const RECORD_HEADER_BYTES: usize = 25;
-/// v1 had no kind byte.
-const RECORD_HEADER_BYTES_V1: usize = 24;
 /// Replay refuses records larger than this (corrupt length fields would
 /// otherwise make it try to allocate garbage).
 const MAX_RECORD_BYTES: usize = 64 * 1024 * 1024;
@@ -147,14 +142,14 @@ pub struct ResultStore {
 impl ResultStore {
     /// Opens (creating if needed) `<dir>/results.log` and replays its
     /// records. A corrupt tail is truncated away; the valid prefix is
-    /// returned for cache warm-up. A v1 log is migrated to the v2 format
-    /// (atomically, via a temp file + rename). With `durable` set, every
-    /// append is fsync'd before returning.
+    /// returned for cache warm-up. With `durable` set, every append is
+    /// fsync'd before returning.
     ///
     /// # Errors
     ///
-    /// Propagates directory-creation and file I/O errors; a bad magic in
-    /// an existing non-empty file maps to [`io::ErrorKind::InvalidData`].
+    /// Propagates directory-creation and file I/O errors; an existing
+    /// non-empty file whose first 8 bytes are not the `UCSTOR03` magic
+    /// maps to [`io::ErrorKind::InvalidData`], naming the bytes found.
     pub fn open(dir: &Path, durable: bool) -> io::Result<(ResultStore, Vec<StoreRecord>)> {
         std::fs::create_dir_all(dir)?;
         let path = dir.join("results.log");
@@ -171,23 +166,17 @@ impl ResultStore {
             file.write_all(MAGIC)?;
             file.flush()?;
             (Vec::new(), MAGIC.len() as u64)
-        } else if raw.len() >= MAGIC_V1.len() && &raw[..MAGIC_V1.len()] == MAGIC_V1 {
-            // v1 log: replay with the old layout, rewrite as v3.
-            let records = replay_v1(&raw[MAGIC_V1.len()..]);
-            file = rewrite_as_current(dir, &path, &records)?;
-            let len = file.seek(SeekFrom::End(0))?;
-            (records, len)
-        } else if raw.len() >= MAGIC_V2.len() && &raw[..MAGIC_V2.len()] == MAGIC_V2 {
-            // v2 log: identical record framing, only the magic moves.
-            let (records, _) = replay(&raw[MAGIC_V2.len()..]);
-            file = rewrite_as_current(dir, &path, &records)?;
-            let len = file.seek(SeekFrom::End(0))?;
-            (records, len)
         } else {
-            if raw.len() < MAGIC.len() || &raw[..MAGIC.len()] != MAGIC {
+            let found = &raw[..raw.len().min(MAGIC.len())];
+            if found != MAGIC {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
-                    format!("{} is not a ucsim result store", path.display()),
+                    format!(
+                        "{} is not a ucsim result store: expected magic \"{}\", found \"{}\"",
+                        path.display(),
+                        MAGIC.escape_ascii(),
+                        found.escape_ascii()
+                    ),
                 ));
             }
             replay(&raw[MAGIC.len()..])
@@ -346,29 +335,6 @@ impl ResultStore {
     }
 }
 
-/// Rewrites `records` as a fresh current-format log, atomically
-/// replacing `path`.
-fn rewrite_as_current(dir: &Path, path: &Path, records: &[StoreRecord]) -> io::Result<File> {
-    let tmp = dir.join("results.log.migrate");
-    let mut out = Vec::with_capacity(MAGIC.len() + records.len() * 128);
-    out.extend_from_slice(MAGIC);
-    for r in records {
-        let kind = match r.kind {
-            RecordKind::Result => KIND_RESULT,
-            RecordKind::Failed => KIND_FAILED,
-            RecordKind::Program => KIND_PROGRAM,
-        };
-        out.extend_from_slice(&encode_record(kind, r.key_hash, &r.canonical, &r.payload));
-    }
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(&out)?;
-        f.sync_data()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    OpenOptions::new().read(true).write(true).open(path)
-}
-
 fn encode_record(kind: u8, key_hash: u64, canonical: &str, payload: &str) -> Vec<u8> {
     let c = canonical.as_bytes();
     let p = payload.as_bytes();
@@ -388,7 +354,7 @@ fn encode_record(kind: u8, key_hash: u64, canonical: &str, payload: &str) -> Vec
     out
 }
 
-/// Walks the v2 record region, returning the valid records and the file
+/// Walks the record region, returning the valid records and the file
 /// length (magic included) of the valid prefix.
 fn replay(mut body: &[u8]) -> (Vec<StoreRecord>, u64) {
     let mut records = Vec::new();
@@ -429,42 +395,6 @@ fn replay(mut body: &[u8]) -> (Vec<StoreRecord>, u64) {
         body = &body[total..];
     }
     (records, valid)
-}
-
-/// Replays a v1 (`UCSTOR01`) record region: same framing minus the kind
-/// byte; every record is a result. Only used for migration — the corrupt
-/// tail is simply dropped (the rewrite keeps the valid prefix).
-fn replay_v1(mut body: &[u8]) -> Vec<StoreRecord> {
-    let mut records = Vec::new();
-    while body.len() >= RECORD_HEADER_BYTES_V1 {
-        let key_hash = u64::from_be_bytes(body[0..8].try_into().expect("8 bytes"));
-        let c_len = u32::from_be_bytes(body[8..12].try_into().expect("4 bytes")) as usize;
-        let p_len = u32::from_be_bytes(body[12..16].try_into().expect("4 bytes")) as usize;
-        let checksum = u64::from_be_bytes(body[16..24].try_into().expect("8 bytes"));
-        let total = RECORD_HEADER_BYTES_V1 + c_len + p_len;
-        if c_len + p_len > MAX_RECORD_BYTES || body.len() < total {
-            break;
-        }
-        let data = &body[RECORD_HEADER_BYTES_V1..total];
-        if fnv1a(data) != checksum {
-            break;
-        }
-        let (c, p) = data.split_at(c_len);
-        let (Ok(canonical), Ok(payload)) = (
-            std::str::from_utf8(c).map(str::to_owned),
-            std::str::from_utf8(p).map(str::to_owned),
-        ) else {
-            break;
-        };
-        records.push(StoreRecord {
-            kind: RecordKind::Result,
-            key_hash,
-            canonical,
-            payload,
-        });
-        body = &body[total..];
-    }
-    records
 }
 
 #[cfg(test)]
@@ -577,66 +507,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_log_migrates_to_v2_preserving_records() {
-        let dir = temp_dir("migrate");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("results.log");
-        // Hand-build a v1 log: magic + two kind-less records.
-        let mut raw = Vec::new();
-        raw.extend_from_slice(MAGIC_V1);
-        for (key, canonical, payload) in [(1u64, "spec-a", "{\"upc\":1.0}"), (2, "spec-b", "{}")] {
-            let v2 = encode_record(KIND_RESULT, key, canonical, payload);
-            raw.extend_from_slice(&v2[1..]); // drop the kind byte → v1 layout
-        }
-        std::fs::write(&path, &raw).unwrap();
-
-        let (store, replayed) = ResultStore::open(&dir, false).unwrap();
-        assert_eq!(replayed.len(), 2);
-        assert_eq!(replayed[0].canonical, "spec-a");
-        assert_eq!(replayed[1].key_hash, 2);
-        // The file on disk is now v2 and keeps working.
-        let head = std::fs::read(&path).unwrap();
-        assert_eq!(&head[..8], MAGIC);
-        store
-            .append_failed(
-                3,
-                "spec-c",
-                &JobFailure::new(FailureKind::SimulationFailed, "nope"),
-            )
-            .unwrap();
-        drop(store);
-        let (_s, replayed) = ResultStore::open(&dir, false).unwrap();
-        assert_eq!(replayed.len(), 3);
-        assert_eq!(replayed[2].kind, RecordKind::Failed);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn v2_log_migrates_to_v3_preserving_records() {
-        let dir = temp_dir("migrate-v2");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("results.log");
-        // Hand-build a v2 log: old magic, same record framing.
-        let mut raw = Vec::new();
-        raw.extend_from_slice(MAGIC_V2);
-        raw.extend_from_slice(&encode_record(KIND_RESULT, 1, "spec-a", "{\"upc\":1.0}"));
-        raw.extend_from_slice(&encode_record(KIND_FAILED, 2, "spec-b", "{\"code\":\"x\"}"));
-        std::fs::write(&path, &raw).unwrap();
-
-        let (store, replayed) = ResultStore::open(&dir, false).unwrap();
-        assert_eq!(replayed.len(), 2);
-        assert_eq!(replayed[0].canonical, "spec-a");
-        assert_eq!(replayed[1].kind, RecordKind::Failed);
-        let head = std::fs::read(&path).unwrap();
-        assert_eq!(&head[..8], MAGIC);
-        store.append(3, "spec-c", "{}").unwrap();
-        drop(store);
-        let (_s, replayed) = ResultStore::open(&dir, false).unwrap();
-        assert_eq!(replayed.len(), 3);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn program_records_round_trip() {
         let dir = temp_dir("program");
         {
@@ -660,9 +530,31 @@ mod tests {
     fn foreign_file_is_rejected() {
         let dir = temp_dir("foreign");
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("results.log"), b"not a store at all").unwrap();
-        let err = ResultStore::open(&dir, false).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // A foreign file, a log too short for a magic, and a log from the
+        // previous store version (the magic's version digit one lower)
+        // whose records are otherwise well framed.
+        let mut previous = MAGIC.to_vec();
+        previous[7] = b'2';
+        let previous_found = format!("found \"{}\"", previous.escape_ascii());
+        previous.extend_from_slice(&encode_record(KIND_RESULT, 1, "spec", "{}"));
+        let inputs: [(&[u8], &str); 3] = [
+            (b"not a store at all", r#"found "not a st""#),
+            (b"UCST", r#"found "UCST""#),
+            (&previous, &previous_found),
+        ];
+        for (raw, found) in inputs {
+            std::fs::write(dir.join("results.log"), raw).unwrap();
+            let err = ResultStore::open(&dir, false).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            let msg = err.to_string();
+            assert!(msg.contains(r#"expected magic "UCSTOR03""#), "{msg}");
+            assert!(msg.contains(found), "{msg}");
+            assert_eq!(
+                std::fs::read(dir.join("results.log")).unwrap(),
+                raw,
+                "left untouched"
+            );
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
