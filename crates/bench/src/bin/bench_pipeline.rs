@@ -21,7 +21,7 @@ use criterion::{Criterion, Throughput};
 use ucsim_bench::{optimization_ladder, LabeledConfig, RunOpts};
 use ucsim_model::json::Json;
 use ucsim_model::ToJson;
-use ucsim_pipeline::{run_configs_on_trace_threads, SimConfig, Simulator};
+use ucsim_pipeline::{run_configs_on_trace, SimConfig, Simulator};
 use ucsim_trace::{record_workload, Program, WorkloadProfile};
 
 /// Where the tracked results land (repository root under `cargo run`).
@@ -51,7 +51,7 @@ fn main() {
             "schema".to_owned(),
             Json::Str("ucsim-bench-pipeline/v2".to_owned()),
         ),
-        ("env".to_owned(), env_metadata(&opts)),
+        ("env".to_owned(), env_metadata()),
         ("warmup_insts".to_owned(), Json::Uint(opts.warmup)),
         ("measure_insts".to_owned(), Json::Uint(opts.insts)),
         (
@@ -66,10 +66,10 @@ fn main() {
 }
 
 /// Provenance of a tracked result: which commit produced it, on how many
-/// CPUs, with how many intra-cell workers. Numbers from different
-/// machines are not comparable; the metadata makes that visible in the
-/// checked-in file instead of leaving reviewers to guess.
-fn env_metadata(opts: &RunOpts) -> Json {
+/// CPUs. Numbers from different machines are not comparable; the
+/// metadata makes that visible in the checked-in file instead of leaving
+/// reviewers to guess.
+fn env_metadata() -> Json {
     let commit = std::process::Command::new("git")
         .args(["describe", "--always", "--dirty"])
         .output()
@@ -83,10 +83,6 @@ fn env_metadata(opts: &RunOpts) -> Json {
     Json::Obj(vec![
         ("commit".to_owned(), Json::Str(commit)),
         ("cpus".to_owned(), Json::Uint(cpus)),
-        (
-            "cell_threads".to_owned(),
-            Json::Uint(opts.cell_threads as u64),
-        ),
     ])
 }
 
@@ -199,12 +195,7 @@ fn sweep_speedup(opts: &RunOpts) -> Json {
             let t1 = Instant::now();
             let prog = Program::generate(p);
             let trace = record_workload(p, &prog, opts.warmup + opts.insts);
-            replayed.push(run_configs_on_trace_threads(
-                p.name,
-                &trace,
-                &ladder,
-                opts.cell_threads,
-            ));
+            replayed.push(run_configs_on_trace(p.name, &trace, &ladder));
             pass_replay += t1.elapsed().as_secs_f64();
         }
         regen_s = regen_s.min(pass_regen);

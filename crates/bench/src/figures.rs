@@ -462,7 +462,6 @@ mod tests {
             insts: 12_000,
             workload_filter: vec!["redis".into()],
             threads: 2,
-            cell_threads: 1,
         }
     }
 

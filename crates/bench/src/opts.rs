@@ -12,9 +12,6 @@ pub struct RunOpts {
     pub workload_filter: Vec<String>,
     /// Parallel worker threads.
     pub threads: usize,
-    /// Intra-cell hash-precompute workers per sweep cell (see
-    /// `PwTrace::replay_parallel`); 1 = sequential replay.
-    pub cell_threads: usize,
 }
 
 impl Default for RunOpts {
@@ -26,7 +23,6 @@ impl Default for RunOpts {
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4),
-            cell_threads: 1,
         }
     }
 }
@@ -72,15 +68,8 @@ impl RunOpts {
                     i += 1;
                     o.threads = args[i].parse().expect("--threads takes a number");
                 }
-                "--cell-threads" => {
-                    i += 1;
-                    o.cell_threads = args[i]
-                        .parse()
-                        .expect("--cell-threads takes a number >= 1");
-                    assert!(o.cell_threads >= 1, "--cell-threads takes a number >= 1");
-                }
                 other => panic!(
-                    "unknown option {other}; expected --quick | --insts N | --warmup N | --workloads a,b | --threads N | --cell-threads N"
+                    "unknown option {other}; expected --quick | --insts N | --warmup N | --workloads a,b | --threads N"
                 ),
             }
             i += 1;
@@ -107,13 +96,6 @@ mod tests {
         let o = RunOpts::default();
         assert!(o.selects("bm-cc"));
         assert!(o.selects("anything"));
-    }
-
-    #[test]
-    fn cell_threads_parses_and_defaults_to_sequential() {
-        assert_eq!(RunOpts::default().cell_threads, 1);
-        let o = RunOpts::parse(&["--cell-threads".into(), "4".into()]);
-        assert_eq!(o.cell_threads, 4);
     }
 
     #[test]

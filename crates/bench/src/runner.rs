@@ -1,6 +1,6 @@
 //! Workload × configuration matrix execution.
 
-use ucsim_pipeline::{run_configs_on_trace_threads, SimConfig, SimReport, Simulator};
+use ucsim_pipeline::{run_configs_on_trace, SimConfig, SimReport, Simulator};
 use ucsim_pool::Progress;
 use ucsim_trace::{record_workload, Program, WorkloadProfile};
 
@@ -44,8 +44,7 @@ pub fn run_matrix(
                 )
             })
             .collect();
-        let reports: Vec<SimReport> =
-            run_configs_on_trace_threads(profile.name, &trace, &sized, opts.cell_threads);
+        let reports = run_configs_on_trace(profile.name, &trace, &sized);
         progress.line(&format!(
             "  done {:<14} ({} configs)",
             profile.name,
@@ -81,7 +80,6 @@ mod tests {
             insts: 10_000,
             workload_filter: vec!["redis".into(), "bm-lla".into()],
             threads: 2,
-            cell_threads: 1,
         };
         let configs = vec![
             LabeledConfig::new("a", SimConfig::table1()),

@@ -49,7 +49,4 @@ pub use power::{FrontEndEnergy, PowerConfig};
 pub use pwtrace::PwTrace;
 pub use sim::{Cancelled, Simulator};
 pub use smt::SmtSimulator;
-pub use sweep::{
-    run_configs_on_trace, run_configs_on_trace_threads, KneeBisector, LabeledConfig,
-    SweepCellReport, SweepReport,
-};
+pub use sweep::{run_configs_on_trace, KneeBisector, LabeledConfig, SweepCellReport, SweepReport};

@@ -54,20 +54,6 @@ pub fn run_configs_on_trace(
     trace: &SharedTrace,
     configs: &[LabeledConfig],
 ) -> Vec<SimReport> {
-    run_configs_on_trace_threads(name, trace, configs, 1)
-}
-
-/// [`run_configs_on_trace`] with PW-granular intra-cell parallelism:
-/// each matching cell replays via [`PwTrace::replay_parallel`] with
-/// `cell_threads` hash-precompute workers. Byte-identical to the
-/// sequential sweep for any `cell_threads` (1 means plain sequential
-/// replay).
-pub fn run_configs_on_trace_threads(
-    name: &str,
-    trace: &SharedTrace,
-    configs: &[LabeledConfig],
-    cell_threads: usize,
-) -> Vec<SimReport> {
     let Some(first) = configs.first() else {
         return Vec::new();
     };
@@ -76,7 +62,7 @@ pub fn run_configs_on_trace_threads(
         .iter()
         .map(|lc| {
             if pwt.matches(&lc.config) {
-                pwt.replay_parallel(name, &lc.config, cell_threads)
+                pwt.replay(name, &lc.config)
             } else {
                 Simulator::new(lc.config.clone()).run_trace(name, trace)
             }

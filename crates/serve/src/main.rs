@@ -27,8 +27,6 @@ OPTIONS:
     --tenant-weight TENANT=W
                       fair-share weight for TENANT (repeatable); tenants
                       not listed default to weight 1
-    --cell-threads N  intra-cell hash-precompute workers per job
-                      (byte-identical reports)  [default: 1]
     --peer HOST:PORT  cluster member (repeatable). Any non-empty list
                       turns on peer mode: consistent-hash job routing,
                       scatter-gather sweeps, health probing, and (with
@@ -143,10 +141,6 @@ fn main() -> ExitCode {
                     None => return bail("--tenant-weight needs TENANT=WEIGHT with WEIGHT >= 1"),
                 }
             }
-            "--cell-threads" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(v) if v >= 1 => cfg.cell_threads = v,
-                _ => return bail("--cell-threads needs a number >= 1"),
-            },
             "--peer" => match args.next() {
                 Some(v) if v.contains(':') => cfg.peers.push(v),
                 _ => return bail("--peer needs HOST:PORT"),

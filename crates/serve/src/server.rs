@@ -79,14 +79,6 @@ pub struct ServerConfig {
     /// Fair-share weights per tenant (`(name, weight)`); tenants not
     /// listed here are created on first use with weight 1.
     pub tenant_weights: Vec<(String, u64)>,
-    /// Intra-cell parallelism: with `cell_threads > 1`, each job records
-    /// its prediction-window stream and replays it with that many
-    /// hash-precompute workers (`PwTrace::replay_parallel`). Served
-    /// reports are byte-identical either way; the trade-off is coarser
-    /// cancellation (the deadline token is checked between phases, not
-    /// every few batches), so late jobs may run to completion — their
-    /// results are still correct and still cached.
-    pub cell_threads: usize,
     /// Cluster members (`host:port`, repeatable `--peer`). Non-empty
     /// turns on peer mode: rendezvous routing of jobs, scatter-gather
     /// sweeps, health probing, and (with a store) anti-entropy. Every
@@ -125,7 +117,6 @@ impl Default for ServerConfig {
             drain_timeout: Duration::from_secs(30),
             durable_store: false,
             tenant_weights: Vec::new(),
-            cell_threads: 1,
             peers: Vec::new(),
             advertise: None,
             anti_entropy_interval: Duration::from_secs(5),
@@ -592,7 +583,6 @@ fn execute(inner: &Arc<Inner>, work: &Work) {
         &inner.traces,
         &inner.programs,
         &work.cancel,
-        inner.cfg.cell_threads,
     );
     if let Some(profile) = ucsim_obs::profile_end() {
         work.cell.set_profile(Arc::new(profile));
@@ -730,7 +720,6 @@ fn run_spec(
     traces: &TraceStore,
     programs: &ProgramRegistry,
     cancel: &CancelToken,
-    cell_threads: usize,
 ) -> Result<SimReport, RunError> {
     let total = spec.config.warmup_insts + spec.config.measure_insts;
     let wref = WorkloadRef::parse(&spec.workload)
@@ -801,17 +790,6 @@ fn run_spec(
             (profile.name, trace)
         }
     };
-    if cell_threads > 1 {
-        // PW-parallel path: record the prediction-window stream, then
-        // replay it with intra-cell hash-precompute workers. Reports are
-        // byte-identical to the sequential path; cancellation is checked
-        // between the two phases only (see `ServerConfig::cell_threads`).
-        let pwt = ucsim_pipeline::PwTrace::record(&trace, &spec.config);
-        if cancel.is_cancelled() {
-            return Err(RunError::Cancelled);
-        }
-        return Ok(pwt.replay_parallel(name, &spec.config, cell_threads));
-    }
     // The recording already stops at `warmup + measure` instructions.
     Simulator::new(spec.config.clone())
         .run_slice_cancellable(name, trace.insts(), cancel)
@@ -2216,9 +2194,9 @@ fn handle_version(inner: &Arc<Inner>, _req: &Request, _params: &Params) -> Respo
             Json::Str(env!("CARGO_PKG_VERSION").to_owned()),
         ),
         // Wire-contract version: v1.2 added user programs (`/v1/programs`,
-        // the tagged workload-ref object in sim/matrix requests — the
-        // plain ref string stays as a one-release alias) on top of the
-        // v1.1 plans/cancellation/listing surface.
+        // the tagged workload-ref object in sim/matrix requests beside the
+        // plain ref string, which stays a supported spelling) on top of
+        // the v1.1 plans/cancellation/listing surface.
         ("api".to_owned(), Json::Str("v1.2".to_owned())),
         ("store_format".to_owned(), Json::Str("UCSTOR03".to_owned())),
         (
