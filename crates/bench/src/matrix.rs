@@ -124,19 +124,36 @@ impl MatrixCross {
 
     /// Expands into labeled configurations, capacity-major then policy,
     /// on top of the paper's Table I core configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`Self::try_expand`] returns an error.
     pub fn expand(&self) -> Vec<LabeledConfig> {
+        self.try_expand().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Self::expand`] for untrusted axes.
+    ///
+    /// # Errors
+    ///
+    /// Names the first cell whose uop-cache geometry fails
+    /// [`UopCacheConfig::check`].
+    pub fn try_expand(&self) -> Result<Vec<LabeledConfig>, String> {
         let mut out = Vec::with_capacity(self.len());
         for &cap in &self.capacities {
-            let base = UopCacheConfig::baseline_with_capacity(cap);
+            let base = UopCacheConfig::try_baseline_with_capacity(cap)?;
             for &policy in &self.policies {
+                let uop_cache = policy.apply(base.clone(), self.max_entries);
+                uop_cache
+                    .check()
+                    .map_err(|e| format!("policy {}: {e}", policy.name()))?;
                 out.push(LabeledConfig {
                     label: self.label(cap, policy),
-                    config: SimConfig::table1()
-                        .with_uop_cache(policy.apply(base.clone(), self.max_entries)),
+                    config: SimConfig::table1().with_uop_cache(uop_cache),
                 });
             }
         }
-        out
+        Ok(out)
     }
 }
 

@@ -105,18 +105,27 @@ impl UopCacheConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `uops` is not a positive multiple of `ways *
-    /// max_uops_per_entry` rounding to a power-of-two set count.
+    /// Panics where [`Self::try_baseline_with_capacity`] returns an error.
     pub fn baseline_with_capacity(uops: usize) -> Self {
+        Self::try_baseline_with_capacity(uops).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Self::baseline_with_capacity`] for untrusted input.
+    ///
+    /// # Errors
+    ///
+    /// Fails [`Self::check`] unless `uops / (ways * max_uops_per_entry)`
+    /// is a power-of-two set count, so `uops` below one set fails too.
+    pub fn try_baseline_with_capacity(uops: usize) -> Result<Self, String> {
         let base = Self::baseline_2k();
         let per_set = base.ways * base.max_uops_per_entry as usize;
-        assert!(uops >= per_set, "capacity below one set");
-        let sets = uops / per_set;
-        assert!(
-            sets.is_power_of_two(),
-            "capacity must give power-of-two sets"
-        );
-        UopCacheConfig { sets, ..base }
+        let c = UopCacheConfig {
+            sets: uops / per_set,
+            ..base
+        };
+        c.check()
+            .map(|()| c)
+            .map_err(|e| format!("capacity {uops} uops: {e}"))
     }
 
     /// Builder-style: terminate entries at PW boundaries (ablation).
@@ -140,9 +149,8 @@ impl UopCacheConfig {
     /// Builder-style: enable compaction with the given policy and per-line
     /// entry bound (paper default 2, sensitivity study 3). Compaction in
     /// the paper's evaluation always runs on top of CLASP; this helper
-    /// enables both.
+    /// enables both. A bound below 2 fails [`Self::check`].
     pub fn with_compaction(mut self, policy: CompactionPolicy, max_entries: u32) -> Self {
-        assert!(max_entries >= 2, "compaction needs >= 2 entries per line");
         self.compaction = policy;
         self.max_entries_per_line = max_entries;
         self.clasp = true;
@@ -163,25 +171,43 @@ impl UopCacheConfig {
     ///
     /// # Panics
     ///
-    /// Panics on an inconsistent configuration.
+    /// Panics where [`Self::check`] returns an error.
     pub fn validate(&self) {
-        assert!(self.sets.is_power_of_two(), "sets must be a power of two");
-        assert!(self.ways > 0);
-        assert!(self.ctr_bytes < self.line_bytes);
-        assert!(self.max_uops_per_entry > 0);
-        assert!(self.max_entries_per_line >= 1);
-        assert!(self.clasp_max_lines >= 2);
-        if self.compaction.enabled() {
-            assert!(
-                self.max_entries_per_line >= 2,
-                "compaction requires >= 2 entries per line"
-            );
+        if let Err(e) = self.check() {
+            panic!("{e}");
+        }
+    }
+
+    /// Checks invariants: the one geometry rule behind [`Self::validate`]
+    /// and [`Self::try_baseline_with_capacity`].
+    ///
+    /// # Errors
+    ///
+    /// Names the first violated invariant.
+    pub fn check(&self) -> Result<(), String> {
+        if !self.sets.is_power_of_two() {
+            return Err(format!("{} sets is not a power-of-two count", self.sets));
+        }
+        if self.ways == 0 || self.max_uops_per_entry == 0 || self.max_entries_per_line == 0 {
+            return Err("ways, uops per entry and entries per line must be positive".to_owned());
+        }
+        if self.ctr_bytes >= self.line_bytes {
+            return Err("counter bytes leave no room in the line".to_owned());
+        }
+        if self.clasp_max_lines < 2 {
+            return Err("CLASP entries must be allowed to span 2 lines".to_owned());
+        }
+        if self.compaction.enabled() && self.max_entries_per_line < 2 {
+            return Err(format!(
+                "compaction needs >= 2 entries per line, got {}",
+                self.max_entries_per_line
+            ));
         }
         // An entry of max uops and no imm fields must fit a line.
-        assert!(
-            self.max_uops_per_entry * ucsim_model::UOP_BYTES <= self.entry_byte_budget(),
-            "max-uop entry cannot fit the line budget"
-        );
+        if self.max_uops_per_entry * ucsim_model::UOP_BYTES > self.entry_byte_budget() {
+            return Err("max-uop entry cannot fit the line budget".to_owned());
+        }
+        Ok(())
     }
 }
 
@@ -231,13 +257,29 @@ mod tests {
     #[test]
     #[should_panic(expected = ">= 2 entries")]
     fn compaction_rejects_single_entry() {
-        let _ = UopCacheConfig::baseline_2k().with_compaction(CompactionPolicy::Rac, 1);
+        UopCacheConfig::baseline_2k()
+            .with_compaction(CompactionPolicy::Rac, 1)
+            .validate();
     }
 
     #[test]
     #[should_panic(expected = "power-of-two")]
     fn rejects_odd_capacity() {
         let _ = UopCacheConfig::baseline_with_capacity(3000);
+    }
+
+    #[test]
+    fn bad_geometry_is_an_error_not_a_panic() {
+        for uops in [0, 10, 3000] {
+            let e = UopCacheConfig::try_baseline_with_capacity(uops).unwrap_err();
+            assert!(e.starts_with(&format!("capacity {uops} uops: ")), "{e}");
+        }
+        let rac1 = UopCacheConfig::baseline_2k().with_compaction(CompactionPolicy::Rac, 1);
+        assert!(rac1.check().unwrap_err().contains(">= 2 entries"));
+        assert_eq!(
+            UopCacheConfig::try_baseline_with_capacity(4096).map(|c| c.sets),
+            Ok(64)
+        );
     }
 
     #[test]

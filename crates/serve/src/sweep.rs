@@ -696,7 +696,7 @@ impl PlanAxes {
         }
         let policies_per_capacity = cross.policies.len();
         let capacities = cross.capacities.clone();
-        let configs = cross.expand();
+        let configs = cross.try_expand().map_err(|e| (ErrorCode::BadRequest, e))?;
         Ok(PlanAxes {
             workloads: req.workloads.clone(),
             capacities,

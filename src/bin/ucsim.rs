@@ -119,10 +119,6 @@ fn parse() -> Args {
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
-    let bail = |m: &str| -> ! {
-        eprintln!("error: {m}\n\n{USAGE}");
-        std::process::exit(2)
-    };
     while i < argv.len() {
         match argv[i].as_str() {
             "--help" | "-h" => {
@@ -281,10 +277,6 @@ fn client_matrix(argv: &[String]) {
     let mut adaptive = false;
     let mut tolerance: Option<f64> = None;
     let mut cancel_id: Option<u64> = None;
-    let bail = |m: &str| -> ! {
-        eprintln!("error: {m}\n\n{USAGE}");
-        std::process::exit(2)
-    };
     let mut i = 0;
     while i < argv.len() {
         let need = |i: usize| -> &String {
@@ -555,10 +547,6 @@ fn client_job(argv: &[String]) {
     let mut id: Option<u64> = None;
     let mut profile = false;
     let mut cancel = false;
-    let bail = |m: &str| -> ! {
-        eprintln!("error: {m}\n\n{USAGE}");
-        std::process::exit(2)
-    };
     let mut i = 0;
     while i < argv.len() {
         match argv[i].as_str() {
@@ -636,10 +624,6 @@ fn client_job(argv: &[String]) {
 /// The `ucsim client program` subcommand: upload, list, or inspect
 /// content-addressed user programs on a running server.
 fn client_program(argv: &[String]) {
-    let bail = |m: &str| -> ! {
-        eprintln!("error: {m}\n\n{USAGE}");
-        std::process::exit(2)
-    };
     let Some(verb) = argv.first().map(String::as_str) else {
         bail("program needs upload|list|show");
     };
@@ -769,10 +753,6 @@ fn client_main(argv: &[String]) {
     let mut job: Option<u64> = None;
     let mut metrics = false;
     let mut no_retry = false;
-    let bail = |m: &str| -> ! {
-        eprintln!("error: {m}\n\n{USAGE}");
-        std::process::exit(2)
-    };
     let mut i = 0;
     while i < argv.len() {
         match argv[i].as_str() {
@@ -892,6 +872,12 @@ fn client_main(argv: &[String]) {
     );
 }
 
+/// Reports a usage error and exits with status 2.
+fn bail(m: &str) -> ! {
+    eprintln!("error: {m}\n\n{USAGE}");
+    std::process::exit(2)
+}
+
 fn main() {
     if std::env::args().nth(1).as_deref() == Some("client") {
         let argv: Vec<String> = std::env::args().skip(2).collect();
@@ -900,12 +886,16 @@ fn main() {
     }
     let args = parse();
 
-    let mut oc =
-        UopCacheConfig::baseline_with_capacity(args.capacity).with_replacement(args.replacement);
+    let mut oc = UopCacheConfig::try_baseline_with_capacity(args.capacity)
+        .unwrap_or_else(|e| bail(&e))
+        .with_replacement(args.replacement);
     if let Some(policy) = args.compaction {
         oc = oc.with_compaction(policy, args.max_entries);
     } else if args.clasp {
         oc = oc.with_clasp();
+    }
+    if let Err(e) = oc.check() {
+        bail(&e);
     }
 
     let mut cfg = SimConfig::table1()

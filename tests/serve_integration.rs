@@ -259,15 +259,18 @@ fn error_paths_answer_without_side_effects() {
     assert_eq!(r.status, 400);
     assert_eq!(envelope_code(&r.body_str()).0, "bad_request");
 
-    let r = request(
-        &addr,
-        "POST",
-        "/v1/matrix",
-        br#"{"workloads":["bm-cc"],"policies":["zap"]}"#,
-    )
-    .unwrap();
-    assert_eq!(r.status, 400);
-    assert_eq!(envelope_code(&r.body_str()).0, "bad_request");
+    // An unknown policy, and two axes that give no valid uop-cache
+    // geometry: a capacity with a non-power-of-two set count, and
+    // compaction with one entry per line.
+    for body in [
+        br#"{"workloads":["bm-cc"],"policies":["zap"]}"#.as_slice(),
+        br#"{"workloads":["bm-cc"],"capacities":[3000]}"#,
+        br#"{"workloads":["bm-cc"],"policies":["rac"],"max_entries":1}"#,
+    ] {
+        let r = request(&addr, "POST", "/v1/matrix", body).unwrap();
+        assert_eq!(r.status, 400, "body: {}", r.body_str());
+        assert_eq!(envelope_code(&r.body_str()).0, "bad_request");
+    }
 
     let r = request(&addr, "GET", "/v1/jobs/999", b"").unwrap();
     assert_eq!(r.status, 404);
@@ -305,6 +308,21 @@ fn error_paths_answer_without_side_effects() {
     assert_eq!(
         m.get("queue").unwrap().get("depth").unwrap().as_u64(),
         Some(0)
+    );
+
+    // The rejections left the server able to run a valid sweep.
+    let mut client = Client::new(&addr);
+    let body = br#"{"workloads":["bm-cc"],"capacities":[2048],"warmup":500,"insts":2000}"#;
+    let r = client.request("POST", "/v1/matrix", body).unwrap();
+    assert_eq!(r.status, 202, "body: {}", r.body_str());
+    let id = parse_json(&r.body_str())
+        .get("id")
+        .unwrap()
+        .as_u64()
+        .unwrap();
+    assert_eq!(
+        poll_sweep(&mut client, id).get("done").unwrap().as_u64(),
+        Some(1)
     );
     server.shutdown();
 }
