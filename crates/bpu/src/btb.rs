@@ -130,11 +130,6 @@ impl Btb {
         }
     }
 
-    /// Default geometry: 2K-entry L1 (512 sets × 4), 16K-entry L2.
-    pub fn with_default_geometry() -> Self {
-        Btb::new(9, 4, 12, 4)
-    }
-
     /// Counters accumulated so far.
     pub fn stats(&self) -> BtbStats {
         self.stats

@@ -280,16 +280,6 @@ impl<'a> SlicePwGen<'a> {
         self.core.reset_stats();
     }
 
-    /// Underlying TAGE statistics.
-    pub fn tage_stats(&self) -> crate::TageStats {
-        self.core.tage.stats()
-    }
-
-    /// Underlying BTB statistics.
-    pub fn btb_stats(&self) -> crate::BtbStats {
-        self.core.btb.stats()
-    }
-
     /// Borrowed-batch view of `span` (for consumers written against
     /// [`PwBatchRef`]).
     pub fn batch_for(&self, span: &PwSpan) -> PwBatchRef<'a> {

@@ -93,11 +93,6 @@ impl UopCacheLine {
         self.entries.iter().map(|(e, _)| e)
     }
 
-    /// Iterates over `(entry, placement)` pairs.
-    pub fn entries_with_placement(&self) -> impl Iterator<Item = (&UopCacheEntry, PlacementKind)> {
-        self.entries.iter().map(|(e, p)| (e, *p))
-    }
-
     /// Removes all entries (whole-line eviction — the paper's fill-time
     /// victim semantics), returning how many were resident. Allocation
     /// free: evictions happen on every conflicting fill in steady state,

@@ -1,6 +1,6 @@
 //! The tagged workload reference: *which instruction stream a job runs*.
 //!
-//! Since PR 10 a job's `workload` is no longer restricted to the 13
+//! Since API v1.2 a job's `workload` is no longer restricted to the 13
 //! Table II profile names — it can reference a user-uploaded resource by
 //! content address:
 //!
@@ -10,10 +10,11 @@
 //! * `Trace(hash)` — a recorded instruction trace (the std big-endian
 //!   `UCT1` format) uploaded the same way.
 //!
-//! On the wire (API v1.2) the reference is a tagged object —
+//! On the wire (API v1.2) the reference is either a tagged object —
 //! `{"profile":"redis"}`, `{"program":"<16-hex>"}` or
-//! `{"trace":"<16-hex>"}` — with the bare string form kept as a
-//! one-release deprecated alias. Internally (canonical [`JobSpec`]
+//! `{"trace":"<16-hex>"}` — or the same reference as a plain ref string
+//! (`"redis"`, `"program:<16-hex>"`). Both spellings are supported; the
+//! string form is what the bundled clients send. Internally (canonical [`JobSpec`]
 //! encodings, trace keys, store records, peer forwarding) the reference
 //! is always the *normalized ref string*: the bare profile name, or
 //! `program:<16-hex>` / `trace:<16-hex>`. Keeping profile names unprefixed
@@ -67,8 +68,8 @@ impl WorkloadRef {
     }
 
     /// Parses the wire `workload` member: a tagged object
-    /// (`{"profile":…}` | `{"program":…}` | `{"trace":…}`) or — as the
-    /// deprecated v1.1 alias — a bare string in ref-string syntax.
+    /// (`{"profile":…}` | `{"program":…}` | `{"trace":…}`) or a plain
+    /// string in ref-string syntax.
     ///
     /// # Errors
     ///
@@ -106,16 +107,6 @@ impl WorkloadRef {
             WorkloadRef::Program(h) => format!("program:{}", format_hash(*h)),
             WorkloadRef::Trace(h) => format!("trace:{}", format_hash(*h)),
         }
-    }
-
-    /// The tagged wire object (the non-deprecated v1.2 request form).
-    pub fn to_json(&self) -> Json {
-        let (tag, value) = match self {
-            WorkloadRef::Profile(name) => ("profile", name.clone()),
-            WorkloadRef::Program(h) => ("program", format_hash(*h)),
-            WorkloadRef::Trace(h) => ("trace", format_hash(*h)),
-        };
-        Json::Obj(vec![(tag.to_owned(), Json::Str(value))])
     }
 
     /// A short human label for sweep ledgers and metrics: the profile
@@ -182,11 +173,24 @@ mod tests {
 
     #[test]
     fn tagged_json_and_string_alias_both_parse() {
-        let tagged = Json::parse(r#"{"program":"00000000deadbeef"}"#).unwrap();
-        assert_eq!(
-            WorkloadRef::from_json(&tagged).unwrap(),
-            WorkloadRef::Program(0xdead_beef)
-        );
+        for (tagged, want) in [
+            (
+                r#"{"program":"00000000deadbeef"}"#,
+                WorkloadRef::Program(0xdead_beef),
+            ),
+            (
+                r#"{"profile":"bm-cc"}"#,
+                WorkloadRef::Profile("bm-cc".to_owned()),
+            ),
+            (r#"{"program":"abc"}"#, WorkloadRef::Program(0xabc)),
+            (
+                r#"{"trace":"ffffffffffffffff"}"#,
+                WorkloadRef::Trace(u64::MAX),
+            ),
+        ] {
+            let v = Json::parse(tagged).unwrap();
+            assert_eq!(WorkloadRef::from_json(&v).unwrap(), want, "{tagged}");
+        }
         let alias = Json::Str("redis".to_owned());
         assert_eq!(
             WorkloadRef::from_json(&alias).unwrap(),
@@ -209,18 +213,6 @@ mod tests {
         ] {
             let v = Json::parse(bad).unwrap();
             assert!(WorkloadRef::from_json(&v).is_err(), "{bad} must not parse");
-        }
-    }
-
-    #[test]
-    fn tagged_encoding_round_trips() {
-        for r in [
-            WorkloadRef::Profile("bm-cc".to_owned()),
-            WorkloadRef::Program(0xabc),
-            WorkloadRef::Trace(u64::MAX),
-        ] {
-            let back = WorkloadRef::from_json(&r.to_json()).unwrap();
-            assert_eq!(back, r);
         }
     }
 

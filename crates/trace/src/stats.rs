@@ -18,9 +18,6 @@ pub struct TraceStats {
     branches: u64,
     cond_branches: u64,
     taken_branches: u64,
-    microcoded: u64,
-    mem_ops: u64,
-    imm_fields: u64,
     len_hist: Histogram,
     block_len: RunningStat,
     cur_block: u64,
@@ -44,9 +41,6 @@ impl TraceStats {
             branches: 0,
             cond_branches: 0,
             taken_branches: 0,
-            microcoded: 0,
-            mem_ops: 0,
-            imm_fields: 0,
             len_hist: Histogram::new(&[1, 2, 3, 4, 5, 6, 8, 10, 15]),
             block_len: RunningStat::new(),
             cur_block: 0,
@@ -61,13 +55,6 @@ impl TraceStats {
         self.insts += 1;
         self.uops += i.uops as u64;
         self.len_hist.record(i.len as u64);
-        self.imm_fields += i.imm_disp as u64;
-        if i.microcoded {
-            self.microcoded += 1;
-        }
-        if i.class.is_mem() {
-            self.mem_ops += 1;
-        }
         self.cur_block += 1;
         if i.class.is_branch() {
             self.branches += 1;
@@ -151,33 +138,6 @@ impl TraceStats {
     /// how many uops the hot code would occupy if fully cached).
     pub fn static_uop_footprint(&self) -> u64 {
         self.static_uops
-    }
-
-    /// Memory operations per instruction.
-    pub fn mem_frac(&self) -> f64 {
-        if self.insts == 0 {
-            0.0
-        } else {
-            self.mem_ops as f64 / self.insts as f64
-        }
-    }
-
-    /// Micro-coded fraction.
-    pub fn microcoded_frac(&self) -> f64 {
-        if self.insts == 0 {
-            0.0
-        } else {
-            self.microcoded as f64 / self.insts as f64
-        }
-    }
-
-    /// Immediate/displacement fields per instruction.
-    pub fn imm_per_inst(&self) -> f64 {
-        if self.insts == 0 {
-            0.0
-        } else {
-            self.imm_fields as f64 / self.insts as f64
-        }
     }
 }
 

@@ -89,11 +89,6 @@ impl TraceWalker<'_> {
         self.emitted
     }
 
-    /// Current call-stack depth (diagnostics).
-    pub fn call_depth(&self) -> usize {
-        self.stack.len()
-    }
-
     fn data_addr(&mut self, is_store: bool) -> Addr {
         self.mem_count += 1;
         let mut r = SplitMix64::new(mix64(self.data_seed ^ self.mem_count));

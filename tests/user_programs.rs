@@ -125,7 +125,7 @@ fn uploaded_asm_simulates_byte_identically_to_a_direct_run() {
         resp.body_str()
     );
 
-    // Deprecated string alias: same content address, so the second
+    // Plain string spelling: same content address, so the second
     // submission answers from cache with the identical report.
     let alias = format!(r#"{{"workload":"{wref}","warmup":500,"insts":3000}}"#);
     let resp2 = request(&addr, "POST", "/v1/sim", alias.as_bytes()).unwrap();

@@ -72,8 +72,8 @@ fn sim_report_f64_fields_survive_exactly() {
 
 #[test]
 fn workload_ref_spellings_share_one_content_address() {
-    // API v1.2 pin: the tagged workload object and its deprecated string
-    // alias must resolve to byte-identical canonical job specs — and a
+    // API v1.2 pin: the tagged workload object and its plain string
+    // spelling must resolve to byte-identical canonical job specs — and a
     // plain profile name must canonicalize exactly as it did pre-v1.2,
     // so no existing store record or cache key is orphaned.
     use ucsim::serve::SimRequest;
