@@ -414,9 +414,19 @@ pub use imp::{
 #[cfg(all(test, feature = "enabled"))]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// Serializes the tests that read ring contents. Rings are
+    /// process-global and recycled through the registry's free list, so
+    /// one test's flood of events can overwrite another's.
+    fn ring_gate() -> MutexGuard<'static, ()> {
+        static GATE: Mutex<()> = Mutex::new(());
+        GATE.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn emit_drain_roundtrip() {
+        let _gate = ring_gate();
         let (_, start) = drain_since(0, usize::MAX);
         emit(SpanKind::Handle, 10, 5, 200);
         emit(SpanKind::StoreIo, 20, 1, 0);
@@ -450,6 +460,7 @@ mod tests {
 
     #[test]
     fn queue_token_carries_request_across_threads() {
+        let _gate = ring_gate();
         let (_, start) = drain_since(0, usize::MAX);
         let guard = request_scope(42);
         let token = QueueToken::capture();
@@ -469,6 +480,7 @@ mod tests {
 
     #[test]
     fn ring_overwrite_keeps_newest() {
+        let _gate = ring_gate();
         let (_, start) = drain_since(0, usize::MAX);
         for i in 0..(RING_SLOTS as u32 + 10) {
             emit(SpanKind::Accept, u64::from(i), 0, i);
@@ -485,6 +497,7 @@ mod tests {
 
     #[test]
     fn drain_max_pages() {
+        let _gate = ring_gate();
         let (_, mut cursor) = drain_since(0, usize::MAX);
         for i in 0..10 {
             emit(SpanKind::Parse, i, 1, 0);

@@ -9,7 +9,7 @@
 //! backoff around transient failures (connect/read errors and 429
 //! backpressure, honoring `Retry-After`).
 
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Read};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -102,13 +102,8 @@ impl HttpResponse {
 /// [`io::ErrorKind::InvalidData`].
 pub fn request(addr: &str, method: &str, path: &str, body: &[u8]) -> io::Result<HttpResponse> {
     let mut stream = TcpStream::connect(addr)?;
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nhost: {addr}\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
-    stream.flush()?;
+    stream.set_nodelay(true)?;
+    write_request(&mut stream, method, path, addr, true, &[], body)?;
 
     let mut raw = Vec::new();
     stream.read_to_end(&mut raw)?;
@@ -271,28 +266,25 @@ impl Client {
     }
 
     fn try_request(&mut self, method: &str, path: &str, body: &[u8]) -> io::Result<HttpResponse> {
+        let host = &self.addrs[self.active];
         if self.conn.is_none() {
-            let addr = self.addrs[self.active].clone();
-            self.conn = Some(BufReader::new(TcpStream::connect(&addr)?));
+            let stream = TcpStream::connect(host)?;
+            stream.set_nodelay(true)?;
+            self.conn = Some(BufReader::new(stream));
             self.connects += 1;
         }
-        let id_header = self
-            .request_id
-            .as_ref()
-            .map_or_else(String::new, |id| format!("x-request-id: {id}\r\n"));
-        let head = format!(
-            "{method} {path} HTTP/1.1\r\nhost: {}\r\ncontent-type: application/json\r\ncontent-length: {}\r\n{id_header}\r\n",
-            self.addrs[self.active],
-            body.len()
-        );
+        let id_header = self.request_id.as_deref().map(|id| ("x-request-id", id));
         let conn = self.conn.as_mut().expect("connected above");
-        let result = (|| {
-            let stream = conn.get_mut();
-            stream.write_all(head.as_bytes())?;
-            stream.write_all(body)?;
-            stream.flush()?;
-            read_framed_response(conn)
-        })();
+        let result = write_request(
+            conn.get_mut(),
+            method,
+            path,
+            host,
+            false,
+            id_header.as_slice(),
+            body,
+        )
+        .and_then(|()| read_framed_response(conn));
         match result {
             Ok(resp) => {
                 // Honor the server's decision to close.
@@ -312,6 +304,32 @@ impl Client {
             }
         }
     }
+}
+
+/// Writes one JSON request as a single message (see
+/// [`crate::http::write_message`]), with `Connection: close` when
+/// `close`. Shared by both client shapes and the peer transport
+/// (`crate::peer`).
+pub(crate) fn write_request(
+    stream: &mut TcpStream,
+    method: &str,
+    path: &str,
+    host: &str,
+    close: bool,
+    extra_headers: &[(&str, &str)],
+    body: &[u8],
+) -> io::Result<()> {
+    let standard = [("host", host), ("content-type", "application/json")];
+    let connection = close.then_some(("connection", "close"));
+    crate::http::write_message(
+        stream,
+        &format!("{method} {path} HTTP/1.1"),
+        standard
+            .into_iter()
+            .chain(connection)
+            .chain(extra_headers.iter().copied()),
+        body,
+    )
 }
 
 /// Reads one `Content-Length`-framed response off a buffered stream,
@@ -390,6 +408,7 @@ fn find_head_end(raw: &[u8]) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Write;
 
     #[test]
     fn parses_a_response() {

@@ -269,26 +269,46 @@ impl HttpConn {
     ///
     /// Propagates stream I/O errors.
     pub fn respond(&mut self, resp: &Response, close: bool) -> io::Result<()> {
-        let reason = reason_phrase(resp.status);
+        let start = format!("HTTP/1.1 {} {}", resp.status, reason_phrase(resp.status));
         let connection = if close { "close" } else { "keep-alive" };
-        let mut head = format!(
-            "HTTP/1.1 {} {reason}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {connection}\r\n",
-            resp.status,
-            resp.content_type,
-            resp.body.len()
-        );
-        for (k, v) in &resp.headers {
-            head.push_str(k);
-            head.push_str(": ");
-            head.push_str(v);
-            head.push_str("\r\n");
-        }
-        head.push_str("\r\n");
-        let stream = self.reader.get_mut();
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(&resp.body)?;
-        stream.flush()
+        let framing = [
+            ("content-type", resp.content_type),
+            ("connection", connection),
+        ];
+        let extra = resp.headers.iter().map(|(k, v)| (*k, v.as_str()));
+        write_message(
+            self.reader.get_mut(),
+            &start,
+            framing.into_iter().chain(extra),
+            &resp.body,
+        )
     }
+}
+
+/// Writes one HTTP/1.1 message — start line, `headers`, a
+/// `content-length` for `body`, the blank line and `body` — with a
+/// single `write_all`. Every request and response goes through here:
+/// a head and body sent as two writes would let Nagle hold the body
+/// until the peer's delayed ACK (~40 ms) arrives.
+pub(crate) fn write_message<'a>(
+    w: &mut impl Write,
+    start_line: &str,
+    headers: impl IntoIterator<Item = (&'a str, &'a str)>,
+    body: &[u8],
+) -> io::Result<()> {
+    let mut msg = Vec::with_capacity(256 + body.len());
+    msg.extend_from_slice(start_line.as_bytes());
+    msg.extend_from_slice(b"\r\n");
+    for (k, v) in headers {
+        msg.extend_from_slice(k.as_bytes());
+        msg.extend_from_slice(b": ");
+        msg.extend_from_slice(v.as_bytes());
+        msg.extend_from_slice(b"\r\n");
+    }
+    msg.extend_from_slice(format!("content-length: {}\r\n\r\n", body.len()).as_bytes());
+    msg.extend_from_slice(body);
+    w.write_all(&msg)?;
+    w.flush()
 }
 
 fn reason_phrase(status: u16) -> &'static str {

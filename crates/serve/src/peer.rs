@@ -20,7 +20,7 @@
 //! target, so cluster chaos tests can refuse connections to *one* node
 //! of an in-process cluster (see `ucsim_pool::faults`).
 
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -483,25 +483,13 @@ fn http_once(
         .next()
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, format!("bad addr {addr}")))?;
     let mut stream = TcpStream::connect_timeout(&sock, deadline)?;
+    stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(deadline))?;
     stream.set_write_timeout(Some(deadline))?;
 
     faults::check_at("peer.request", addr);
 
-    let mut head = format!(
-        "{method} {path} HTTP/1.1\r\nhost: {addr}\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: close\r\n",
-        body.len()
-    );
-    for (k, v) in extra_headers {
-        head.push_str(k);
-        head.push_str(": ");
-        head.push_str(v);
-        head.push_str("\r\n");
-    }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
-    stream.flush()?;
+    crate::client::write_request(&mut stream, method, path, addr, true, extra_headers, body)?;
 
     let mut raw = Vec::new();
     stream.read_to_end(&mut raw)?;
@@ -532,6 +520,7 @@ fn http_once(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Write;
 
     fn set(self_addr: &str, peers: &[&str]) -> PeerSet {
         PeerSet::new(

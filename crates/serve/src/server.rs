@@ -6,7 +6,7 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -31,8 +31,9 @@ use crate::store::{RecordKind, ResultStore};
 use crate::sweep::{self, Frontier, PlanAxes, PlanOptions, Sweep, SweepTable};
 use crate::{jobs, signal};
 
-/// Poll interval of the accept loop (checks the shutdown flag between
-/// non-blocking accepts).
+/// Poll interval of [`Server::run_until_shutdown`]'s wait for the
+/// shutdown signal, and the accept loop's backoff after an accept error
+/// (fd exhaustion and the like). The accept itself blocks.
 const ACCEPT_POLL: Duration = Duration::from_millis(20);
 
 /// Tunables for [`Server::start`].
@@ -201,7 +202,6 @@ impl Server {
     pub fn start(cfg: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
 
         let (store, replayed) = match &cfg.data_dir {
             Some(dir) => {
@@ -386,6 +386,10 @@ impl Server {
     pub fn shutdown(mut self) {
         self.inner.stopping.store(true, Ordering::SeqCst);
         if let Some(h) = self.accept_thread.take() {
+            // The accept blocks: one connection to our own listener wakes
+            // it to see the stopping flag. A refused dial means the loop
+            // already returned (it also stops on the signal flag).
+            let _ = TcpStream::connect_timeout(&wake_addr(self.local_addr), Duration::from_secs(1));
             let _ = h.join();
         }
         // No new connections now; kept-alive handlers notice the stopping
@@ -813,11 +817,34 @@ fn next_request_id() -> String {
     )
 }
 
+/// Where [`Server::shutdown`] dials to wake the blocking accept: the
+/// bound address, with an unspecified IP (`0.0.0.0`, `[::]`) replaced by
+/// loopback of the same family.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let mut addr = bound;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
+}
+
 fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
-    while !inner.stopping.load(Ordering::SeqCst) && !signal::signalled() {
+    loop {
         match listener.accept() {
             Ok((stream, _peer)) => {
+                // Once stopping, whatever woke the accept — normally
+                // shutdown's own wake dial — is dropped unserved and
+                // never counted in `open_conns`.
+                if inner.stopping.load(Ordering::SeqCst) || signal::signalled() {
+                    return;
+                }
                 ucsim_obs::emit(ucsim_obs::SpanKind::Accept, ucsim_obs::now_us(), 0, 0);
+                // Responses are single writes; with Nagle off each one
+                // leaves at once instead of waiting out a delayed ACK.
+                let _ = stream.set_nodelay(true);
                 inner.open_conns.fetch_add(1, Ordering::SeqCst);
                 let inner = Arc::clone(&inner);
                 let _ = std::thread::Builder::new()
@@ -826,9 +853,6 @@ fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
                         handle_connection(stream, &inner);
                         inner.open_conns.fetch_sub(1, Ordering::SeqCst);
                     });
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
             }
             Err(_) => std::thread::sleep(ACCEPT_POLL),
         }

@@ -3,7 +3,7 @@
 //! The dependency-free build can't use the `libc` or `signal-hook`
 //! crates, so on Unix this module declares the C `signal()` entry point
 //! itself and installs a handler that flips one atomic flag — the only
-//! async-signal-safe action taken. The server's accept loop polls the
+//! async-signal-safe action taken. `Server::run_until_shutdown` polls the
 //! flag and begins a graceful drain when it is set.
 //!
 //! On non-Unix targets installation is a no-op and the flag only changes

@@ -70,50 +70,67 @@ fn parse_json(body: &str) -> Json {
 /// Polls `GET /v1/matrix/:id` until the sweep settles, returning the
 /// final document.
 fn poll_settled(client: &mut Client, id: u64) -> Json {
+    poll_until_done(client, id, u64::MAX)
+}
+
+/// Polls `GET /v1/matrix/:id` until at least `cells` cells are done or
+/// the sweep settles, returning the last document.
+fn poll_until_done(client: &mut Client, id: u64, cells: u64) -> Json {
     let path = format!("/v1/matrix/{id}");
     let deadline = Instant::now() + Duration::from_secs(180);
     loop {
         let r = client.request("GET", &path, b"").unwrap();
         assert_eq!(r.status, 200, "body: {}", r.body_str());
         let v = parse_json(&r.body_str());
-        if v.get("state").unwrap().as_str() != Some("running") {
+        let done = v.get("done").unwrap().as_u64().unwrap();
+        if done >= cells || v.get("state").unwrap().as_str() != Some("running") {
             return v;
         }
         assert!(Instant::now() < deadline, "sweep never settled");
-        std::thread::sleep(Duration::from_millis(50));
+        std::thread::sleep(Duration::from_millis(10));
     }
 }
 
-fn sweep_state(client: &mut Client, id: u64) -> String {
-    let r = client
-        .request("GET", &format!("/v1/matrix/{id}"), b"")
-        .unwrap();
-    assert_eq!(r.status, 200, "body: {}", r.body_str());
-    parse_json(&r.body_str())
-        .get("state")
-        .unwrap()
-        .as_str()
-        .unwrap()
-        .to_owned()
+/// A floor on every cell's run time, whatever the host's speed: each
+/// job sleeps this long before it simulates, so a sweep spans enough
+/// wall time for each chaos phase to land while cells are outstanding.
+/// Delays never change reports.
+fn cell_floor() -> FaultRule {
+    FaultRule {
+        site: "worker.pre_sim",
+        action: FaultAction::DelayMs(100),
+        mode: FireMode::EveryNth(1),
+        target: None,
+    }
 }
 
 /// A partition of `victim`: every connect to it — forwards, pulls, and
-/// health probes alike — is refused at the transport fault site.
+/// health probes alike — is refused at the transport fault site. The
+/// cell floor stays installed beside it, since installing replaces the
+/// whole rule set.
 fn partition(victim: &str) {
     faults::install(
         0xC1A0,
-        vec![FaultRule {
-            site: "peer.connect",
-            action: FaultAction::IoError,
-            mode: FireMode::EveryNth(1),
-            target: Some(victim.to_owned()),
-        }],
+        vec![
+            cell_floor(),
+            FaultRule {
+                site: "peer.connect",
+                action: FaultAction::IoError,
+                mode: FireMode::EveryNth(1),
+                target: Some(victim.to_owned()),
+            },
+        ],
     );
 }
 
-// 60 cells (3 workloads × 4 capacities × 5 policies), sized so the
-// sweep runs for several seconds — long enough to kill and partition
-// nodes while it is demonstrably still in flight.
+/// Lifts any partition, keeping the cell floor.
+fn heal() {
+    faults::install(0xC1A0, vec![cell_floor()]);
+}
+
+// 60 cells (3 workloads × 4 capacities × 5 policies). With the cell
+// floor the federated sweep runs for seconds on any host — long enough
+// to kill and partition nodes while it is demonstrably still in flight.
 const SWEEP_BODY: &[u8] = br#"{"workloads":["redis","jvm","bm-cc"],"capacities":[2048,4096,8192,16384],"policies":["baseline","clasp","rac","pwac","fpwac"],"seed":7,"warmup":500,"insts":20000}"#;
 const SWEEP_CELLS: u64 = 60;
 
@@ -152,6 +169,7 @@ fn sweep_survives_a_killed_owner_and_a_healed_partition() {
     let b = start_node(member_cfg(&addrs[1], &addrs));
     let c = start_node(member_cfg(&addrs[2], &addrs));
 
+    faults::install(0xC1A0, vec![cell_floor()]);
     let mut client = Client::new(&addrs[0]);
     let r = client.request("POST", "/v1/matrix", SWEEP_BODY).unwrap();
     assert_eq!(r.status, 202, "body: {}", r.body_str());
@@ -159,26 +177,28 @@ fn sweep_survives_a_killed_owner_and_a_healed_partition() {
     assert_eq!(accepted.get("planned").unwrap().as_u64(), Some(SWEEP_CELLS));
     let id = accepted.get("id").unwrap().as_u64().unwrap();
 
-    // Mid-sweep: partition node C away from everyone, then kill node B
-    // outright. The coordinator keeps only itself.
-    std::thread::sleep(Duration::from_millis(400));
+    // Mid-sweep, once the first cells are in: partition node C away from
+    // everyone, then kill node B outright. The coordinator keeps only
+    // itself.
+    let doc = poll_until_done(&mut client, id, 5);
     assert_eq!(
-        sweep_state(&mut client, id),
-        "running",
-        "chaos must land mid-sweep"
+        doc.get("state").unwrap().as_str(),
+        Some("running"),
+        "chaos must land mid-sweep: {doc}"
     );
     partition(&addrs[2]);
     b.shutdown();
 
-    // Let the sweep grind against the degraded cluster, then heal the
-    // partition while cells are still outstanding.
-    std::thread::sleep(Duration::from_millis(1200));
+    // Let the sweep grind against the degraded cluster until half the
+    // cells are in, then heal the partition while the rest are still
+    // outstanding.
+    let doc = poll_until_done(&mut client, id, SWEEP_CELLS / 2);
     assert_eq!(
-        sweep_state(&mut client, id),
-        "running",
-        "heal must land mid-sweep"
+        doc.get("state").unwrap().as_str(),
+        Some("running"),
+        "heal must land mid-sweep: {doc}"
     );
-    faults::clear();
+    heal();
 
     let doc = poll_settled(&mut client, id);
     assert_eq!(

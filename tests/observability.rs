@@ -46,8 +46,11 @@ fn raw_request(
         "content-length: {}\r\nconnection: close\r\n\r\n",
         body.len()
     ));
-    stream.write_all(head.as_bytes()).unwrap();
-    stream.write_all(body).unwrap();
+    // One write, like the library clients: a separate body write would
+    // wait on Nagle for the server's delayed ACK.
+    let mut msg = head.into_bytes();
+    msg.extend_from_slice(body);
+    stream.write_all(&msg).unwrap();
     let mut raw = Vec::new();
     stream.read_to_end(&mut raw).unwrap();
     let split = raw

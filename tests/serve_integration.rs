@@ -630,3 +630,71 @@ fn keep_alive_serves_sequential_requests_on_one_connection() {
     drop(client);
     server.shutdown();
 }
+
+/// Served latency is the service's own, not a TCP timer's: cached
+/// answers over one kept-alive connection come back in well under the
+/// ~40 ms a delayed ACK costs when Nagle holds a response body back.
+#[test]
+fn cached_keep_alive_requests_do_not_wait_on_delayed_acks() {
+    let server = Server::start(test_config()).unwrap();
+    let addr = server.local_addr().to_string();
+    let mut client = Client::new(&addr);
+    let body = br#"{"workload":"bm-cc","seed":7,"warmup":1000,"insts":20000}"#;
+    let first = client.request("POST", "/v1/sim", body).unwrap();
+    assert_eq!(first.status, 200, "body: {}", first.body_str());
+
+    let t0 = Instant::now();
+    for _ in 0..20 {
+        let r = client.request("POST", "/v1/sim", body).unwrap();
+        assert_eq!(r.status, 200, "body: {}", r.body_str());
+        assert_eq!(
+            parse_json(&r.body_str()).get("cached").unwrap().as_bool(),
+            Some(true)
+        );
+    }
+    let took = t0.elapsed();
+    assert_eq!(client.connects(), 1, "every request on one connection");
+    assert!(
+        took < Duration::from_millis(400),
+        "20 cached requests took {took:?}"
+    );
+    drop(client);
+    server.shutdown();
+}
+
+/// One-shot requests are accepted as they arrive, not on an accept
+/// poll tick.
+#[test]
+fn one_shot_requests_are_accepted_without_polling() {
+    let server = Server::start(test_config()).unwrap();
+    let addr = server.local_addr().to_string();
+    let t0 = Instant::now();
+    for _ in 0..20 {
+        let r = request(&addr, "GET", "/v1/healthz", b"").unwrap();
+        assert_eq!(r.status, 200, "body: {}", r.body_str());
+    }
+    let took = t0.elapsed();
+    assert!(
+        took < Duration::from_millis(200),
+        "20 one-shot requests took {took:?}"
+    );
+    server.shutdown();
+}
+
+/// Shutdown wakes the blocking accept even when the server is bound to
+/// the unspecified address (it dials loopback instead).
+#[test]
+fn shutdown_of_a_wildcard_bound_server_returns_promptly() {
+    let server = Server::start(ServerConfig {
+        addr: "0.0.0.0:0".to_owned(),
+        ..test_config()
+    })
+    .unwrap();
+    let port = server.local_addr().port();
+    let r = request(&format!("127.0.0.1:{port}"), "GET", "/v1/healthz", b"").unwrap();
+    assert_eq!(r.status, 200);
+    let t0 = Instant::now();
+    server.shutdown();
+    let took = t0.elapsed();
+    assert!(took < Duration::from_secs(2), "shutdown took {took:?}");
+}
