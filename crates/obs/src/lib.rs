@@ -1,12 +1,12 @@
 //! `ucsim-obs` — zero-dependency observability for the ucsim stack.
 //!
-//! Three facilities, all feature-gated behind `enabled` so that every
-//! entry point compiles to a literal no-op when the feature is off:
+//! Three facilities:
 //!
 //! 1. **Span tracing** ([`span`], [`emit`], [`drain_since`]): short
 //!    structured events (kind, start, duration, request id, detail)
-//!    written to per-thread lock-free ring buffers with bounded global
-//!    memory. The serve layer drains them via `GET /v1/trace?since=`.
+//!    appended to one process-wide ring under a `Mutex`, which keeps
+//!    the newest [`RING_SLOTS`] events in sequence order. The serve
+//!    layer drains it via `GET /v1/trace?since=`.
 //! 2. **Request-ID scope** ([`request_scope`], [`current_request`]):
 //!    a thread-local request identifier installed at the HTTP edge and
 //!    re-installed on pool workers, so every span emitted on behalf of
@@ -17,6 +17,11 @@
 //!    pipeline hot loop feeds with per-stage wall times and counter
 //!    deltas. Profiles never touch simulated state — results stay
 //!    byte-identical with or without profiling.
+//!
+//! Only the profile half sits behind the `enabled` feature: without it,
+//! stage timers and counters compile to no-ops, so the simulator hot
+//! loop pays nothing in builds without the serving stack. Spans are
+//! always live; only the serving stack emits them.
 //!
 //! The hot-loop instrumentation (stage timers) deliberately does *not*
 //! emit ring events: a simulation executes millions of stage calls and
@@ -34,10 +39,10 @@ pub use profile::{
 };
 pub use ring::{
     current_request, drain_since, emit, now_us, request_scope, span, Event, QueueToken, ScopeGuard,
-    Span, SpanKind, MAX_RINGS, RING_SLOTS,
+    Span, SpanKind, RING_SLOTS,
 };
 
-/// Whether this build carries live instrumentation (`enabled` feature).
+/// Whether this build carries live per-job profiling (`enabled` feature).
 pub const ENABLED: bool = cfg!(feature = "enabled");
 
 /// FNV-1a hash of a request-id string — the numeric form spans carry.

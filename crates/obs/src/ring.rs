@@ -1,23 +1,24 @@
-//! Span events and the per-thread lock-free ring buffers that hold them.
+//! Span events and the one process-wide ring that holds them.
 //!
-//! Every writing thread owns (at most) one ring at a time; rings are
-//! pooled through a global free list so short-lived threads (the server
-//! spawns one per connection) reuse rings instead of leaking them. Total
-//! memory is bounded by [`MAX_RINGS`] × [`RING_SLOTS`] slots; a thread
-//! that cannot acquire a ring silently drops its events.
+//! Every thread appends to the same ring under one `Mutex`. The lock
+//! also hands out the sequence number, so the ring is always in `seq`
+//! order with no gaps: a [`drain_since`] cursor finds its place by
+//! offset, and a poller that keeps up sees every event. The ring keeps
+//! the newest [`RING_SLOTS`] events and overwrites the oldest. Its
+//! storage grows with use up to that bound; nothing is preallocated.
 //!
-//! Each slot is a tiny seqlock: one version word (odd while a write is
-//! in flight) plus five data words, all `AtomicU64`. Writers never
-//! block; readers ([`drain_since`]) skip slots whose version changes
-//! under them. Tracing is best-effort diagnostics — a dropped or torn
-//! slot loses one event, never corrupts anything.
+//! Events are request-scale (accept, parse, handle, store I/O, queue
+//! wait, execute, supervise), so one short critical section per event
+//! costs nothing next to the work it describes.
 
-/// Slots per ring (one event per slot; older events are overwritten).
-pub const RING_SLOTS: usize = 1024;
+use std::cell::Cell;
+use std::collections::VecDeque;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::time::Instant;
 
-/// Maximum live rings — bounds total trace memory at
-/// `MAX_RINGS * RING_SLOTS * 6 * 8` bytes (≈3 MiB at the defaults).
-pub const MAX_RINGS: usize = 64;
+/// Events the ring retains, across all threads; older events are
+/// overwritten.
+pub const RING_SLOTS: usize = 16_384;
 
 /// What a span event describes. Request-scale operations only — the
 /// pipeline's per-stage timings go to the job profile, not the ring.
@@ -66,11 +67,6 @@ impl SpanKind {
             SpanKind::Supervise => "supervise",
         }
     }
-
-    #[cfg_attr(not(feature = "enabled"), allow(dead_code))]
-    fn from_u8(b: u8) -> Option<SpanKind> {
-        SpanKind::ALL.get(b as usize).copied()
-    }
 }
 
 /// One drained span event.
@@ -90,335 +86,181 @@ pub struct Event {
     pub detail: u32,
 }
 
-#[cfg(feature = "enabled")]
-mod imp {
-    use super::{Event, SpanKind, MAX_RINGS, RING_SLOTS};
-    use std::cell::{Cell, RefCell};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::{Arc, Mutex, OnceLock};
-    use std::time::Instant;
+struct Ring {
+    /// Contiguous in `seq`: `events[i].seq == events[0].seq + i`.
+    events: VecDeque<Event>,
+    next_seq: u64,
+}
 
-    /// version + (seq, kind|detail, start, dur, request) data words.
-    const WORDS: usize = 6;
+static RING: Mutex<Ring> = Mutex::new(Ring {
+    events: VecDeque::new(),
+    next_seq: 1,
+});
 
-    struct Ring {
-        slots: Box<[AtomicU64]>,
+/// Every update leaves the ring contiguous in `seq` (the counter moves
+/// only after the event is in), so a lock poisoned by a panic elsewhere
+/// still guards valid data.
+fn ring() -> MutexGuard<'static, Ring> {
+    RING.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn epoch() -> Instant {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    *EPOCH.get_or_init(Instant::now)
+}
+
+/// Microseconds since the first call in this process.
+pub fn now_us() -> u64 {
+    epoch().elapsed().as_micros() as u64
+}
+
+thread_local! {
+    static REQUEST: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The request id installed on this thread by [`request_scope`]
+/// (0 = none).
+pub fn current_request() -> u64 {
+    REQUEST.with(Cell::get)
+}
+
+/// RAII restore of the previous request scope.
+pub struct ScopeGuard {
+    prev: u64,
+}
+
+impl Drop for ScopeGuard {
+    fn drop(&mut self) {
+        REQUEST.with(|r| r.set(self.prev));
     }
+}
 
-    impl Ring {
-        fn new() -> Ring {
-            let mut v = Vec::with_capacity(RING_SLOTS * WORDS);
-            v.resize_with(RING_SLOTS * WORDS, || AtomicU64::new(0));
-            Ring {
-                slots: v.into_boxed_slice(),
-            }
-        }
+/// Installs `id` as this thread's request id until the guard drops.
+#[must_use = "dropping the guard immediately restores the previous scope"]
+pub fn request_scope(id: u64) -> ScopeGuard {
+    let prev = REQUEST.with(|r| r.replace(id));
+    ScopeGuard { prev }
+}
 
-        /// Single-writer seqlock store: version goes odd, data lands,
-        /// version goes even. Emit frequency is per request, not per
-        /// instruction, so `SeqCst` simplicity beats cleverness here.
-        fn write(&self, cursor: u64, ev: &Event) {
-            let base = (cursor as usize % RING_SLOTS) * WORDS;
-            let ver = self.slots[base].load(Ordering::SeqCst);
-            self.slots[base].store(ver.wrapping_add(1), Ordering::SeqCst);
-            self.slots[base + 1].store(ev.seq, Ordering::SeqCst);
-            self.slots[base + 2].store(
-                (u64::from(ev.kind as u8) << 32) | u64::from(ev.detail),
-                Ordering::SeqCst,
-            );
-            self.slots[base + 3].store(ev.start_us, Ordering::SeqCst);
-            self.slots[base + 4].store(ev.dur_us, Ordering::SeqCst);
-            self.slots[base + 5].store(ev.request_id, Ordering::SeqCst);
-            self.slots[base].store(ver.wrapping_add(2), Ordering::SeqCst);
-        }
-
-        /// Seqlock read of one slot; `None` when empty or torn.
-        fn read(&self, slot: usize) -> Option<Event> {
-            let base = slot * WORDS;
-            let v1 = self.slots[base].load(Ordering::SeqCst);
-            if v1 == 0 || v1 % 2 == 1 {
-                return None; // never written, or a write is in flight
-            }
-            let seq = self.slots[base + 1].load(Ordering::SeqCst);
-            let meta = self.slots[base + 2].load(Ordering::SeqCst);
-            let start_us = self.slots[base + 3].load(Ordering::SeqCst);
-            let dur_us = self.slots[base + 4].load(Ordering::SeqCst);
-            let request_id = self.slots[base + 5].load(Ordering::SeqCst);
-            let v2 = self.slots[base].load(Ordering::SeqCst);
-            if v1 != v2 {
-                return None; // overwritten while reading
-            }
-            let kind = SpanKind::from_u8((meta >> 32) as u8)?;
-            Some(Event {
-                seq,
-                kind,
-                start_us,
-                dur_us,
-                request_id,
-                detail: meta as u32,
-            })
-        }
+fn emit_full(kind: SpanKind, start_us: u64, dur_us: u64, detail: u32, request_id: u64) {
+    let mut ring = ring();
+    if ring.events.len() >= RING_SLOTS {
+        ring.events.pop_front();
     }
+    let seq = ring.next_seq;
+    ring.events.push_back(Event {
+        seq,
+        kind,
+        start_us,
+        dur_us,
+        request_id,
+        detail,
+    });
+    ring.next_seq += 1;
+}
 
-    struct Registry {
-        all: Vec<Arc<Ring>>,
-        free: Vec<Arc<Ring>>,
+/// Appends one event tagged with this thread's request id.
+pub fn emit(kind: SpanKind, start_us: u64, dur_us: u64, detail: u32) {
+    emit_full(kind, start_us, dur_us, detail, current_request());
+}
+
+/// An open span; [`Span::finish`] emits the event.
+pub struct Span {
+    kind: SpanKind,
+    start_us: u64,
+    t0: Instant,
+}
+
+/// Opens a span of `kind` starting now.
+pub fn span(kind: SpanKind) -> Span {
+    Span {
+        kind,
+        start_us: now_us(),
+        t0: Instant::now(),
     }
+}
 
-    fn registry() -> &'static Mutex<Registry> {
-        static REG: OnceLock<Mutex<Registry>> = OnceLock::new();
-        REG.get_or_init(|| {
-            Mutex::new(Registry {
-                all: Vec::new(),
-                free: Vec::new(),
-            })
-        })
-    }
-
-    static SEQ: AtomicU64 = AtomicU64::new(1);
-
-    fn epoch() -> Instant {
-        static EPOCH: OnceLock<Instant> = OnceLock::new();
-        *EPOCH.get_or_init(Instant::now)
-    }
-
-    pub fn now_us() -> u64 {
-        epoch().elapsed().as_micros() as u64
-    }
-
-    struct RingHandle {
-        ring: Arc<Ring>,
-        cursor: u64,
-    }
-
-    impl Drop for RingHandle {
-        fn drop(&mut self) {
-            // Return the ring to the pool so the next short-lived
-            // thread reuses it instead of minting a new one.
-            if let Ok(mut reg) = registry().lock() {
-                reg.free.push(Arc::clone(&self.ring));
-            }
-        }
-    }
-
-    thread_local! {
-        static RING: RefCell<Option<RingHandle>> = const { RefCell::new(None) };
-        static REQUEST: Cell<u64> = const { Cell::new(0) };
-    }
-
-    fn acquire_ring() -> Option<RingHandle> {
-        let mut reg = registry().lock().ok()?;
-        let ring = if let Some(r) = reg.free.pop() {
-            r
-        } else if reg.all.len() < MAX_RINGS {
-            let r = Arc::new(Ring::new());
-            reg.all.push(Arc::clone(&r));
-            r
-        } else {
-            return None; // at the cap: this thread drops its events
-        };
-        Some(RingHandle { ring, cursor: 0 })
-    }
-
-    pub fn current_request() -> u64 {
-        REQUEST.with(Cell::get)
-    }
-
-    /// RAII restore of the previous request scope.
-    pub struct ScopeGuard {
-        prev: u64,
-    }
-
-    impl Drop for ScopeGuard {
-        fn drop(&mut self) {
-            REQUEST.with(|r| r.set(self.prev));
-        }
-    }
-
-    #[must_use = "dropping the guard immediately restores the previous scope"]
-    pub fn request_scope(id: u64) -> ScopeGuard {
-        let prev = REQUEST.with(|r| r.replace(id));
-        ScopeGuard { prev }
-    }
-
-    pub fn emit_full(kind: SpanKind, start_us: u64, dur_us: u64, detail: u32, request_id: u64) {
-        let ev = Event {
-            seq: SEQ.fetch_add(1, Ordering::Relaxed),
-            kind,
-            start_us,
-            dur_us,
-            request_id,
+impl Span {
+    /// Emits the span with its elapsed duration and `detail`.
+    pub fn finish(self, detail: u32) {
+        emit(
+            self.kind,
+            self.start_us,
+            self.t0.elapsed().as_micros() as u64,
             detail,
-        };
-        RING.with(|h| {
-            let mut h = h.borrow_mut();
-            if h.is_none() {
-                *h = acquire_ring();
-            }
-            if let Some(handle) = h.as_mut() {
-                handle.ring.write(handle.cursor, &ev);
-                handle.cursor += 1;
-            }
-        });
-    }
-
-    pub fn emit(kind: SpanKind, start_us: u64, dur_us: u64, detail: u32) {
-        emit_full(kind, start_us, dur_us, detail, current_request());
-    }
-
-    /// An open span; [`Span::finish`] emits the event.
-    pub struct Span {
-        kind: SpanKind,
-        start_us: u64,
-        t0: Instant,
-    }
-
-    pub fn span(kind: SpanKind) -> Span {
-        Span {
-            kind,
-            start_us: now_us(),
-            t0: Instant::now(),
-        }
-    }
-
-    impl Span {
-        pub fn finish(self, detail: u32) {
-            emit(
-                self.kind,
-                self.start_us,
-                self.t0.elapsed().as_micros() as u64,
-                detail,
-            );
-        }
-    }
-
-    /// Queue-residency token: captures the enqueue time and the
-    /// enqueuing thread's request scope, so the dequeuing worker can
-    /// report the wait and inherit the request.
-    #[derive(Debug)]
-    pub struct QueueToken {
-        enqueued_us: u64,
-        request_id: u64,
-    }
-
-    impl QueueToken {
-        pub fn capture() -> QueueToken {
-            QueueToken {
-                enqueued_us: now_us(),
-                request_id: current_request(),
-            }
-        }
-
-        pub fn on_dequeue(&self, worker: u32) -> ScopeGuard {
-            let now = now_us();
-            emit_full(
-                SpanKind::QueueWait,
-                self.enqueued_us,
-                now.saturating_sub(self.enqueued_us),
-                worker,
-                self.request_id,
-            );
-            request_scope(self.request_id)
-        }
-    }
-
-    pub fn drain_since(since: u64, max: usize) -> (Vec<Event>, u64) {
-        let rings: Vec<Arc<Ring>> = match registry().lock() {
-            Ok(reg) => reg.all.iter().map(Arc::clone).collect(),
-            Err(_) => Vec::new(),
-        };
-        let mut events = Vec::new();
-        for ring in &rings {
-            for slot in 0..RING_SLOTS {
-                if let Some(ev) = ring.read(slot) {
-                    if ev.seq > since {
-                        events.push(ev);
-                    }
-                }
-            }
-        }
-        events.sort_by_key(|e| e.seq);
-        events.truncate(max);
-        let next = events.last().map_or(since, |e| e.seq);
-        (events, next)
+        );
     }
 }
 
-#[cfg(not(feature = "enabled"))]
-mod imp {
-    //! No-op mirrors: identical signatures, empty bodies. The optimizer
-    //! erases every call site, which the tracked benchmark verifies.
-    use super::{Event, SpanKind};
+/// Queue-residency token: captures the enqueue time and the enqueuing
+/// thread's request scope, so the dequeuing worker can report the wait
+/// and inherit the request.
+#[derive(Debug)]
+pub struct QueueToken {
+    enqueued_us: u64,
+    request_id: u64,
+}
 
-    #[inline(always)]
-    pub fn now_us() -> u64 {
-        0
-    }
-
-    #[inline(always)]
-    pub fn current_request() -> u64 {
-        0
-    }
-
-    /// Zero-sized stand-in for the enabled build's scope guard.
-    pub struct ScopeGuard;
-
-    #[inline(always)]
-    #[must_use = "dropping the guard immediately restores the previous scope"]
-    pub fn request_scope(_id: u64) -> ScopeGuard {
-        ScopeGuard
-    }
-
-    #[inline(always)]
-    pub fn emit(_kind: SpanKind, _start_us: u64, _dur_us: u64, _detail: u32) {}
-
-    /// Zero-sized stand-in for an open span.
-    pub struct Span;
-
-    #[inline(always)]
-    pub fn span(_kind: SpanKind) -> Span {
-        Span
-    }
-
-    impl Span {
-        #[inline(always)]
-        pub fn finish(self, _detail: u32) {}
-    }
-
-    /// Zero-sized stand-in for the queue-residency token.
-    #[derive(Debug)]
-    pub struct QueueToken;
-
-    impl QueueToken {
-        #[inline(always)]
-        pub fn capture() -> QueueToken {
-            QueueToken
-        }
-
-        #[inline(always)]
-        pub fn on_dequeue(&self, _worker: u32) -> ScopeGuard {
-            ScopeGuard
+impl QueueToken {
+    /// Captures the current time and request scope at enqueue.
+    pub fn capture() -> QueueToken {
+        QueueToken {
+            enqueued_us: now_us(),
+            request_id: current_request(),
         }
     }
 
-    #[inline(always)]
-    pub fn drain_since(since: u64, _max: usize) -> (Vec<Event>, u64) {
-        (Vec::new(), since)
+    /// Microseconds since [`capture`](QueueToken::capture).
+    pub fn waited_us(&self) -> u64 {
+        now_us().saturating_sub(self.enqueued_us)
+    }
+
+    /// Emits the queue-wait span for `worker` and installs the
+    /// enqueuing request's scope on the dequeuing thread.
+    pub fn on_dequeue(&self, worker: u32) -> ScopeGuard {
+        let now = now_us();
+        emit_full(
+            SpanKind::QueueWait,
+            self.enqueued_us,
+            now.saturating_sub(self.enqueued_us),
+            worker,
+            self.request_id,
+        );
+        request_scope(self.request_id)
     }
 }
 
-pub use imp::{
-    current_request, drain_since, emit, now_us, request_scope, span, QueueToken, ScopeGuard, Span,
-};
+/// Up to `max` retained events with `seq > since`, in `seq` order, plus
+/// the cursor for the next call (the last returned `seq`, or `since`
+/// when nothing is new).
+pub fn drain_since(since: u64, max: usize) -> (Vec<Event>, u64) {
+    let ring = ring();
+    let start = match ring.events.front() {
+        Some(front) => since.saturating_add(1).saturating_sub(front.seq),
+        None => 0,
+    };
+    let events: Vec<Event> = ring
+        .events
+        .iter()
+        .skip(usize::try_from(start).unwrap_or(usize::MAX))
+        .take(max)
+        .cloned()
+        .collect();
+    drop(ring);
+    let next = events.last().map_or(since, |e| e.seq);
+    (events, next)
+}
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Mutex, MutexGuard, PoisonError};
+    use std::collections::BTreeSet;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-    /// Serializes the tests that read ring contents. Rings are
-    /// process-global and recycled through the registry's free list, so
-    /// one test's flood of events can overwrite another's.
+    /// Serializes the tests that read ring contents. The ring is
+    /// process-global, so one test's flood of events can overwrite
+    /// another's.
     fn ring_gate() -> MutexGuard<'static, ()> {
         static GATE: Mutex<()> = Mutex::new(());
         GATE.lock().unwrap_or_else(PoisonError::into_inner)
@@ -441,6 +283,8 @@ mod tests {
         assert_eq!(handle.detail, 200);
         // Seqs strictly increase in the drained order.
         assert!(events.windows(2).all(|w| w[0].seq < w[1].seq));
+        // A cursor past every event (e.g. a hostile `since=`) is empty.
+        assert_eq!(drain_since(u64::MAX, usize::MAX), (Vec::new(), u64::MAX));
     }
 
     #[test]
@@ -513,6 +357,57 @@ mod tests {
             cursor = next;
         }
         assert!(seen >= 10);
+    }
+
+    #[test]
+    fn cursor_never_skips_an_event() {
+        let _gate = ring_gate();
+        for round in 0..200 {
+            let (_, start) = drain_since(0, usize::MAX);
+            let done = Arc::new(AtomicBool::new(false));
+            let poller = {
+                let done = Arc::clone(&done);
+                std::thread::spawn(move || {
+                    let mut cursor = start;
+                    let mut seen = BTreeSet::new();
+                    loop {
+                        let finished = done.load(Ordering::Acquire);
+                        let (page, next) = drain_since(cursor, usize::MAX);
+                        seen.extend(page.iter().map(|e| e.seq));
+                        cursor = next;
+                        if finished && page.is_empty() {
+                            return seen;
+                        }
+                    }
+                })
+            };
+            let writers: Vec<_> = (0..4)
+                .map(|t| {
+                    std::thread::spawn(move || {
+                        for i in 0..200 {
+                            emit(SpanKind::Handle, i, 0, t);
+                        }
+                    })
+                })
+                .collect();
+            for w in writers {
+                w.join().unwrap();
+            }
+            done.store(true, Ordering::Release);
+            let seen = poller.join().unwrap();
+            let (all, _) = drain_since(start, usize::MAX);
+            assert_eq!(all.len(), 800, "round {round}");
+            let missed: Vec<u64> = all
+                .iter()
+                .map(|e| e.seq)
+                .filter(|s| !seen.contains(s))
+                .collect();
+            assert!(
+                missed.is_empty(),
+                "round {round}: poller missed {} events",
+                missed.len()
+            );
+        }
     }
 
     #[test]

@@ -8,18 +8,14 @@
 //! * [`run_indexed`] — fan a fixed index range out over a scoped thread
 //!   pool and collect results in index order. `ucsim-bench`'s `run_matrix`
 //!   is built on this.
-//! * [`BoundedQueue`] — a blocking MPMC queue with a hard capacity and
-//!   non-blocking [`BoundedQueue::try_push`] for explicit backpressure.
 //! * [`Scheduler`] — a priority + weighted-fair-share scheduler over
 //!   per-tenant queues with cancel-token preemption. `ucsim-serve`'s job
 //!   scheduling (HTTP 429 on the bounded interactive path, unbounded
 //!   pull-based sweep plans) is built on this.
-//! * [`WorkerPool`] — a fixed set of named worker threads draining a
-//!   [`BoundedQueue`] until it is closed.
-//! * [`SupervisedPool`] — a `WorkerPool` whose workers survive panicking
-//!   handlers: the panic is caught and reported, and a supervisor thread
-//!   respawns the worker so capacity never decays. Drains any
-//!   [`WorkSource`] — a `BoundedQueue` or a `Scheduler`.
+//! * [`SupervisedPool`] — a fixed set of named worker threads draining a
+//!   [`Scheduler`] whose workers survive panicking handlers: the panic
+//!   is caught and reported, and a supervisor thread respawns the worker
+//!   so capacity never decays.
 //! * [`Watchdog`] — one timer thread enforcing wall-clock deadlines on
 //!   any number of in-flight jobs via disarm-on-drop guards.
 //! * [`faults`] — named-site deterministic fault injection, compiled to
@@ -35,15 +31,13 @@ mod sched;
 mod supervise;
 mod watchdog;
 
-pub use sched::{SchedStats, Scheduler, WorkSource};
+pub use sched::{SchedStats, Scheduler};
 pub use supervise::{PoolMonitor, SupervisedPool};
 pub use watchdog::{WatchGuard, Watchdog};
 
-use std::collections::VecDeque;
 use std::io::Write;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Mutex;
 
 /// Runs `f(0..count)` across at most `threads` scoped worker threads and
 /// returns the results in index order.
@@ -82,195 +76,14 @@ where
     collected.into_iter().map(|(_, t)| t).collect()
 }
 
-/// Error returned by [`BoundedQueue::try_push`]; hands the rejected item
-/// back to the caller.
+/// Error returned by [`Scheduler::try_submit`] and
+/// [`Scheduler::enqueue`]; hands the rejected item back to the caller.
 #[derive(Debug, PartialEq, Eq)]
 pub enum PushError<T> {
-    /// The queue was at capacity.
+    /// The bounded path was at capacity.
     Full(T),
-    /// The queue has been closed; no further items are accepted.
+    /// The scheduler has been closed; no further items are accepted.
     Closed(T),
-}
-
-struct QueueState<T> {
-    /// Each entry carries an observability token capturing the enqueue
-    /// time and the pushing thread's request scope (zero-sized unless
-    /// `ucsim-obs/enabled` is on somewhere in the build graph).
-    items: VecDeque<(T, ucsim_obs::QueueToken)>,
-    closed: bool,
-}
-
-/// A blocking multi-producer multi-consumer FIFO with a hard capacity.
-///
-/// Producers use the non-blocking [`try_push`](Self::try_push) and handle
-/// [`PushError::Full`] themselves — this is the backpressure point, not a
-/// hidden wait. Consumers block in [`pop`](Self::pop) until an item
-/// arrives or the queue is [closed](Self::close) and drained.
-pub struct BoundedQueue<T> {
-    state: Mutex<QueueState<T>>,
-    not_empty: Condvar,
-    not_full: Condvar,
-    capacity: usize,
-}
-
-impl<T> BoundedQueue<T> {
-    /// Creates a queue holding at most `capacity` items (minimum 1).
-    pub fn new(capacity: usize) -> Self {
-        BoundedQueue {
-            state: Mutex::new(QueueState {
-                items: VecDeque::new(),
-                closed: false,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// Enqueues `item`, or returns it in a [`PushError`] if the queue is
-    /// full or closed. Never blocks.
-    ///
-    /// # Errors
-    ///
-    /// [`PushError::Full`] at capacity, [`PushError::Closed`] after
-    /// [`close`](Self::close).
-    pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
-        let mut st = self.state.lock().expect("queue lock");
-        if st.closed {
-            return Err(PushError::Closed(item));
-        }
-        if st.items.len() >= self.capacity {
-            return Err(PushError::Full(item));
-        }
-        st.items.push_back((item, ucsim_obs::QueueToken::capture()));
-        drop(st);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Dequeues the next item, blocking while the queue is empty. Returns
-    /// `None` once the queue is closed **and** drained — the worker-loop
-    /// termination signal.
-    pub fn pop(&self) -> Option<T> {
-        self.pop_with_obs().map(|(item, _)| item)
-    }
-
-    /// Like [`pop`](Self::pop), but also hands back the item's
-    /// observability token so the consumer can report the queue wait and
-    /// inherit the enqueuing request's scope
-    /// (see [`ucsim_obs::QueueToken::on_dequeue`]). [`SupervisedPool`]
-    /// workers use this; plain consumers can keep calling `pop`.
-    pub fn pop_with_obs(&self) -> Option<(T, ucsim_obs::QueueToken)> {
-        let mut st = self.state.lock().expect("queue lock");
-        loop {
-            if let Some(entry) = st.items.pop_front() {
-                drop(st);
-                self.not_full.notify_one();
-                return Some(entry);
-            }
-            if st.closed {
-                return None;
-            }
-            st = self.not_empty.wait(st).expect("queue lock");
-        }
-    }
-
-    /// Dequeues the next item if one is ready; never blocks. A draining
-    /// server uses this to sweep out still-queued jobs and fail them
-    /// explicitly rather than abandoning them at close.
-    pub fn try_pop(&self) -> Option<T> {
-        let mut st = self.state.lock().expect("queue lock");
-        let item = st.items.pop_front();
-        drop(st);
-        if item.is_some() {
-            self.not_full.notify_one();
-        }
-        item.map(|(item, _)| item)
-    }
-
-    /// Closes the queue: future pushes fail, and consumers drain what
-    /// remains then receive `None`. Idempotent.
-    pub fn close(&self) {
-        self.state.lock().expect("queue lock").closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-
-    /// Number of items currently queued.
-    pub fn len(&self) -> usize {
-        self.state.lock().expect("queue lock").items.len()
-    }
-
-    /// True when no items are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The hard capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// True once [`close`](Self::close) has been called.
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().expect("queue lock").closed
-    }
-}
-
-/// A fixed set of named OS threads draining a shared [`BoundedQueue`].
-///
-/// Each worker runs `handler(item)` for every item it pops; the pool ends
-/// when the queue is closed and drained. [`join`](Self::join) waits for
-/// that — in-flight items finish (graceful drain), they are never dropped.
-pub struct WorkerPool {
-    handles: Vec<JoinHandle<()>>,
-}
-
-impl WorkerPool {
-    /// Spawns `workers` threads named `{name}-{i}` running `handler` over
-    /// items popped from `queue`.
-    ///
-    /// The queue and handler are shared by reference with `'static`
-    /// lifetime — wrap them in `Arc` at the call site.
-    pub fn spawn<T, F>(
-        name: &str,
-        workers: usize,
-        queue: std::sync::Arc<BoundedQueue<T>>,
-        handler: std::sync::Arc<F>,
-    ) -> Self
-    where
-        T: Send + 'static,
-        F: Fn(T) + Send + Sync + 'static,
-    {
-        let handles = (0..workers.max(1))
-            .map(|i| {
-                let queue = std::sync::Arc::clone(&queue);
-                let handler = std::sync::Arc::clone(&handler);
-                std::thread::Builder::new()
-                    .name(format!("{name}-{i}"))
-                    .spawn(move || {
-                        while let Some(item) = queue.pop() {
-                            handler(item);
-                        }
-                    })
-                    .expect("spawn worker thread")
-            })
-            .collect();
-        WorkerPool { handles }
-    }
-
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// Waits for every worker to finish (close the queue first, or this
-    /// blocks forever).
-    pub fn join(self) {
-        for h in self.handles {
-            let _ = h.join();
-        }
-    }
 }
 
 /// A mutex-serialized progress reporter.
@@ -329,7 +142,6 @@ impl Progress {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
 
     #[test]
@@ -343,65 +155,6 @@ mod tests {
         assert_eq!(run_indexed(0, 4, |i| i), Vec::<usize>::new());
         assert_eq!(run_indexed(1, 0, |i| i + 1), vec![1]);
         assert_eq!(run_indexed(3, 100, |i| i), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn queue_backpressure_is_explicit() {
-        let q = BoundedQueue::new(2);
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
-        assert_eq!(q.try_push(3), Err(PushError::Full(3)));
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop(), Some(1));
-        q.try_push(3).unwrap();
-        q.close();
-        assert_eq!(q.try_push(4), Err(PushError::Closed(4)));
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), Some(3));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn queue_capacity_floor_is_one() {
-        let q = BoundedQueue::<u8>::new(0);
-        assert_eq!(q.capacity(), 1);
-        q.try_push(1).unwrap();
-        assert_eq!(q.try_push(2), Err(PushError::Full(2)));
-    }
-
-    #[test]
-    fn worker_pool_drains_everything_then_stops() {
-        let q = Arc::new(BoundedQueue::new(64));
-        let sum = Arc::new(AtomicU64::new(0));
-        let s = Arc::clone(&sum);
-        let pool = WorkerPool::spawn(
-            "test",
-            4,
-            Arc::clone(&q),
-            Arc::new(move |v: u64| {
-                s.fetch_add(v, Ordering::Relaxed);
-            }),
-        );
-        assert_eq!(pool.workers(), 4);
-        for v in 1..=50u64 {
-            while q.try_push(v).is_err() {
-                std::thread::yield_now();
-            }
-        }
-        q.close();
-        pool.join();
-        assert_eq!(sum.load(Ordering::Relaxed), 50 * 51 / 2);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn pop_blocks_until_push() {
-        let q = Arc::new(BoundedQueue::new(4));
-        let q2 = Arc::clone(&q);
-        let h = std::thread::spawn(move || q2.pop());
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        q.try_push(99).unwrap();
-        assert_eq!(h.join().unwrap(), Some(99));
     }
 
     #[test]

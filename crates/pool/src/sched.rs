@@ -28,38 +28,15 @@
 //! pop time without ever reaching a worker (counted as *preempted*), which
 //! is how `DELETE /v1/matrix/:id` preempts still-queued cells.
 //!
-//! Consumers drain the scheduler through the [`WorkSource`] trait, which
-//! [`SupervisedPool`](crate::SupervisedPool) accepts in place of a
-//! [`BoundedQueue`](crate::BoundedQueue).
+//! Workers drain the scheduler through
+//! [`SupervisedPool`](crate::SupervisedPool).
 
 use std::collections::BTreeMap;
 use std::sync::{Condvar, Mutex};
-use std::time::Instant;
 
 use ucsim_model::CancelToken;
 
 use crate::PushError;
-
-/// Anything a [`SupervisedPool`](crate::SupervisedPool) worker can drain:
-/// a blocking pop that returns `None` once the source is closed and empty.
-///
-/// Implemented by [`BoundedQueue`](crate::BoundedQueue) (plain FIFO) and
-/// [`Scheduler`] (priority + fair share).
-pub trait WorkSource<T>: Send + Sync {
-    /// Dequeues the next item, blocking while the source is empty.
-    /// Returns `None` once the source is closed **and** drained — the
-    /// worker-loop termination signal. The returned
-    /// [`QueueToken`](ucsim_obs::QueueToken) reports the queue wait and
-    /// re-installs the enqueuing request's scope on
-    /// [`on_dequeue`](ucsim_obs::QueueToken::on_dequeue).
-    fn pop_with_obs(&self) -> Option<(T, ucsim_obs::QueueToken)>;
-}
-
-impl<T: Send> WorkSource<T> for crate::BoundedQueue<T> {
-    fn pop_with_obs(&self) -> Option<(T, ucsim_obs::QueueToken)> {
-        crate::BoundedQueue::pop_with_obs(self)
-    }
-}
 
 /// Virtual-time scale: one pop charges `SCALE / weight`, so integer
 /// division keeps sub-unit precision for weights up to ~one million.
@@ -71,7 +48,6 @@ struct Entry<T> {
     seq: u64,
     cancel: CancelToken,
     token: ucsim_obs::QueueToken,
-    enqueued: Instant,
 }
 
 struct TenantQueue<T> {
@@ -115,7 +91,7 @@ pub struct SchedStats {
 /// algorithm). Construct with [`new`](Self::new), configure weights with
 /// [`set_weight`](Self::set_weight), submit with
 /// [`try_submit`](Self::try_submit) / [`enqueue`](Self::enqueue), and
-/// drain through [`WorkSource::pop_with_obs`].
+/// drain with a [`SupervisedPool`](crate::SupervisedPool).
 pub struct Scheduler<T> {
     state: Mutex<SchedState<T>>,
     not_empty: Condvar,
@@ -195,7 +171,6 @@ impl<T> Scheduler<T> {
             seq,
             cancel,
             token: ucsim_obs::QueueToken::capture(),
-            enqueued: Instant::now(),
         });
         st.total += 1;
     }
@@ -294,7 +269,7 @@ impl<T> Scheduler<T> {
                 continue;
             }
             st.served += 1;
-            let wait_us = entry.enqueued.elapsed().as_micros() as u64;
+            let wait_us = entry.token.waited_us();
             let slot = st.wait_by_priority.entry(entry.priority).or_insert((0, 0));
             slot.0 += 1;
             slot.1 += wait_us;
@@ -308,6 +283,25 @@ impl<T> Scheduler<T> {
     pub fn try_pop(&self) -> Option<T> {
         let mut st = self.state.lock().expect("sched lock");
         Self::take_next(&mut st).map(|(item, _)| item)
+    }
+
+    /// Dequeues the next item, blocking while the scheduler is empty.
+    /// Returns `None` once it is closed **and** drained — the
+    /// worker-loop termination signal. The returned
+    /// [`QueueToken`](ucsim_obs::QueueToken) reports the queue wait and
+    /// re-installs the enqueuing request's scope on
+    /// [`on_dequeue`](ucsim_obs::QueueToken::on_dequeue).
+    pub(crate) fn pop_with_obs(&self) -> Option<(T, ucsim_obs::QueueToken)> {
+        let mut st = self.state.lock().expect("sched lock");
+        loop {
+            if let Some(out) = Self::take_next(&mut st) {
+                return Some(out);
+            }
+            if st.closed {
+                return None;
+            }
+            st = self.not_empty.wait(st).expect("sched lock");
+        }
     }
 
     /// Closes the scheduler: future submissions fail, and consumers drain
@@ -355,21 +349,6 @@ impl<T> Scheduler<T> {
                 .iter()
                 .map(|(&p, &(n, us))| (p, n, us))
                 .collect(),
-        }
-    }
-}
-
-impl<T: Send> WorkSource<T> for Scheduler<T> {
-    fn pop_with_obs(&self) -> Option<(T, ucsim_obs::QueueToken)> {
-        let mut st = self.state.lock().expect("sched lock");
-        loop {
-            if let Some(out) = Self::take_next(&mut st) {
-                return Some(out);
-            }
-            if st.closed {
-                return None;
-            }
-            st = self.not_empty.wait(st).expect("sched lock");
         }
     }
 }

@@ -1,9 +1,9 @@
 //! Supervised worker pools: catch panics, fail the job, respawn the
 //! worker.
 //!
-//! A plain [`WorkerPool`](crate::WorkerPool) thread dies with the first
-//! panicking job — the pool's capacity silently decays until the service
-//! wedges. A [`SupervisedPool`] runs every job under
+//! A plain worker thread dies with the first panicking job — the pool's
+//! capacity silently decays until the service wedges. A
+//! [`SupervisedPool`] runs every job under
 //! [`std::panic::catch_unwind`]; a panic is reported to the caller's
 //! `on_panic` hook (which marks the job failed), then the worker thread
 //! *exits* and a supervisor thread spawns a replacement. The
@@ -20,19 +20,15 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use crate::WorkSource;
+use crate::Scheduler;
 
 /// Shared counters a [`SupervisedPool`] exposes through [`PoolMonitor`].
 #[derive(Debug, Default)]
 struct Counters {
     /// Worker threads currently alive.
     alive: AtomicUsize,
-    /// Items currently being handled (popped, not yet finished).
-    in_flight: AtomicUsize,
     /// Replacement workers spawned after panics.
     respawned: AtomicU64,
-    /// Panics caught in handlers.
-    panics: AtomicU64,
 }
 
 /// A cloneable, read-only view of a [`SupervisedPool`]'s health. Safe to
@@ -49,20 +45,9 @@ impl PoolMonitor {
         self.counters.alive.load(Ordering::Acquire)
     }
 
-    /// Items currently being handled (popped from the queue, handler not
-    /// yet returned).
-    pub fn in_flight(&self) -> usize {
-        self.counters.in_flight.load(Ordering::Acquire)
-    }
-
     /// Replacement workers spawned after panics.
     pub fn respawned(&self) -> u64 {
         self.counters.respawned.load(Ordering::Acquire)
-    }
-
-    /// Panics caught in handlers.
-    pub fn panics(&self) -> u64 {
-        self.counters.panics.load(Ordering::Acquire)
     }
 }
 
@@ -86,9 +71,10 @@ struct Control {
     counters: Arc<Counters>,
 }
 
-/// A [`WorkerPool`](crate::WorkerPool) variant whose workers survive
-/// panicking handlers: the panic is caught, reported via `on_panic`, and
-/// the thread is replaced by a supervisor so capacity never decays.
+/// A fixed set of worker threads draining a [`Scheduler`] whose workers
+/// survive panicking handlers: the panic is caught, reported via
+/// `on_panic`, and the thread is replaced by a supervisor so capacity
+/// never decays.
 pub struct SupervisedPool {
     supervisor: JoinHandle<()>,
     control: Arc<Control>,
@@ -97,24 +83,22 @@ pub struct SupervisedPool {
 
 impl SupervisedPool {
     /// Spawns `workers` supervised threads named `{name}-{i}` (respawns
-    /// are `{name}-{i}r{generation}`) draining `queue` — any
-    /// [`WorkSource`]: a [`BoundedQueue`](crate::BoundedQueue) or a
-    /// [`Scheduler`](crate::Scheduler).
+    /// are `{name}-{i}r{generation}`) draining `queue` until it is
+    /// closed and empty.
     ///
     /// `handler` runs each item by reference under `catch_unwind`. On a
     /// panic, `on_panic(item, payload)` runs on the dying worker thread
     /// with the panic payload rendered to a string — mark the job failed
     /// there; it must not panic itself.
-    pub fn spawn<T, Q, F, P>(
+    pub fn spawn<T, F, P>(
         name: &str,
         workers: usize,
-        queue: Arc<Q>,
+        queue: Arc<Scheduler<T>>,
         handler: Arc<F>,
         on_panic: Arc<P>,
     ) -> Self
     where
         T: Send + 'static,
-        Q: WorkSource<T> + 'static,
         F: Fn(&T) + Send + Sync + 'static,
         P: Fn(&T, &str) + Send + Sync + 'static,
     {
@@ -198,7 +182,7 @@ impl SupervisedPool {
         self.workers
     }
 
-    /// A cloneable health view (alive / in-flight / respawned / panics).
+    /// A cloneable health view (alive / respawned).
     pub fn monitor(&self) -> PoolMonitor {
         PoolMonitor {
             counters: Arc::clone(&self.control.counters),
@@ -219,17 +203,16 @@ impl SupervisedPool {
 
 /// Spawns one worker thread. Split out so the initial spawn and the
 /// supervisor's respawn path are the same code.
-fn spawn_worker<T, Q, F, P>(
+fn spawn_worker<T, F, P>(
     thread_name: String,
     index: usize,
-    queue: Arc<Q>,
+    queue: Arc<Scheduler<T>>,
     handler: Arc<F>,
     on_panic: Arc<P>,
     control: Arc<Control>,
 ) -> JoinHandle<()>
 where
     T: Send + 'static,
-    Q: WorkSource<T> + 'static,
     F: Fn(&T) + Send + Sync + 'static,
     P: Fn(&T, &str) + Send + Sync + 'static,
 {
@@ -245,13 +228,10 @@ where
                 // request's scope for the handler, so spans emitted
                 // below (and inside the handler) carry its id.
                 let _scope = token.on_dequeue(index as u32);
-                control.counters.in_flight.fetch_add(1, Ordering::AcqRel);
                 let span = ucsim_obs::span(ucsim_obs::SpanKind::Execute);
                 let result = catch_unwind(AssertUnwindSafe(|| handler(&item)));
                 span.finish(u32::from(result.is_err()));
-                control.counters.in_flight.fetch_sub(1, Ordering::AcqRel);
                 if let Err(payload) = result {
-                    control.counters.panics.fetch_add(1, Ordering::AcqRel);
                     ucsim_obs::emit(
                         ucsim_obs::SpanKind::Supervise,
                         ucsim_obs::now_us(),
@@ -286,8 +266,9 @@ fn payload_to_string(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BoundedQueue, Progress};
+    use crate::Progress;
     use std::sync::atomic::AtomicU64;
+    use ucsim_model::CancelToken;
 
     /// Suppresses the default panic hook's backtrace spam for panics on
     /// threads whose name starts with `prefix`; other panics still print.
@@ -309,7 +290,7 @@ mod tests {
     #[test]
     fn respawn_accounting_across_injected_panics() {
         quiet_worker_panics("sup-test");
-        let queue = Arc::new(BoundedQueue::new(64));
+        let queue = Arc::new(Scheduler::new(64));
         let progress = Arc::new(Progress::sink());
         let done = Arc::new(AtomicU64::new(0));
         let failed = Arc::new(AtomicU64::new(0));
@@ -344,7 +325,7 @@ mod tests {
 
         // 100 items, 10 of which (3, 13, …, 93) panic the handler.
         for v in 0..100u64 {
-            while queue.try_push(v).is_err() {
+            while queue.try_submit("t", 0, CancelToken::new(), v).is_err() {
                 std::thread::yield_now();
             }
         }
@@ -357,12 +338,10 @@ mod tests {
         assert_eq!(failed.load(Ordering::Acquire), 10);
         assert!(queue.is_empty());
 
-        // Capacity never decayed: one respawn per panic, nothing in
-        // flight, and all workers (original or replacement) exited only
-        // because the queue drained.
-        assert_eq!(monitor.panics(), 10);
+        // Capacity never decayed: one respawn per panic, and all workers
+        // (original or replacement) exited only because the queue
+        // drained.
         assert_eq!(monitor.respawned(), 10);
-        assert_eq!(monitor.in_flight(), 0);
         assert_eq!(monitor.alive(), 0, "post-join: all workers exited");
 
         // Serialized progress survived the panic storm: one whole line
@@ -382,9 +361,10 @@ mod tests {
     }
 
     #[test]
-    fn pool_without_panics_behaves_like_worker_pool() {
-        let queue = Arc::new(BoundedQueue::new(16));
+    fn pool_without_panics_drains_every_item() {
+        let queue = Arc::new(Scheduler::new(16));
         let sum = Arc::new(AtomicU64::new(0));
+        let panics = Arc::new(AtomicU64::new(0));
         let pool = SupervisedPool::spawn(
             "sup-plain",
             2,
@@ -395,25 +375,30 @@ mod tests {
                     sum.fetch_add(*v, Ordering::AcqRel);
                 }
             }),
-            Arc::new(|_: &u64, _: &str| panic!("no panics expected")),
+            Arc::new({
+                let panics = Arc::clone(&panics);
+                move |_: &u64, _: &str| {
+                    panics.fetch_add(1, Ordering::AcqRel);
+                }
+            }),
         );
         let monitor = pool.monitor();
         for v in 1..=20u64 {
-            while queue.try_push(v).is_err() {
+            while queue.try_submit("t", 0, CancelToken::new(), v).is_err() {
                 std::thread::yield_now();
             }
         }
         queue.close();
         pool.join();
         assert_eq!(sum.load(Ordering::Acquire), 20 * 21 / 2);
-        assert_eq!(monitor.panics(), 0);
+        assert_eq!(panics.load(Ordering::Acquire), 0);
         assert_eq!(monitor.respawned(), 0);
     }
 
     #[test]
     fn alive_holds_at_nominal_while_running() {
         quiet_worker_panics("sup-alive");
-        let queue = Arc::new(BoundedQueue::new(8));
+        let queue = Arc::new(Scheduler::new(8));
         let pool = SupervisedPool::spawn(
             "sup-alive",
             2,
@@ -426,8 +411,9 @@ mod tests {
             Arc::new(|_: &u64, _: &str| {}),
         );
         let monitor = pool.monitor();
-        queue.try_push(0u64).unwrap(); // panics one worker
-                                       // Wait for the respawn to land, then confirm strength restored.
+        // Panic one worker, wait for the respawn to land, then confirm
+        // strength restored.
+        queue.try_submit("t", 0, CancelToken::new(), 0u64).unwrap();
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
         while monitor.respawned() < 1 && std::time::Instant::now() < deadline {
             std::thread::yield_now();

@@ -1,10 +1,13 @@
 //! A minimal blocking HTTP client for talking to a running server —
 //! used by the `ucsim client` subcommand and the integration tests.
 //!
-//! Two shapes: the one-shot [`request`] (`Connection: close`, reads to
-//! EOF, never retried), and the keep-alive [`Client`], which holds one
-//! TCP connection across requests using `Content-Length` framing — a
-//! whole submit-then-poll sweep rides a single connection. The client's
+//! Two shapes: the one-shot [`request`] (`Connection: close`, never
+//! retried), and the keep-alive [`Client`], which holds one TCP
+//! connection across requests — a whole submit-then-poll sweep rides a
+//! single connection. Both, and the peer transport, read responses with
+//! the same `Content-Length` framing and the same size caps, so a
+//! hostile or broken server yields an error, never an unbounded
+//! allocation. The client's
 //! [`Client::request_retrying`] adds bounded, jittered exponential
 //! backoff around transient failures (connect/read errors and 429
 //! backpressure, honoring `Retry-After`).
@@ -14,6 +17,15 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use ucsim_model::SplitMix64;
+
+/// Largest response head (status line and headers) a reader accepts.
+const MAX_RESPONSE_HEAD_BYTES: usize = 16 * 1024;
+
+/// Largest response body a reader accepts. The largest page the server
+/// produces is a `GET /v1/store` page, which the server sizes to fit
+/// under this cap; a full trace page (`RING_SLOTS` events) and a
+/// 1024-cell matrix are a few MB.
+pub(crate) const MAX_RESPONSE_BODY_BYTES: usize = 64 * 1024 * 1024;
 
 /// Bounded retry with jittered exponential backoff.
 ///
@@ -98,16 +110,14 @@ impl HttpResponse {
 ///
 /// # Errors
 ///
-/// Propagates connect/read/write errors; a malformed status line maps to
-/// [`io::ErrorKind::InvalidData`].
+/// Propagates connect/read/write errors; a malformed or oversized
+/// response maps to [`io::ErrorKind::InvalidData`], a truncated one to
+/// [`io::ErrorKind::UnexpectedEof`].
 pub fn request(addr: &str, method: &str, path: &str, body: &[u8]) -> io::Result<HttpResponse> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true)?;
     write_request(&mut stream, method, path, addr, true, &[], body)?;
-
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw)?;
-    parse_response(&raw)
+    read_framed_response(&mut BufReader::new(stream))
 }
 
 /// A keep-alive client: one TCP connection reused across requests.
@@ -333,11 +343,15 @@ pub(crate) fn write_request(
 }
 
 /// Reads one `Content-Length`-framed response off a buffered stream,
-/// leaving the stream positioned at the next response.
-fn read_framed_response(r: &mut BufReader<TcpStream>) -> io::Result<HttpResponse> {
+/// leaving the stream positioned at the next response. Every response
+/// reader goes through here: the head is capped at
+/// `MAX_RESPONSE_HEAD_BYTES` and the body at `MAX_RESPONSE_BODY_BYTES`,
+/// and the body buffer grows only as bytes arrive.
+pub(crate) fn read_framed_response(r: &mut impl BufRead) -> io::Result<HttpResponse> {
     let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_owned());
+    let mut head_budget = MAX_RESPONSE_HEAD_BYTES;
     let mut line = String::new();
-    if r.read_line(&mut line)? == 0 {
+    if read_head_line(r, &mut line, &mut head_budget)? == 0 {
         return Err(io::Error::new(
             io::ErrorKind::UnexpectedEof,
             "connection closed before response",
@@ -351,11 +365,11 @@ fn read_framed_response(r: &mut BufReader<TcpStream>) -> io::Result<HttpResponse
 
     let mut headers = Vec::new();
     loop {
-        let mut h = String::new();
-        if r.read_line(&mut h)? == 0 {
+        line.clear();
+        if read_head_line(r, &mut line, &mut head_budget)? == 0 {
             return Err(bad("connection closed mid-headers"));
         }
-        let h = h.trim_end();
+        let h = line.trim_end();
         if h.is_empty() {
             break;
         }
@@ -368,8 +382,19 @@ fn read_framed_response(r: &mut BufReader<TcpStream>) -> io::Result<HttpResponse
         .find(|(k, _)| k == "content-length")
         .and_then(|(_, v)| v.parse::<usize>().ok())
         .ok_or_else(|| bad("response without content-length"))?;
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
+    if len > MAX_RESPONSE_BODY_BYTES {
+        return Err(bad(&format!(
+            "response body of {len} bytes exceeds the {MAX_RESPONSE_BODY_BYTES}-byte cap"
+        )));
+    }
+    let mut body = Vec::new();
+    r.by_ref().take(len as u64).read_to_end(&mut body)?;
+    if body.len() < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("response body ended at {} of {len} bytes", body.len()),
+        ));
+    }
     Ok(HttpResponse {
         status,
         headers,
@@ -377,32 +402,22 @@ fn read_framed_response(r: &mut BufReader<TcpStream>) -> io::Result<HttpResponse
     })
 }
 
-/// Parses a full `Connection: close` response (head + body). Shared with
-/// the peer transport (`crate::peer`), which frames the same way.
-pub(crate) fn parse_response(raw: &[u8]) -> io::Result<HttpResponse> {
-    let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_owned());
-    let split = find_head_end(raw).ok_or_else(|| bad("no header terminator"))?;
-    let head = std::str::from_utf8(&raw[..split]).map_err(|_| bad("head not utf-8"))?;
-    let mut lines = head.split("\r\n");
-    let status_line = lines.next().ok_or_else(|| bad("empty response"))?;
-    let status = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse::<u16>().ok())
-        .ok_or_else(|| bad("malformed status line"))?;
-    let headers = lines
-        .filter_map(|l| l.split_once(':'))
-        .map(|(k, v)| (k.trim().to_lowercase(), v.trim().to_owned()))
-        .collect();
-    Ok(HttpResponse {
-        status,
-        headers,
-        body: raw[split + 4..].to_vec(),
-    })
-}
-
-fn find_head_end(raw: &[u8]) -> Option<usize> {
-    raw.windows(4).position(|w| w == b"\r\n\r\n")
+/// Appends one head line to `line`, charging it to `budget`; returns the
+/// bytes read (0 at EOF).
+fn read_head_line(
+    r: &mut impl BufRead,
+    line: &mut String,
+    budget: &mut usize,
+) -> io::Result<usize> {
+    let n = r.by_ref().take(*budget as u64 + 1).read_line(line)?;
+    if n > *budget {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "response head too large",
+        ));
+    }
+    *budget -= n;
+    Ok(n)
 }
 
 #[cfg(test)]
@@ -414,7 +429,7 @@ mod tests {
     fn parses_a_response() {
         let raw =
             b"HTTP/1.1 429 Too Many Requests\r\nretry-after: 2\r\ncontent-length: 2\r\n\r\n{}";
-        let resp = parse_response(raw).unwrap();
+        let resp = read_framed_response(&mut &raw[..]).unwrap();
         assert_eq!(resp.status, 429);
         assert_eq!(resp.header("retry-after"), Some("2"));
         assert_eq!(resp.body_str(), "{}");
@@ -422,8 +437,16 @@ mod tests {
 
     #[test]
     fn rejects_garbage() {
-        assert!(parse_response(b"not http").is_err());
-        assert!(parse_response(b"HTTP/1.1 nope\r\n\r\n").is_err());
+        assert!(read_framed_response(&mut &b"not http"[..]).is_err());
+        assert!(read_framed_response(&mut &b"HTTP/1.1 nope\r\n\r\n"[..]).is_err());
+        // A head with no terminator, and one with no content-length.
+        assert!(read_framed_response(&mut &b"HTTP/1.1 200 OK\r\nx: y"[..]).is_err());
+        assert!(read_framed_response(&mut &b"HTTP/1.1 200 OK\r\n\r\nbody"[..]).is_err());
+        // An endless head line is cut off at the head cap.
+        let mut endless = b"HTTP/1.1 200 OK\r\nx: ".to_vec();
+        endless.resize(MAX_RESPONSE_HEAD_BYTES * 2, b'a');
+        let err = read_framed_response(&mut &endless[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     /// Reads one request head (through `\r\n\r\n`) off a stream so the
@@ -581,5 +604,45 @@ mod tests {
         let b = read_framed_response(&mut r).unwrap();
         assert_eq!((b.status, b.body_str().as_str()), (404, "no"));
         h.join().unwrap();
+    }
+
+    #[test]
+    fn oversized_or_truncated_responses_are_errors() {
+        use std::net::TcpListener;
+        let answers: [&'static [u8]; 2] = [
+            // A 1 TiB content-length: must not be allocated up front.
+            b"HTTP/1.1 200 OK\r\ncontent-length: 1099511627776\r\n\r\nabc",
+            // A body shorter than its content-length.
+            b"HTTP/1.1 200 OK\r\ncontent-length: 10\r\n\r\nabc",
+        ];
+        for answer in answers {
+            // The keep-alive client reconnects once after a failed read,
+            // so it dials twice; the one-shot `request` dials once.
+            for (dials, keep_alive) in [(2, true), (1, false)] {
+                let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+                let addr = listener.local_addr().unwrap().to_string();
+                let h = std::thread::spawn(move || {
+                    for _ in 0..dials {
+                        let (mut s, _) = listener.accept().unwrap();
+                        read_request_head(&mut s);
+                        s.write_all(answer).unwrap();
+                    }
+                });
+                let result = if keep_alive {
+                    Client::with_retry(&addr, RetryPolicy::none()).request("GET", "/", b"")
+                } else {
+                    request(&addr, "GET", "/", b"")
+                };
+                let err = result.expect_err("a bad frame is an error");
+                assert!(
+                    matches!(
+                        err.kind(),
+                        io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof
+                    ),
+                    "{err}"
+                );
+                h.join().unwrap();
+            }
+        }
     }
 }

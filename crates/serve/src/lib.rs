@@ -46,8 +46,8 @@
 //! ## Observability
 //!
 //! The service is instrumented end to end with the zero-dependency
-//! `ucsim-obs` crate (compiled in via its `enabled` feature here, a
-//! no-op everywhere else). Every request gets an `X-Request-Id`
+//! `ucsim-obs` crate (its per-job profiles are compiled in via the
+//! `enabled` feature here, a no-op everywhere else). Every request gets an `X-Request-Id`
 //! (client-supplied or minted at the accept edge) that is echoed on the
 //! response, propagated through the queue into the worker that runs the
 //! job, and attached to failure envelopes. Introspection endpoints:
@@ -57,7 +57,7 @@
 //! - `GET /v1/jobs/:id/profile` — per-job stage-time histograms and
 //!   counter deltas captured while the job executed.
 //! - `GET /v1/trace?since=N` — recent span events drained from the
-//!   per-thread ring buffers, with a cursor for incremental polling.
+//!   process-wide span ring, with a cursor for incremental polling.
 //! - `GET /v1/healthz` — queue depth, worker liveness, store health.
 //! - `GET /v1/version` — crate version, store format, feature flags.
 //!

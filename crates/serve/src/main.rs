@@ -74,7 +74,7 @@ ENDPOINTS:
     GET  /v1/jobs/ID/profile  per-job stage timings + counter deltas
     GET  /v1/metrics    queue/worker/cache/latency counters; JSON, or
                         Prometheus text with 'Accept: text/plain'
-    GET  /v1/trace?since=N  recent span events from the trace rings
+    GET  /v1/trace?since=N  recent span events from the trace ring
     GET  /v1/store?since=N  a page of verified store records (peer
                         anti-entropy pulls; needs --data-dir)
     GET  /v1/healthz    liveness: queue depth, workers, store health,

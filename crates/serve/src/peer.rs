@@ -20,7 +20,7 @@
 //! target, so cluster chaos tests can refuse connections to *one* node
 //! of an in-process cluster (see `ucsim_pool::faults`).
 
-use std::io::{self, Read};
+use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -491,36 +491,30 @@ fn http_once(
 
     crate::client::write_request(&mut stream, method, path, addr, true, extra_headers, body)?;
 
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw)?;
+    let resp = crate::client::read_framed_response(&mut BufReader::new(stream))?;
     match faults::take_io_at("peer.recv", addr) {
-        Some(faults::IoFault::Error) => {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                format!("injected receive error from {addr}"),
-            ));
-        }
-        Some(faults::IoFault::Torn { keep }) => {
-            // A mid-body drop: the response died partway through, exactly
-            // as if the peer crashed while answering.
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                format!(
-                    "injected mid-body drop from {addr} ({} of {} bytes)",
-                    keep.min(raw.len()),
-                    raw.len()
-                ),
-            ));
-        }
-        None => {}
+        Some(faults::IoFault::Error) => Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("injected receive error from {addr}"),
+        )),
+        // A mid-body drop: the response died partway through, exactly
+        // as if the peer crashed while answering.
+        Some(faults::IoFault::Torn { keep }) => Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!(
+                "injected mid-body drop from {addr} ({} of {} body bytes)",
+                keep.min(resp.body.len()),
+                resp.body.len()
+            ),
+        )),
+        None => Ok(resp),
     }
-    crate::client::parse_response(&raw)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write;
+    use std::io::{Read, Write};
 
     fn set(self_addr: &str, peers: &[&str]) -> PeerSet {
         PeerSet::new(

@@ -2069,7 +2069,7 @@ fn handle_trace(_inner: &Arc<Inner>, req: &Request, _params: &Params) -> Respons
             }
         }
     }
-    let (events, next_since) = ucsim_obs::drain_since(since, max.min(65_536));
+    let (events, next_since) = ucsim_obs::drain_since(since, max);
     let events = events
         .iter()
         .map(|e| {
@@ -2093,6 +2093,16 @@ fn handle_trace(_inner: &Arc<Inner>, req: &Request, _params: &Params) -> Respons
     ]);
     Response::json(200, body.to_string().into_bytes())
 }
+
+/// Largest `GET /v1/store` page, in bytes of log (record headers
+/// included). JSON escaping writes at most six bytes per stored byte
+/// (`\u00XX`), and a record's 25-byte header outweighs the ~73 bytes of
+/// field names it gets in the page, so a page's JSON is at most about
+/// six times this (48 MiB), inside the client's 64 MiB response cap
+/// ([`MAX_RESPONSE_BODY_BYTES`](crate::client::MAX_RESPONSE_BODY_BYTES)).
+/// The first record of a page goes out whatever its size; the largest
+/// a server writes, a 4 MiB uploaded program, escapes to under 32 MiB.
+const STORE_PAGE_BYTES: u64 = (crate::client::MAX_RESPONSE_BODY_BYTES / 8) as u64;
 
 /// `GET /v1/store?since=N&max=M` — a page of verified store records
 /// starting at byte offset `since`, for peer anti-entropy pulls (and
@@ -2123,7 +2133,7 @@ fn handle_store(inner: &Arc<Inner>, req: &Request, _params: &Params) -> Response
             }
         }
     }
-    match store.read_since(since, max.min(4096)) {
+    match store.read_since(since, max.min(4096), STORE_PAGE_BYTES) {
         Ok((records, next, eof)) => {
             let records = records
                 .into_iter()

@@ -279,9 +279,11 @@ impl ResultStore {
 
     /// Reads up to `max_records` verified records starting at byte offset
     /// `since` (an offset of 0 is normalized to the first record, just
-    /// past the magic). Returns the records, the byte offset the *next*
-    /// pull should use, and whether the verified end of the log was
-    /// reached. The cursor never advances past a short, corrupt, or
+    /// past the magic), stopping before a record that would take the
+    /// page past `max_bytes` of log (record headers included); the first
+    /// record is always returned, whatever its size. Returns the records,
+    /// the byte offset the *next* pull should use, and whether the
+    /// verified end of the log was reached. The cursor never advances past a short, corrupt, or
     /// still-being-written record, so a puller that keeps its returned
     /// offset resumes exactly where verification stopped — the anti-
     /// entropy loop (DESIGN.md §10) relies on this to never replicate a
@@ -297,6 +299,7 @@ impl ResultStore {
         &self,
         since: u64,
         max_records: usize,
+        max_bytes: u64,
     ) -> io::Result<(Vec<StoreRecord>, u64, bool)> {
         let start = since.max(MAGIC.len() as u64);
         let mut file = File::open(&self.path)?;
@@ -305,16 +308,22 @@ impl ResultStore {
         file.read_to_end(&mut raw)?;
         let (all, valid) = replay(&raw);
         let mut records = all;
-        let eof_at_cap = records.len() <= max_records;
-        records.truncate(max_records);
         let mut next = start;
+        let mut kept = 0;
         for r in &records {
-            next += (RECORD_HEADER_BYTES + r.canonical.len() + r.payload.len()) as u64;
+            let len = (RECORD_HEADER_BYTES + r.canonical.len() + r.payload.len()) as u64;
+            if kept == max_records || (kept > 0 && next - start + len > max_bytes) {
+                break;
+            }
+            next += len;
+            kept += 1;
         }
+        let capped = kept < records.len();
+        records.truncate(kept);
         // `valid` counts from MAGIC.len(); recompute the absolute offset of
         // the verified end to decide eof when nothing was capped away.
         let verified_end = start + (valid - MAGIC.len() as u64);
-        let eof = eof_at_cap && next >= verified_end;
+        let eof = !capped && next >= verified_end;
         Ok((records, next, eof))
     }
 
@@ -589,24 +598,49 @@ mod tests {
                 .append(i, &format!("spec-{i}"), &format!("{{\"n\":{i}}}"))
                 .unwrap();
         }
-        let (page1, next1, eof1) = store.read_since(0, 2).unwrap();
+        let (page1, next1, eof1) = store.read_since(0, 2, u64::MAX).unwrap();
         assert_eq!(page1.len(), 2);
         assert_eq!(page1[0].key_hash, 0);
         assert!(!eof1, "three records remain");
-        let (page2, next2, eof2) = store.read_since(next1, 10).unwrap();
+        let (page2, next2, eof2) = store.read_since(next1, 10, u64::MAX).unwrap();
         assert_eq!(page2.len(), 3);
         assert_eq!(page2[0].key_hash, 2);
         assert!(eof2);
-        let (page3, next3, eof3) = store.read_since(next2, 10).unwrap();
+        let (page3, next3, eof3) = store.read_since(next2, 10, u64::MAX).unwrap();
         assert!(page3.is_empty());
         assert_eq!(next3, next2, "cursor is stable at eof");
         assert!(eof3);
         // New appends become visible from the saved cursor.
         store.append(9, "spec-9", "{}").unwrap();
-        let (page4, _, eof4) = store.read_since(next3, 10).unwrap();
+        let (page4, _, eof4) = store.read_since(next3, 10, u64::MAX).unwrap();
         assert_eq!(page4.len(), 1);
         assert_eq!(page4[0].key_hash, 9);
         assert!(eof4);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn read_since_bounds_a_page_by_bytes() {
+        let dir = temp_dir("read-since-bytes");
+        let (store, _) = ResultStore::open(&dir, false).unwrap();
+        let payload = "x".repeat(100);
+        for i in 0..5u64 {
+            store.append(i, &format!("spec-{i}"), &payload).unwrap();
+        }
+        let record = (RECORD_HEADER_BYTES + "spec-0".len() + payload.len()) as u64;
+        // Two records fit under 2.5 records' worth of bytes; the third waits.
+        let (page, next, eof) = store.read_since(0, 10, record * 5 / 2).unwrap();
+        assert_eq!(page.len(), 2);
+        assert!(!eof, "the byte budget cut the page short");
+        // A budget smaller than one record still moves the cursor.
+        let (page, next, eof) = store.read_since(next, 10, 1).unwrap();
+        assert_eq!(page.len(), 1);
+        assert_eq!(page[0].key_hash, 2);
+        assert!(!eof);
+        let (page, _, eof) = store.read_since(next, 10, record * 2).unwrap();
+        assert_eq!(page.len(), 2);
+        assert_eq!(page[1].key_hash, 4);
+        assert!(eof);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -615,13 +649,13 @@ mod tests {
         let dir = temp_dir("read-since-corrupt");
         let (store, _) = ResultStore::open(&dir, false).unwrap();
         store.append(1, "good", "{\"ok\":true}").unwrap();
-        let (_, clean_end, _) = store.read_since(0, 10).unwrap();
+        let (_, clean_end, _) = store.read_since(0, 10, u64::MAX).unwrap();
         // A torn half-record at the tail, as a crash mid-append leaves it.
         {
             let mut f = OpenOptions::new().append(true).open(store.path()).unwrap();
             f.write_all(&[KIND_RESULT, 0xde, 0xad]).unwrap();
         }
-        let (records, next, eof) = store.read_since(0, 10).unwrap();
+        let (records, next, eof) = store.read_since(0, 10, u64::MAX).unwrap();
         assert_eq!(records.len(), 1, "only the verified prefix is served");
         assert_eq!(next, clean_end, "cursor never passes the corruption");
         assert!(eof, "verified end reached");

@@ -478,6 +478,70 @@ fn cluster_routes_program_jobs_by_content_address() {
     }
 }
 
+/// Anti-entropy replicates programs whose store records are too big to
+/// share one `GET /v1/store` page. Quotes in a comment are escaped once
+/// in the stored record and again in the page, so each of these two
+/// programs takes about 4.5 MiB of log and 9 MiB of page. The server
+/// bounds a page by log bytes (8 MiB), since a handful of such records
+/// in one page would pass the client's 64 MiB response cap and break
+/// every pull of it, and the peer walks the pages.
+#[test]
+fn anti_entropy_pages_through_large_programs() {
+    let addrs = reserve_addrs(2);
+    let dirs = [temp_dir("big-a"), temp_dir("big-b")];
+    let member = |i: usize| ServerConfig {
+        addr: addrs[i].clone(),
+        advertise: Some(addrs[i].clone()),
+        peers: addrs.clone(),
+        data_dir: Some(dirs[i].clone()),
+        anti_entropy_interval: Duration::from_millis(150),
+        ..test_config()
+    };
+    let a = start_node(member(0));
+    let b = start_node(member(1));
+
+    let comment = format!("; {}\n", "\"".repeat(1000));
+    let ids: Vec<String> = (0..2)
+        .map(|i| {
+            let mut src = format!(".func m{i}\nl: alu 3\n jmp l\n.end\n");
+            while src.len() + comment.len() <= 2304 * 1024 {
+                src.push_str(&comment);
+            }
+            let doc = upload(&addrs[0], src.as_bytes());
+            doc.get("id").unwrap().as_str().unwrap().to_owned()
+        })
+        .collect();
+
+    // The largest page node A will serve stops short of the log.
+    let page = request(&addrs[0], "GET", "/v1/store?max=4096", b"").unwrap();
+    assert_eq!(page.status, 200);
+    let doc = parse_json(&page.body_str());
+    let records = doc.get("records").unwrap().as_arr().unwrap().len();
+    assert_eq!(records, 1, "one large record per page");
+    assert_eq!(doc.get("eof").unwrap().as_bool(), Some(false));
+
+    let deadline = Instant::now() + Duration::from_secs(60);
+    for id in &ids {
+        loop {
+            let r = request(&addrs[1], "GET", &format!("/v1/programs/{id}"), b"").unwrap();
+            if r.status == 200 {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "program {id} never replicated to node B"
+            );
+            std::thread::sleep(Duration::from_millis(100));
+        }
+    }
+
+    a.shutdown();
+    b.shutdown();
+    for d in dirs {
+        let _ = std::fs::remove_dir_all(d);
+    }
+}
+
 #[test]
 fn shipped_examples_assemble_upload_and_simulate() {
     let server = Server::start(test_config()).unwrap();
