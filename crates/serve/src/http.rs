@@ -50,6 +50,16 @@ impl Request {
             .map(|(_, v)| v.as_str())
     }
 
+    /// Value of the first `key=value` pair named `key` in the query
+    /// string (not percent-decoded).
+    pub fn query(&self, key: &str) -> Option<&str> {
+        self.query
+            .as_deref()?
+            .split('&')
+            .find_map(|pair| pair.split_once('=').filter(|(k, _)| *k == key))
+            .map(|(_, v)| v)
+    }
+
     /// True when the client asked for the connection to be closed after
     /// this response (`Connection: close`).
     pub fn wants_close(&self) -> bool {
@@ -368,6 +378,19 @@ mod tests {
         assert_eq!(req.header("host"), Some("h"));
         assert_eq!(req.body_utf8().unwrap(), "body");
         assert!(!req.wants_close());
+    }
+
+    #[test]
+    fn query_finds_the_first_named_pair() {
+        let req = expect_request(roundtrip(
+            "GET /v1/store?flag&since=12&max=&since=99 HTTP/1.1\r\n\r\n",
+        ));
+        assert_eq!(req.query("since"), Some("12"));
+        assert_eq!(req.query("max"), Some(""));
+        assert_eq!(req.query("flag"), None, "a bare key has no value");
+        assert_eq!(req.query("state"), None);
+        let bare = expect_request(roundtrip("GET /v1/jobs HTTP/1.1\r\n\r\n"));
+        assert_eq!(bare.query("state"), None);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! flight?" (request coalescing — N concurrent identical submissions run
 //! one simulation, and the N−1 joiners wait on the same [`JobCell`]).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
 
 use ucsim_model::{CancelToken, FailureKind};
@@ -53,8 +53,9 @@ pub enum JobState {
     Queued,
     /// A worker is simulating it.
     Running,
-    /// Finished; holds the full response envelope bytes.
-    Done(Arc<Vec<u8>>),
+    /// Finished; holds the bare report payload. Handlers render the
+    /// response envelope around it when they answer.
+    Done(Arc<String>),
     /// Failed; holds the stable error code and message.
     Failed(JobFailure),
 }
@@ -82,10 +83,6 @@ pub struct JobCell {
     /// Unix timestamp (seconds) when the job was accepted.
     pub created_at: u64,
     state: Mutex<JobState>,
-    /// The bare report payload (set just before [`JobCell::complete`]).
-    /// Sweep aggregation reads this — the [`JobState::Done`] body is the
-    /// full response envelope, not the raw report.
-    payload: Mutex<Option<Arc<String>>>,
     /// Per-job execution profile (stage-time histogram + counter
     /// deltas), set by the worker that ran the simulation. `None` for
     /// cache hits and jobs that never executed.
@@ -107,7 +104,6 @@ impl JobCell {
             key_hash,
             created_at,
             state: Mutex::new(JobState::Queued),
-            payload: Mutex::new(None),
             profile: Mutex::new(None),
             cancel: CancelToken::new(),
             done: Condvar::new(),
@@ -140,28 +136,17 @@ impl JobCell {
         *self.state.lock().expect("job lock") = JobState::Running;
     }
 
-    /// Stores the bare report payload; call before [`JobCell::complete`]
-    /// so anyone observing `Done` can read it.
-    pub fn set_payload(&self, payload: Arc<String>) {
-        *self.payload.lock().expect("job lock") = Some(payload);
-    }
-
-    /// The bare report payload, once set.
-    pub fn payload(&self) -> Option<Arc<String>> {
-        self.payload.lock().expect("job lock").clone()
-    }
-
-    /// Completes the job with its response envelope and wakes waiters.
+    /// Completes the job with its report payload and wakes waiters.
     ///
     /// First-wins: if the job already settled (e.g. a deadline fired it
     /// into `Failed` while the worker was finishing anyway), the terminal
     /// state is kept and this returns `false`.
-    pub fn complete(&self, body: Arc<Vec<u8>>) -> bool {
+    pub fn complete(&self, payload: Arc<String>) -> bool {
         let mut st = self.state.lock().expect("job lock");
         if matches!(*st, JobState::Done(_) | JobState::Failed(_)) {
             return false;
         }
-        *st = JobState::Done(body);
+        *st = JobState::Done(payload);
         drop(st);
         self.done.notify_all();
         true
@@ -190,12 +175,13 @@ impl JobCell {
         )
     }
 
-    /// Blocks until the job is done or failed.
+    /// Blocks until the job is done or failed, returning its report
+    /// payload.
     ///
     /// # Errors
     ///
     /// Returns the failure (stable code + message) if the job failed.
-    pub fn wait(&self) -> Result<Arc<Vec<u8>>, JobFailure> {
+    pub fn wait(&self) -> Result<Arc<String>, JobFailure> {
         let mut st = self.state.lock().expect("job lock");
         loop {
             match &*st {
@@ -208,20 +194,21 @@ impl JobCell {
 }
 
 /// Result of submitting a content key to the table.
-pub enum Submit {
-    /// No job with this key in flight; the caller owns enqueueing this
-    /// fresh cell (and must [`JobTable::abandon`] it if the queue rejects
-    /// it).
+pub enum Submit<E> {
+    /// No job with this key was in flight; the push accepted this fresh
+    /// cell, and it is now joinable.
     New(Arc<JobCell>),
     /// A job with the same key is already queued/running; the caller
     /// should wait on the returned cell instead of enqueueing.
     Joined(Arc<JobCell>),
+    /// The push refused the fresh cell; it never became visible.
+    Refused(E),
 }
 
 struct TableInner {
     jobs: HashMap<JobId, Arc<JobCell>>,
     /// Completed job ids in completion order, for pruning.
-    finished_order: Vec<JobId>,
+    finished_order: VecDeque<JobId>,
     /// key hash → in-flight (queued or running) job id.
     inflight: HashMap<u64, JobId>,
     next_id: JobId,
@@ -240,7 +227,7 @@ impl JobTable {
         JobTable {
             inner: Mutex::new(TableInner {
                 jobs: HashMap::new(),
-                finished_order: Vec::new(),
+                finished_order: VecDeque::new(),
                 inflight: HashMap::new(),
                 next_id: 1,
             }),
@@ -248,9 +235,17 @@ impl JobTable {
         }
     }
 
-    /// Registers interest in `key_hash`: returns an existing in-flight
-    /// job ([`Submit::Joined`]) or a fresh one ([`Submit::New`]).
-    pub fn submit(&self, key_hash: u64) -> Submit {
+    /// Registers interest in `key_hash`: returns the in-flight job for
+    /// it ([`Submit::Joined`]), or creates one and hands it to `push`.
+    /// `push` runs under the table lock, and the fresh cell is
+    /// registered — pollable and joinable — only when it returns `Ok`
+    /// ([`Submit::New`]); an `Err` leaves no trace ([`Submit::Refused`]).
+    /// So no request can join a job that never reached the queue.
+    pub fn submit<E>(
+        &self,
+        key_hash: u64,
+        push: impl FnOnce(&Arc<JobCell>) -> Result<(), E>,
+    ) -> Submit<E> {
         let mut t = self.inner.lock().expect("job table lock");
         if let Some(&id) = t.inflight.get(&key_hash) {
             if let Some(cell) = t.jobs.get(&id) {
@@ -260,32 +255,29 @@ impl JobTable {
         let id = t.next_id;
         t.next_id += 1;
         let cell = Arc::new(JobCell::new(id, key_hash));
+        if let Err(e) = push(&cell) {
+            return Submit::Refused(e);
+        }
         t.jobs.insert(id, Arc::clone(&cell));
         t.inflight.insert(key_hash, id);
         Submit::New(cell)
     }
 
-    /// Removes a job the queue refused (429 path): it never ran, so it
-    /// must not linger as in-flight or poll as queued forever.
-    pub fn abandon(&self, cell: &JobCell) {
-        let mut t = self.inner.lock().expect("job table lock");
-        if t.inflight.get(&cell.key_hash) == Some(&cell.id) {
-            t.inflight.remove(&cell.key_hash);
-        }
-        t.jobs.remove(&cell.id);
-    }
-
     /// Marks a job's key no longer in flight (worker finished it, in
-    /// success or failure) and prunes old finished jobs.
+    /// success or failure, or a client cancelled it) and prunes old
+    /// finished jobs. Only the call that releases the key counts the job
+    /// as finished, so a job finished twice is retained once.
     pub fn finish(&self, cell: &JobCell) {
         let mut t = self.inner.lock().expect("job table lock");
-        if t.inflight.get(&cell.key_hash) == Some(&cell.id) {
-            t.inflight.remove(&cell.key_hash);
+        if t.inflight.get(&cell.key_hash) != Some(&cell.id) {
+            return;
         }
-        t.finished_order.push(cell.id);
+        t.inflight.remove(&cell.key_hash);
+        t.finished_order.push_back(cell.id);
         while t.finished_order.len() > self.retain {
-            let old = t.finished_order.remove(0);
-            t.jobs.remove(&old);
+            if let Some(old) = t.finished_order.pop_front() {
+                t.jobs.remove(&old);
+            }
         }
     }
 
@@ -323,44 +315,60 @@ impl JobTable {
 mod tests {
     use super::*;
 
+    /// Submits `key` with a push that always accepts.
+    fn submit(t: &JobTable, key: u64) -> Submit<()> {
+        t.submit(key, |_| Ok(()))
+    }
+
+    /// Creates a fresh job for `key`.
+    fn new_job(t: &JobTable, key: u64) -> Arc<JobCell> {
+        match submit(t, key) {
+            Submit::New(c) => c,
+            _ => panic!("key {key} must be new"),
+        }
+    }
+
+    fn done(payload: &str) -> Arc<String> {
+        Arc::new(payload.to_owned())
+    }
+
     #[test]
     fn second_submit_of_same_key_joins() {
         let t = JobTable::new(16);
-        let a = match t.submit(42) {
-            Submit::New(c) => c,
-            Submit::Joined(_) => panic!("first submit must be new"),
-        };
-        let b = match t.submit(42) {
-            Submit::Joined(c) => c,
-            Submit::New(_) => panic!("second submit must join"),
+        let a = new_job(&t, 42);
+        let Submit::Joined(b) = submit(&t, 42) else {
+            panic!("second submit must join")
         };
         assert_eq!(a.id, b.id);
         // A different key is a new job.
-        assert!(matches!(t.submit(43), Submit::New(_)));
+        assert!(matches!(submit(&t, 43), Submit::New(_)));
     }
 
     #[test]
     fn finish_releases_the_key() {
         let t = JobTable::new(16);
-        let Submit::New(a) = t.submit(42) else {
-            panic!()
-        };
-        a.complete(Arc::new(b"r".to_vec()));
+        let a = new_job(&t, 42);
+        a.complete(done("r"));
         t.finish(&a);
-        assert!(matches!(t.submit(42), Submit::New(_)));
+        assert!(matches!(submit(&t, 42), Submit::New(_)));
         // The finished job remains pollable.
         assert!(matches!(t.get(a.id).unwrap().state(), JobState::Done(_)));
     }
 
     #[test]
-    fn abandon_removes_entirely() {
+    fn a_refused_push_leaves_no_job() {
         let t = JobTable::new(16);
-        let Submit::New(a) = t.submit(42) else {
-            panic!()
-        };
-        t.abandon(&a);
-        assert!(t.get(a.id).is_none());
-        assert!(matches!(t.submit(42), Submit::New(_)));
+        let mut pushed = None;
+        let refused = t.submit(42, |cell| {
+            pushed = Some(cell.id);
+            Err("full")
+        });
+        assert!(matches!(refused, Submit::Refused("full")));
+        // The refused cell was never registered: not pollable, not
+        // joinable — the next submit creates a fresh job.
+        assert!(t.get(pushed.unwrap()).is_none());
+        assert!(t.is_empty());
+        assert!(matches!(submit(&t, 42), Submit::New(_)));
     }
 
     #[test]
@@ -368,10 +376,8 @@ mod tests {
         let t = JobTable::new(2);
         let mut ids = Vec::new();
         for key in 0..4u64 {
-            let Submit::New(c) = t.submit(key) else {
-                panic!()
-            };
-            c.complete(Arc::new(vec![]));
+            let c = new_job(&t, key);
+            c.complete(done(""));
             t.finish(&c);
             ids.push(c.id);
         }
@@ -382,15 +388,25 @@ mod tests {
     }
 
     #[test]
+    fn finishing_a_job_twice_counts_it_once() {
+        // A cancelled job is finished by the canceller and again by the
+        // worker that was running it; retention must count it once.
+        let t = JobTable::new(2);
+        let a = new_job(&t, 1);
+        t.finish(&a);
+        t.finish(&a);
+        let b = new_job(&t, 2);
+        t.finish(&b);
+        assert!(t.get(a.id).is_some(), "two finished jobs fit in retain 2");
+        assert!(t.get(b.id).is_some());
+    }
+
+    #[test]
     fn snapshot_lists_every_job_in_id_order() {
         let t = JobTable::new(16);
-        let Submit::New(a) = t.submit(1) else {
-            panic!()
-        };
-        let Submit::New(b) = t.submit(2) else {
-            panic!()
-        };
-        a.complete(Arc::new(vec![]));
+        let a = new_job(&t, 1);
+        let b = new_job(&t, 2);
+        a.complete(done(""));
         t.finish(&a);
         let ids: Vec<JobId> = t.snapshot().iter().map(|c| c.id).collect();
         assert_eq!(ids, [a.id, b.id]);
@@ -399,9 +415,7 @@ mod tests {
     #[test]
     fn cancel_token_is_shared_per_cell() {
         let t = JobTable::new(4);
-        let Submit::New(c) = t.submit(1) else {
-            panic!()
-        };
+        let c = new_job(&t, 1);
         let token = c.cancel_token();
         assert!(!token.is_cancelled());
         c.cancel_token().cancel();
@@ -411,23 +425,19 @@ mod tests {
     #[test]
     fn wait_blocks_until_complete() {
         let t = JobTable::new(4);
-        let Submit::New(c) = t.submit(1) else {
-            panic!()
-        };
+        let c = new_job(&t, 1);
         let waiter = Arc::clone(&c);
         let h = std::thread::spawn(move || waiter.wait());
         std::thread::sleep(std::time::Duration::from_millis(20));
         c.set_running();
-        c.complete(Arc::new(b"body".to_vec()));
-        assert_eq!(h.join().unwrap().unwrap().as_slice(), b"body");
+        c.complete(done("body"));
+        assert_eq!(h.join().unwrap().unwrap().as_str(), "body");
     }
 
     #[test]
     fn failure_propagates_to_waiters() {
         let t = JobTable::new(4);
-        let Submit::New(c) = t.submit(1) else {
-            panic!()
-        };
+        let c = new_job(&t, 1);
         c.fail(JobFailure::new(FailureKind::SimulationFailed, "boom"));
         let err = c.wait().unwrap_err();
         assert_eq!(err.kind, FailureKind::SimulationFailed);
@@ -438,24 +448,20 @@ mod tests {
     #[test]
     fn terminal_state_is_first_wins() {
         let t = JobTable::new(4);
-        let Submit::New(c) = t.submit(1) else {
-            panic!()
-        };
+        let c = new_job(&t, 1);
         // Deadline fires first…
         assert!(c.fail(JobFailure::new(FailureKind::DeadlineExceeded, "late")));
         // …then the worker finishes anyway: the completion is discarded.
-        assert!(!c.complete(Arc::new(b"r".to_vec())));
+        assert!(!c.complete(done("r")));
         assert!(!c.fail(JobFailure::new(FailureKind::SimulationFailed, "again")));
         let err = c.wait().unwrap_err();
         assert_eq!(err.kind, FailureKind::DeadlineExceeded);
         assert!(c.settled());
 
         // And the mirror image: completion first, failure discarded.
-        let Submit::New(d) = t.submit(2) else {
-            panic!()
-        };
-        assert!(d.complete(Arc::new(b"ok".to_vec())));
+        let d = new_job(&t, 2);
+        assert!(d.complete(done("ok")));
         assert!(!d.fail(JobFailure::new(FailureKind::DeadlineExceeded, "late")));
-        assert_eq!(d.wait().unwrap().as_slice(), b"ok");
+        assert_eq!(d.wait().unwrap().as_str(), "ok");
     }
 }

@@ -217,11 +217,6 @@ impl PeerSet {
         &self.peers
     }
 
-    /// Per-request deadline for forwarded calls.
-    pub fn deadline(&self) -> Duration {
-        self.deadline
-    }
-
     /// The owner chain for a content address: every member (self
     /// included) ranked by rendezvous score, best first. `None` entries
     /// mean "this node". All members compute the identical chain because

@@ -4,7 +4,7 @@
 //! expansion and adaptive knee refinement), uniform cancellation, the
 //! persistent result store, and graceful shutdown.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -21,13 +21,14 @@ use ucsim_trace::{load_asm, Program, TraceStore, WorkloadProfile};
 
 use crate::api::{self, ErrorCode, JobSpec, MatrixRequest, SimRequest, SweepMode};
 use crate::cache::ResultCache;
+use crate::client::HttpResponse;
 use crate::http::{HttpConn, ReadOutcome, Request, Response};
-use crate::jobs::{JobFailure, JobState, JobTable, Submit};
+use crate::jobs::{JobCell, JobFailure, JobState, JobTable, Submit};
 use crate::metrics::Metrics;
 use crate::peer::PeerSet;
 use crate::programs::{self, ProgramKind, ProgramRegistry, StoredProgram};
 use crate::router::{Params, Route, Router};
-use crate::store::{RecordKind, ResultStore};
+use crate::store::{self, RecordKind, ResultStore, StoreRecord};
 use crate::sweep::{self, Frontier, PlanAxes, PlanOptions, Sweep, SweepTable};
 use crate::{jobs, signal};
 
@@ -35,6 +36,21 @@ use crate::{jobs, signal};
 /// shutdown signal, and the accept loop's backoff after an accept error
 /// (fd exhaustion and the like). The accept itself blocks.
 const ACCEPT_POLL: Duration = Duration::from_millis(20);
+
+/// Sweeps retained for `GET /v1/matrix/:id`.
+const RETAIN_SWEEPS: usize = 64;
+
+/// How long a kept-alive connection may sit idle between requests before
+/// the server closes it.
+const KEEP_ALIVE_IDLE: Duration = Duration::from_secs(30);
+
+/// Budget (in recorded instructions) of the shared trace store: jobs with
+/// the same workload × seed × run length replay one recording instead of
+/// re-walking the generator per cell.
+const TRACE_BUDGET_INSTS: u64 = 8_000_000;
+
+/// Max records per anti-entropy pull request.
+const ANTI_ENTROPY_BATCH: usize = 256;
 
 /// Tunables for [`Server::start`].
 #[derive(Debug, Clone)]
@@ -51,11 +67,6 @@ pub struct ServerConfig {
     pub retry_after_secs: u32,
     /// Finished jobs retained for `GET /v1/jobs/:id`.
     pub retain_jobs: usize,
-    /// Sweeps retained for `GET /v1/matrix/:id`.
-    pub retain_sweeps: usize,
-    /// How long a kept-alive connection may sit idle between requests
-    /// before the server closes it.
-    pub keep_alive_idle: Duration,
     /// When set, completed results are appended to
     /// `<data_dir>/results.log` and replayed into the cache on startup,
     /// so a restarted server re-simulates nothing it already computed.
@@ -63,10 +74,6 @@ pub struct ServerConfig {
     /// Accept `test-sleep:<ms>` pseudo-workloads (integration tests use
     /// them to hold workers busy deterministically).
     pub enable_test_workloads: bool,
-    /// Budget (in recorded instructions) of the shared trace store:
-    /// jobs with the same workload × seed × run length replay one
-    /// recording instead of re-walking the generator per cell.
-    pub trace_budget_insts: u64,
     /// Per-job wall-clock deadline. When a job exceeds it, the watchdog
     /// cancels the simulation cooperatively and fails the job with
     /// `deadline_exceeded`; `None` disables deadlines.
@@ -92,8 +99,6 @@ pub struct ServerConfig {
     pub advertise: Option<String>,
     /// How often the anti-entropy loop pulls each peer's store delta.
     pub anti_entropy_interval: Duration,
-    /// Max records per anti-entropy pull request.
-    pub anti_entropy_batch: usize,
     /// Connect/read/write deadline for forwarded peer requests. Must
     /// comfortably exceed the longest simulation a forwarded job can
     /// run, or the coordinator fails over and re-simulates elsewhere.
@@ -109,11 +114,8 @@ impl Default for ServerConfig {
             cache_budget_bytes: 64 * 1024 * 1024,
             retry_after_secs: 1,
             retain_jobs: 1024,
-            retain_sweeps: 64,
-            keep_alive_idle: Duration::from_secs(30),
             data_dir: None,
             enable_test_workloads: false,
-            trace_budget_insts: 8_000_000,
             job_deadline: None,
             drain_timeout: Duration::from_secs(30),
             durable_store: false,
@@ -121,7 +123,6 @@ impl Default for ServerConfig {
             peers: Vec::new(),
             advertise: None,
             anti_entropy_interval: Duration::from_secs(5),
-            anti_entropy_batch: 256,
             peer_deadline: Duration::from_secs(30),
         }
     }
@@ -166,10 +167,6 @@ struct Inner {
     pool_monitor: OnceLock<PoolMonitor>,
     /// Cluster view in peer mode (`--peer`); `None` on a standalone node.
     peers: Option<PeerSet>,
-    /// Content keys with a terminal record in the local store, so the
-    /// anti-entropy loop skips records it already holds instead of
-    /// appending duplicates. Seeded from replay, maintained on append.
-    known_keys: Mutex<HashSet<u64>>,
     stopping: AtomicBool,
     open_conns: AtomicUsize,
 }
@@ -180,6 +177,96 @@ impl Inner {
         let map = self.failed.lock().expect("failed cache lock");
         map.get(&hash)
             .and_then(|(c, f)| (c == canonical).then(|| f.clone()))
+    }
+
+    /// Applies one terminal record: a result goes to the cache, a
+    /// deterministic failure to the negative cache, and a program to the
+    /// registry once its content address checks out. Then, when
+    /// `append()` says so and the store holds no record for the key yet,
+    /// appends the record. `append` runs after the record is applied, so
+    /// a worker can complete its job there: waiters wake to a warm
+    /// cache, and only the completion that wins is persisted. A failed
+    /// append costs durability, not the answer: it is counted
+    /// (`store.write_errors`) and logged.
+    ///
+    /// Returns whether the record was new: `false` when it was rejected
+    /// (a non-deterministic failure, a program whose address does not
+    /// match) or the registry already held the program.
+    fn record(
+        &self,
+        key: u64,
+        canonical: &str,
+        record: Record,
+        append: impl FnOnce() -> bool,
+    ) -> bool {
+        let (kind, payload, new) = match record {
+            Record::Result(payload) => {
+                self.cache
+                    .put(key, canonical.to_owned(), Arc::clone(&payload));
+                (RecordKind::Result, payload, true)
+            }
+            Record::Failed(failure) => {
+                if !failure.kind.is_deterministic() {
+                    return false;
+                }
+                let payload = Arc::new(store::failure_payload(&failure));
+                self.failed
+                    .lock()
+                    .expect("failed cache lock")
+                    .insert(key, (canonical.to_owned(), failure));
+                (RecordKind::Failed, payload, true)
+            }
+            Record::Program(program, payload) => {
+                if program.hash() != key || program.ref_string() != canonical {
+                    return false;
+                }
+                let (_, created) = self.programs.insert(program);
+                (RecordKind::Program, Arc::new(payload), created)
+            }
+        };
+        if !append() {
+            return new;
+        }
+        let Some(store) = self.store.as_ref().filter(|s| !s.contains(key)) else {
+            return new;
+        };
+        let span = ucsim_obs::span(ucsim_obs::SpanKind::StoreIo);
+        let appended = store.append_record(kind, key, canonical, &payload);
+        span.finish(u32::from(appended.is_err()));
+        if let Err(e) = appended {
+            self.metrics.store_write_error();
+            eprintln!(
+                "ucsim-serve: appending a {} record to {} failed: {e}",
+                kind.name(),
+                store.path().display()
+            );
+        }
+        new
+    }
+}
+
+/// A terminal record as [`Inner::record`] applies it.
+enum Record {
+    /// A report payload.
+    Result(Arc<String>),
+    /// A failure; only deterministic ones are kept.
+    Failed(JobFailure),
+    /// An uploaded program and its resource JSON.
+    Program(StoredProgram, String),
+}
+
+impl Record {
+    /// Decodes a record read from a store log (local or a peer's).
+    fn decode(kind: RecordKind, payload: String) -> Result<Record, String> {
+        match kind {
+            RecordKind::Result => Ok(Record::Result(Arc::new(payload))),
+            RecordKind::Failed => store::parse_failure_payload(&payload)
+                .map(Record::Failed)
+                .ok_or_else(|| "undecodable failure".to_owned()),
+            RecordKind::Program => {
+                programs::decode_program_payload(&payload).map(|p| Record::Program(p, payload))
+            }
+        }
     }
 }
 
@@ -239,17 +326,16 @@ impl Server {
             router,
             queue: Arc::clone(&queue),
             jobs: JobTable::new(cfg.retain_jobs),
-            sweeps: SweepTable::new(cfg.retain_sweeps),
+            sweeps: SweepTable::new(RETAIN_SWEEPS),
             cache: ResultCache::new(cfg.cache_budget_bytes),
             failed: Mutex::new(HashMap::new()),
             store,
-            traces: TraceStore::new(cfg.trace_budget_insts),
+            traces: TraceStore::new(TRACE_BUDGET_INSTS),
             programs: ProgramRegistry::new(),
             metrics,
             watchdog: Watchdog::new(),
             pool_monitor: OnceLock::new(),
             peers,
-            known_keys: Mutex::new(HashSet::new()),
             stopping: AtomicBool::new(false),
             open_conns: AtomicUsize::new(0),
             cfg,
@@ -258,37 +344,22 @@ impl Server {
         // Warm the caches from the store: a restarted server answers every
         // previously computed job (and whole sweeps) without simulating,
         // and every deterministic failure without re-panicking a worker.
+        for StoreRecord {
+            kind,
+            key_hash,
+            canonical,
+            payload,
+        } in replayed
         {
-            let mut known = inner.known_keys.lock().expect("known keys lock");
-            known.extend(replayed.iter().map(|r| r.key_hash));
-        }
-        for rec in replayed {
-            match rec.kind {
-                RecordKind::Result => {
-                    inner
-                        .cache
-                        .put(rec.key_hash, rec.canonical, Arc::new(rec.payload));
+            match Record::decode(kind, payload) {
+                Ok(record) => {
+                    inner.record(key_hash, &canonical, record, || false);
                 }
-                RecordKind::Failed => {
-                    if let Some(failure) = rec.failure() {
-                        if failure.kind.is_deterministic() {
-                            inner
-                                .failed
-                                .lock()
-                                .expect("failed cache lock")
-                                .insert(rec.key_hash, (rec.canonical, failure));
-                        }
-                    }
-                }
-                RecordKind::Program => match programs::decode_program_payload(&rec.payload) {
-                    Ok(program) => {
-                        let _ = inner.programs.insert(program);
-                    }
-                    Err(e) => eprintln!(
-                        "ucsim-serve: dropping undecodable program record {}: {e}",
-                        api::format_key(rec.key_hash)
-                    ),
-                },
+                Err(e) => eprintln!(
+                    "ucsim-serve: dropping undecodable {} record {}: {e}",
+                    kind.name(),
+                    api::format_key(key_hash)
+                ),
             }
         }
 
@@ -596,46 +667,15 @@ fn execute(inner: &Arc<Inner>, work: &Work) {
         Ok(report) => {
             let payload = Arc::new(api::encode_report(&report));
             inner.metrics.worker_finished(us, false);
-            // First-wins: if the deadline already failed this job, keep
-            // the failure — but still cache the result (it is correct and
-            // deterministic; the *job* was late, the *value* is fine).
-            inner.cache.put(
-                work.cell.key_hash,
-                work.canonical.clone(),
-                Arc::clone(&payload),
-            );
-            // Publish the bare payload *before* completing: complete()
-            // wakes waiters (including sweep cells), and they must find
-            // the payload already in place.
-            work.cell.set_payload(Arc::clone(&payload));
-            if work
-                .cell
-                .complete(Arc::new(api::envelope(work.cell.key_hash, false, &payload)))
-            {
-                if let Some(store) = &inner.store {
-                    // A failed append costs durability, not the response:
-                    // the in-memory cache still holds the result.
-                    let span = ucsim_obs::span(ucsim_obs::SpanKind::StoreIo);
-                    let appended = store.append(work.cell.key_hash, &work.canonical, &payload);
-                    span.finish(u32::from(appended.is_err()));
-                    match appended {
-                        Ok(()) => {
-                            inner
-                                .known_keys
-                                .lock()
-                                .expect("known keys lock")
-                                .insert(work.cell.key_hash);
-                        }
-                        Err(e) => {
-                            inner.metrics.store_write_error();
-                            eprintln!(
-                                "ucsim-serve: appending to {} failed: {e}",
-                                store.path().display()
-                            );
-                        }
-                    }
-                }
-            }
+            // Cache, then complete, then append. First-wins: if the
+            // deadline already failed this job, the failure stands and
+            // nothing is appended — but the result is still cached (it
+            // is correct and deterministic; the *job* was late, the
+            // *value* is fine).
+            let result = Record::Result(Arc::clone(&payload));
+            inner.record(work.cell.key_hash, &work.canonical, result, || {
+                work.cell.complete(payload)
+            });
         }
         Err(RunError::Cancelled) => {
             // The watchdog already failed the cell and counted the
@@ -665,32 +705,8 @@ fn job_panicked(inner: &Arc<Inner>, work: &Work, payload: &str) {
     .with_request_id(work.request_id.clone());
     inner.metrics.worker_panicked(0);
     if work.cell.fail(failure.clone()) {
-        if let Some(store) = &inner.store {
-            let span = ucsim_obs::span(ucsim_obs::SpanKind::StoreIo);
-            let appended = store.append_failed(work.cell.key_hash, &work.canonical, &failure);
-            span.finish(u32::from(appended.is_err()));
-            match appended {
-                Ok(()) => {
-                    inner
-                        .known_keys
-                        .lock()
-                        .expect("known keys lock")
-                        .insert(work.cell.key_hash);
-                }
-                Err(e) => {
-                    inner.metrics.store_write_error();
-                    eprintln!(
-                        "ucsim-serve: appending failure to {} failed: {e}",
-                        store.path().display()
-                    );
-                }
-            }
-        }
-        inner
-            .failed
-            .lock()
-            .expect("failed cache lock")
-            .insert(work.cell.key_hash, (work.canonical.clone(), failure));
+        let failed = Record::Failed(failure);
+        inner.record(work.cell.key_hash, &work.canonical, failed, || true);
     }
     inner.jobs.finish(&work.cell);
 }
@@ -867,7 +883,7 @@ fn handle_connection(stream: TcpStream, inner: &Arc<Inner>) {
     let mut conn = HttpConn::new(stream);
     let stop = || inner.stopping.load(Ordering::SeqCst) || signal::signalled();
     loop {
-        let mut req = match conn.read_request(inner.cfg.keep_alive_idle, &stop) {
+        let mut req = match conn.read_request(KEEP_ALIVE_IDLE, &stop) {
             Ok(ReadOutcome::Request(req)) => req,
             Ok(ReadOutcome::Malformed(msg)) => {
                 let resp = api::error_response(ErrorCode::BadRequest, &msg, None);
@@ -948,77 +964,39 @@ fn handle_sim(inner: &Arc<Inner>, req: &Request, _params: &Params) -> Response {
     }
     let canonical = spec.canonical();
     let hash = api::content_hash(&canonical);
-
-    // 1. Resident cache entry: answer without touching the queue.
-    if let Some(payload) = inner.cache.get(hash, &canonical) {
-        return Response::json(200, api::envelope(hash, true, &payload));
-    }
-
-    // 1b. Known-deterministic failure: answer with the stable code
-    // instead of panicking another worker on the same spec.
-    if let Some(failure) = inner.failed_for(hash, &canonical) {
-        return api::error_response(
-            ErrorCode::from_failure(failure.kind),
-            &failure.message,
-            None,
-        );
-    }
-
-    // 1c. Peer mode: route the job to its rendezvous owner. Foreground
-    // requests we don't own are forwarded down the owner chain (with
-    // failover); if every remote owner is unreachable, graceful
-    // degradation executes the job right here. Background jobs stay
-    // local so their `/v1/jobs/:id` poll URL stays valid.
-    if !forwarded && !background {
-        if let Some(ps) = &inner.peers {
-            if let Some(resp) = route_sim(inner, ps, hash, &canonical, &req.request_id) {
-                return resp;
-            }
+    // Peer mode routes foreground requests to the key's owner. A
+    // forwarded request never re-routes (the owner executes locally, so
+    // there are no forwarding loops), and background jobs stay local so
+    // their `/v1/jobs/:id` poll URL stays valid.
+    let job = Admit {
+        spec: &spec,
+        canonical: &canonical,
+        hash,
+        request_id: &req.request_id,
+        tenant: tenant.as_deref().unwrap_or("default"),
+        priority: priority.unwrap_or(0),
+        bounded: true,
+        route: !forwarded && !background,
+    };
+    let cell = match admit(inner, &job) {
+        Admission::Hit(payload) => return Response::json(200, api::envelope(hash, true, &payload)),
+        Admission::Known(failure) => return failure_response(&failure),
+        Admission::Remote(Forwarded::Report { body, .. }) => return Response::json(200, body),
+        Admission::Remote(Forwarded::Refusal(resp)) => {
+            return Response::json(resp.status, resp.body)
         }
-    }
-
-    // 2. Coalesce onto an in-flight job for the same key, or create one.
-    let cell = match inner.jobs.submit(hash) {
-        Submit::Joined(cell) => {
-            inner.cache.record_coalesced();
-            cell
+        Admission::Refused { full: true } => {
+            inner.metrics.rejected();
+            return api::error_response(
+                ErrorCode::QueueFull,
+                "job queue full; retry later",
+                Some(inner.cfg.retry_after_secs),
+            );
         }
-        Submit::New(cell) => {
-            let cancel = cell.cancel_token();
-            let work = Work {
-                cell: Arc::clone(&cell),
-                spec,
-                canonical,
-                request_id: req.request_id.clone(),
-                cancel: cancel.clone(),
-            };
-            // Direct jobs ride the *bounded* path of the scheduler (the
-            // tenant defaults to "default"): admission control for
-            // interactive clients stays a 429 + Retry-After, while plan
-            // cells use the unbounded path and never push jobs past
-            // capacity into a rejection.
-            match inner.queue.try_submit(
-                tenant.as_deref().unwrap_or("default"),
-                priority.unwrap_or(0),
-                cancel,
-                work,
-            ) {
-                Ok(()) => cell,
-                Err(PushError::Full(_)) => {
-                    inner.jobs.abandon(&cell);
-                    inner.metrics.rejected();
-                    return api::error_response(
-                        ErrorCode::QueueFull,
-                        "job queue full; retry later",
-                        Some(inner.cfg.retry_after_secs),
-                    );
-                }
-                Err(PushError::Closed(_)) => {
-                    inner.jobs.abandon(&cell);
-                    return api::error_response(ErrorCode::Draining, "server shutting down", None);
-                }
-            }
+        Admission::Refused { full: false } => {
+            return api::error_response(ErrorCode::Draining, "server shutting down", None)
         }
+        Admission::Job(cell) => cell,
     };
 
     if background {
@@ -1036,13 +1014,154 @@ fn handle_sim(inner: &Arc<Inner>, req: &Request, _params: &Params) -> Response {
     }
 
     match cell.wait() {
-        Ok(body) => Response::json(200, body.to_vec()),
-        Err(failure) => api::error_response(
-            ErrorCode::from_failure(failure.kind),
-            &failure.message,
-            None,
-        ),
+        Ok(payload) => Response::json(200, api::envelope(hash, false, &payload)),
+        Err(failure) => failure_response(&failure),
     }
+}
+
+/// The error envelope for a failed job.
+fn failure_response(failure: &JobFailure) -> Response {
+    api::error_response(
+        ErrorCode::from_failure(failure.kind),
+        &failure.message,
+        None,
+    )
+}
+
+/// A job on its way in: what [`admit`] needs to answer, forward or queue
+/// it.
+struct Admit<'a> {
+    spec: &'a JobSpec,
+    canonical: &'a str,
+    hash: u64,
+    request_id: &'a str,
+    tenant: &'a str,
+    priority: u64,
+    /// Direct jobs take the scheduler's bounded path (a full queue
+    /// refuses them: admission control stays a 429 + Retry-After); plan
+    /// cells take the unbounded path, so an overcommitted sweep queues
+    /// instead of erroring.
+    bounded: bool,
+    /// In peer mode, offer the job to its remote owners first.
+    route: bool,
+}
+
+/// What [`admit`] made of a job: the outcomes DESIGN.md §8 lists for
+/// plan cells, plus a remote owner's answer for routed jobs.
+enum Admission {
+    /// The result cache holds the report.
+    Hit(Arc<String>),
+    /// The spec is known to fail deterministically.
+    Known(JobFailure),
+    /// A remote owner answered.
+    Remote(Forwarded),
+    /// The job is in flight here: joined, or created and queued.
+    Job(Arc<JobCell>),
+    /// The scheduler refused a fresh job: its bounded queue was `full`,
+    /// or it is closed for shutdown.
+    Refused { full: bool },
+}
+
+/// Admits one job: the result cache, then the negative cache, then (for
+/// routed jobs) the owner chain, then coalescing onto the in-flight job
+/// for the same key or creating one. A fresh job becomes joinable only
+/// once the scheduler accepted it ([`JobTable::submit`] pushes under the
+/// table lock; lock order table → scheduler), so nobody ever waits on a
+/// job that no worker will run.
+fn admit(inner: &Inner, job: &Admit<'_>) -> Admission {
+    if let Some(payload) = inner.cache.get(job.hash, job.canonical) {
+        return Admission::Hit(payload);
+    }
+    if let Some(failure) = inner.failed_for(job.hash, job.canonical) {
+        return Admission::Known(failure);
+    }
+    if job.route {
+        if let Some(answer) = inner.peers.as_ref().and_then(|ps| forward(inner, ps, job)) {
+            return Admission::Remote(answer);
+        }
+    }
+    let submitted = inner.jobs.submit(job.hash, |cell| {
+        let cancel = cell.cancel_token();
+        let work = Work {
+            cell: Arc::clone(cell),
+            spec: job.spec.clone(),
+            canonical: job.canonical.to_owned(),
+            request_id: job.request_id.to_owned(),
+            cancel: cancel.clone(),
+        };
+        let pushed = if job.bounded {
+            inner
+                .queue
+                .try_submit(job.tenant, job.priority, cancel, work)
+        } else {
+            inner.queue.enqueue(job.tenant, job.priority, cancel, work)
+        };
+        pushed.map_err(|e| matches!(e, PushError::Full(_)))
+    });
+    match submitted {
+        Submit::New(cell) => Admission::Job(cell),
+        Submit::Joined(cell) => {
+            inner.cache.record_coalesced();
+            Admission::Job(cell)
+        }
+        Submit::Refused(full) => Admission::Refused { full },
+    }
+}
+
+/// A remote owner's answer to a forwarded job.
+enum Forwarded {
+    /// The owner's report: its payload, whether the owner answered from
+    /// its cache, and the owner's response body.
+    Report {
+        payload: Arc<String>,
+        cached: bool,
+        body: Vec<u8>,
+    },
+    /// A definitive refusal (a bad spec, a deterministic failure):
+    /// retrying elsewhere would only recompute it.
+    Refusal(HttpResponse),
+}
+
+/// Walks the rendezvous owner chain for a job and forwards it to the
+/// first remote owner that answers. A transport error, a 429 or 503
+/// (overload, drain), or a 200 whose envelope does not parse fails over
+/// to the next owner; any other status is definitive. Returns `None`
+/// when the job should run here: this node comes first in what is left
+/// of the chain, or every remote owner failed (graceful degradation — a
+/// partitioned node still answers what it can). A report is cached
+/// locally, so repeat requests stay node-local.
+fn forward(inner: &Inner, ps: &PeerSet, job: &Admit<'_>) -> Option<Forwarded> {
+    let headers = [("x-ucsim-forwarded", "1"), ("x-request-id", job.request_id)];
+    for owner in ps.owner_chain(job.hash) {
+        // `None` in the chain is this node: execute locally.
+        let peer = owner?;
+        if peer.available() {
+            match ps.forward(peer, "POST", "/v1/sim", &headers, job.canonical.as_bytes()) {
+                Ok(resp) if resp.status == 200 => {
+                    let env = std::str::from_utf8(&resp.body)
+                        .ok()
+                        .and_then(|b| Json::parse(b).ok());
+                    let field = |name| env.as_ref()?.get(name);
+                    if let Some(report) = field("report") {
+                        let payload = Arc::new(report.to_string());
+                        let cached = field("cached").and_then(Json::as_bool).unwrap_or(false);
+                        let canonical = job.canonical.to_owned();
+                        inner.cache.put(job.hash, canonical, Arc::clone(&payload));
+                        return Some(Forwarded::Report {
+                            payload,
+                            cached,
+                            body: resp.body,
+                        });
+                    }
+                }
+                Ok(resp) if resp.status == 429 || resp.status == 503 => {}
+                Ok(resp) => return Some(Forwarded::Refusal(resp)),
+                Err(_) => {}
+            }
+        }
+        peer.note_failed_over();
+    }
+    None
 }
 
 /// Validates a job's workload ref against what this node can actually
@@ -1117,91 +1236,17 @@ fn fetch_program_from_peers(inner: &Arc<Inner>, wref: &WorkloadRef) -> bool {
 
 /// Registers a validated program: inserts it into the registry and — on
 /// first sight — persists it to the store so restarts replay it and
-/// anti-entropy replicates it. Mirrors the result-append bookkeeping
-/// (known-keys set, store-error metric).
+/// anti-entropy replicates it.
 fn register_program(inner: &Inner, program: StoredProgram) -> (Arc<StoredProgram>, bool) {
     let hash = program.hash();
     let canonical = program.ref_string();
     let payload = program.payload_json();
-    let (entry, created) = inner.programs.insert(program);
-    if created {
-        if let Some(store) = &inner.store {
-            let span = ucsim_obs::span(ucsim_obs::SpanKind::StoreIo);
-            let appended = store.append_program(hash, &canonical, &payload);
-            span.finish(u32::from(appended.is_err()));
-            match appended {
-                Ok(()) => {
-                    inner
-                        .known_keys
-                        .lock()
-                        .expect("known keys lock")
-                        .insert(hash);
-                }
-                Err(e) => {
-                    inner.metrics.store_write_error();
-                    eprintln!(
-                        "ucsim-serve: appending program to {} failed: {e}",
-                        store.path().display()
-                    );
-                }
-            }
-        }
-    }
+    let created = inner.record(hash, &canonical, Record::Program(program, payload), || true);
+    let entry = inner
+        .programs
+        .get(hash)
+        .expect("a recorded program is registered");
     (entry, created)
-}
-
-/// Walks the rendezvous owner chain for `hash` and forwards the job to
-/// the first reachable remote owner. Returns `None` when this node
-/// should execute locally: it is the primary owner, or every remote
-/// owner is down/unreachable (graceful degradation — a partitioned node
-/// still answers what it can). A successful forward caches the peer's
-/// report locally so repeat requests stay node-local.
-fn route_sim(
-    inner: &Inner,
-    ps: &PeerSet,
-    hash: u64,
-    canonical: &str,
-    request_id: &str,
-) -> Option<Response> {
-    for owner in ps.owner_chain(hash) {
-        // `None` in the chain is this node: execute locally.
-        let peer = owner?;
-        if !peer.available() {
-            peer.note_failed_over();
-            continue;
-        }
-        let headers = [("x-ucsim-forwarded", "1"), ("x-request-id", request_id)];
-        match ps.forward(peer, "POST", "/v1/sim", &headers, canonical.as_bytes()) {
-            Ok(resp) if resp.status == 200 => {
-                // Cache the owner's report so the next hit for this key
-                // is answered here without another network round trip.
-                if let Ok(body) = std::str::from_utf8(&resp.body) {
-                    if let Ok(env) = Json::parse(body) {
-                        if let Some(report) = env.get("report") {
-                            inner.cache.put(
-                                hash,
-                                canonical.to_owned(),
-                                Arc::new(report.to_string()),
-                            );
-                        }
-                    }
-                }
-                return Some(Response::json(200, resp.body));
-            }
-            Ok(resp) if resp.status == 503 => {
-                // The owner is draining; fail over to the next owner.
-                peer.note_failed_over();
-            }
-            Ok(resp) => {
-                // Any other definitive answer (4xx, deterministic 5xx)
-                // is relayed verbatim — retrying elsewhere would just
-                // recompute the same deterministic failure.
-                return Some(Response::json(resp.status, resp.body));
-            }
-            Err(_) => peer.note_failed_over(),
-        }
-    }
-    None
 }
 
 fn handle_matrix_post(inner: &Arc<Inner>, req: &Request, _params: &Params) -> Response {
@@ -1252,17 +1297,12 @@ fn handle_matrix_post(inner: &Arc<Inner>, req: &Request, _params: &Params) -> Re
             // against the store right here — cheap (no simulation), so the
             // 202 still returns promptly and `planned` is exact from the
             // first poll.
+            // In peer mode the cells scatter to their rendezvous owners;
+            // adaptive plans below stay coordinator-local (the bisector
+            // is sequential).
             let metas = axes.full_metas();
             let start = sweep.push_cells(metas.clone());
-            match &inner.peers {
-                // Peer mode: scatter cells to their rendezvous owners
-                // and gather the partial results; adaptive plans below
-                // stay coordinator-local (the bisector is sequential).
-                Some(ps) if !ps.peers().is_empty() => {
-                    scatter_cells(inner, &sweep, &metas, start, &request_id);
-                }
-                _ => resolve_cells(inner, &sweep, &metas, start, &request_id),
-            }
+            scatter_cells(inner, &sweep, &metas, start, &request_id);
             sweep.mark_materialized();
         }
         SweepMode::Adaptive { tolerance, .. } => {
@@ -1291,68 +1331,45 @@ fn handle_matrix_post(inner: &Arc<Inner>, req: &Request, _params: &Params) -> Re
     Response::json(202, body)
 }
 
-/// Resolves the plan cells `start..start + metas.len()` exactly once
-/// each: a store/cache hit fulfills the cell without simulating (counted
-/// in `skipped_from_store`), a known-deterministic failure settles it
-/// immediately, and anything else joins or creates a job — fresh jobs go
-/// to the scheduler's *unbounded* path under the plan's tenant and
-/// priority, so an overcommitted sweep queues instead of erroring.
-fn resolve_cells(
-    inner: &Inner,
-    sweep: &Sweep,
-    metas: &[sweep::CellMeta],
-    start: usize,
-    request_id: &str,
-) {
-    for (offset, meta) in metas.iter().enumerate() {
-        resolve_cell(inner, sweep, start + offset, meta, request_id);
-    }
-}
-
-/// Resolves one plan cell locally (the per-cell body of
-/// [`resolve_cells`], shared with the scatter-gather fallback path).
+/// Resolves one plan cell through [`admit`]: a store/cache hit fulfills
+/// the cell without simulating (counted in `skipped_from_store`), a
+/// known-deterministic failure settles it immediately, a routed cell may
+/// be answered by its remote owner, and anything else joins or creates a
+/// job — fresh jobs go to the scheduler's *unbounded* path under the
+/// plan's tenant and priority.
 fn resolve_cell(
     inner: &Inner,
     sweep: &Sweep,
     idx: usize,
     meta: &sweep::CellMeta,
     request_id: &str,
+    route: bool,
 ) {
-    if let Some(payload) = inner.cache.get(meta.key_hash, &meta.canonical) {
-        sweep.fulfill_from_store(idx, payload);
-        return;
-    }
-    if let Some(failure) = inner.failed_for(meta.key_hash, &meta.canonical) {
-        sweep.fail(idx, failure);
-        return;
-    }
-    match inner.jobs.submit(meta.key_hash) {
-        Submit::Joined(job) => {
-            inner.cache.record_coalesced();
-            sweep.attach(idx, job);
+    let job = Admit {
+        spec: &meta.spec,
+        canonical: &meta.canonical,
+        hash: meta.key_hash,
+        request_id,
+        tenant: &sweep.tenant,
+        priority: sweep.priority,
+        bounded: false,
+        route,
+    };
+    match admit(inner, &job) {
+        Admission::Hit(payload) => sweep.fulfill_from_store(idx, payload),
+        Admission::Known(failure) => sweep.fail(idx, failure),
+        Admission::Remote(Forwarded::Report {
+            payload, cached, ..
+        }) => sweep.fulfill_remote(idx, payload, cached),
+        Admission::Remote(Forwarded::Refusal(resp)) => {
+            sweep.fail(idx, peer_error_failure(&resp, request_id));
         }
-        Submit::New(job) => {
-            sweep.attach(idx, Arc::clone(&job));
-            let cancel = job.cancel_token();
-            let work = Work {
-                cell: Arc::clone(&job),
-                spec: meta.spec.clone(),
-                canonical: meta.canonical.clone(),
-                request_id: request_id.to_owned(),
-                cancel: cancel.clone(),
-            };
-            if let Err(PushError::Closed(w) | PushError::Full(w)) =
-                inner
-                    .queue
-                    .enqueue(&sweep.tenant, sweep.priority, cancel, work)
-            {
-                let failure = JobFailure::new(FailureKind::ShuttingDown, "server shutting down")
-                    .with_request_id(request_id);
-                w.cell.fail(failure.clone());
-                inner.jobs.abandon(&w.cell);
-                inner.metrics.job_failed_unexecuted();
-                sweep.fail(idx, failure);
-            }
+        Admission::Job(job) => sweep.attach(idx, job),
+        Admission::Refused { .. } => {
+            inner.metrics.job_failed_unexecuted();
+            let failure = JobFailure::new(FailureKind::ShuttingDown, "server shutting down")
+                .with_request_id(request_id);
+            sweep.fail(idx, failure);
         }
     }
 }
@@ -1361,10 +1378,10 @@ fn resolve_cell(
 /// to simulate concurrently during a scatter-gather sweep.
 const GATHER_WORKERS: usize = 4;
 
-/// Scatter-gather resolution of a full-cross plan in peer mode: cells
-/// are partitioned by their rendezvous primary owner; locally-owned
-/// cells resolve exactly as in [`resolve_cells`], and each remote
-/// group is driven by a detached gather thread that forwards cells down
+/// Resolves the plan cells `start..start + metas.len()` exactly once
+/// each, scatter-gather in peer mode: cells are partitioned by their
+/// rendezvous primary owner; locally-owned cells (every cell on a
+/// standalone node) resolve right here, and each remote group is driven by a detached gather thread that forwards cells down
 /// the owner chain with bounded per-peer concurrency, failing over to
 /// secondary owners and finally to local execution, so a dead or
 /// partitioned peer can delay a sweep but never wedge it. First-wins
@@ -1377,18 +1394,14 @@ fn scatter_cells(
     start: usize,
     request_id: &str,
 ) {
-    let ps = inner.peers.as_ref().expect("scatter_cells requires peers");
-    let mut local = Vec::new();
     let mut remote: HashMap<String, Vec<usize>> = HashMap::new();
     for (offset, meta) in metas.iter().enumerate() {
         let idx = start + offset;
-        match ps.owner_chain(meta.key_hash).first() {
+        let chain = inner.peers.as_ref().map(|ps| ps.owner_chain(meta.key_hash));
+        match chain.as_ref().and_then(|c| c.first()) {
             Some(Some(peer)) => remote.entry(peer.addr().to_owned()).or_default().push(idx),
-            _ => local.push(idx),
+            _ => resolve_cell(inner, sweep, idx, meta, request_id, false),
         }
-    }
-    for idx in local {
-        resolve_cell(inner, sweep, idx, &metas[idx - start], request_id);
     }
     for (addr, indices) in remote {
         let queue = Arc::new(Mutex::new(indices.into_iter().collect::<VecDeque<_>>()));
@@ -1409,108 +1422,31 @@ fn scatter_cells(
                             Some(i) => i,
                             None => break,
                         };
-                        gather_cell(&inner, &sweep, idx, &metas[idx - start], &request_id);
+                        // cancel() already failed every Planned cell.
+                        if !sweep.is_cancelled() {
+                            let meta = &metas[idx - start];
+                            resolve_cell(&inner, &sweep, idx, meta, &request_id, true);
+                        }
                     }
                 });
         }
     }
 }
 
-/// Resolves one remotely-owned sweep cell: forward it down the owner
-/// chain, fall back to local execution when every owner is unreachable.
-fn gather_cell(
-    inner: &Arc<Inner>,
-    sweep: &Arc<Sweep>,
-    idx: usize,
-    meta: &sweep::CellMeta,
-    request_id: &str,
-) {
-    if sweep.is_cancelled() {
-        // cancel() already failed every Planned cell; nothing to do.
-        return;
-    }
-    // A result may have landed since partitioning (anti-entropy pull,
-    // a direct request for the same key): settle from cache first.
-    if let Some(payload) = inner.cache.get(meta.key_hash, &meta.canonical) {
-        sweep.fulfill_from_store(idx, payload);
-        return;
-    }
-    if let Some(failure) = inner.failed_for(meta.key_hash, &meta.canonical) {
-        sweep.fail(idx, failure);
-        return;
-    }
-    let ps = inner.peers.as_ref().expect("gather_cell requires peers");
-    let headers = [("x-ucsim-forwarded", "1"), ("x-request-id", request_id)];
-    for owner in ps.owner_chain(meta.key_hash) {
-        let peer = match owner {
-            None => break, // self in the chain: execute locally below
-            Some(p) => p,
-        };
-        if !peer.available() {
-            peer.note_failed_over();
-            continue;
-        }
-        match ps.forward(peer, "POST", "/v1/sim", &headers, meta.canonical.as_bytes()) {
-            Ok(resp) if resp.status == 200 => {
-                let Ok(body) = std::str::from_utf8(&resp.body) else {
-                    peer.note_failed_over();
-                    continue;
-                };
-                let Ok(env) = Json::parse(body) else {
-                    peer.note_failed_over();
-                    continue;
-                };
-                let Some(report) = env.get("report") else {
-                    peer.note_failed_over();
-                    continue;
-                };
-                let peer_cached = env.get("cached").and_then(Json::as_bool).unwrap_or(false);
-                let payload = Arc::new(report.to_string());
-                inner
-                    .cache
-                    .put(meta.key_hash, meta.canonical.clone(), Arc::clone(&payload));
-                sweep.fulfill_remote(idx, payload, peer_cached);
-                return;
-            }
-            Ok(resp) if resp.status == 429 || resp.status == 503 => {
-                // Transient overload or drain: try the next owner.
-                peer.note_failed_over();
-            }
-            Ok(resp) => {
-                // Definitive failure (bad spec, deterministic sim
-                // failure): settle the cell with the peer's error.
-                let failure = peer_error_failure(&resp, request_id);
-                sweep.fail(idx, failure);
-                return;
-            }
-            Err(_) => peer.note_failed_over(),
-        }
-    }
-    // Graceful degradation: every remote owner refused or is down.
-    resolve_cell(inner, sweep, idx, meta, request_id);
-}
-
 /// Maps a peer's definitive error response back to a [`JobFailure`],
 /// preserving the stable failure code when the envelope carries one.
-fn peer_error_failure(resp: &crate::client::HttpResponse, request_id: &str) -> JobFailure {
-    let parsed = std::str::from_utf8(&resp.body)
+fn peer_error_failure(resp: &HttpResponse, request_id: &str) -> JobFailure {
+    let env = std::str::from_utf8(&resp.body)
         .ok()
         .and_then(|b| Json::parse(b).ok());
-    let error = parsed.as_ref().and_then(|env| env.get("error").cloned());
-    let kind = error
-        .as_ref()
-        .and_then(|e| e.get("code"))
-        .and_then(Json::as_str)
+    let field = |name| env.as_ref()?.get("error")?.get(name)?.as_str();
+    let kind = field("code")
         .and_then(FailureKind::parse)
         .unwrap_or(FailureKind::SimulationFailed);
-    let message = error
-        .as_ref()
-        .and_then(|e| e.get("message"))
-        .and_then(Json::as_str)
-        .map_or_else(
-            || format!("peer answered status {}", resp.status),
-            str::to_owned,
-        );
+    let message = field("message").map_or_else(
+        || format!("peer answered status {}", resp.status),
+        str::to_owned,
+    );
     JobFailure::new(kind, &message).with_request_id(request_id)
 }
 
@@ -1540,18 +1476,13 @@ fn anti_entropy_loop(inner: &Arc<Inner>) {
                 let path = format!(
                     "/v1/store?since={}&max={}",
                     peer.pull_cursor(),
-                    inner.cfg.anti_entropy_batch
+                    ANTI_ENTROPY_BATCH
                 );
-                let Ok(resp) = ps.fetch(peer, &path) else {
-                    break;
-                };
-                if resp.status != 200 {
-                    break;
-                }
-                let Some(doc) = std::str::from_utf8(&resp.body)
-                    .ok()
-                    .and_then(|b| Json::parse(b).ok())
-                else {
+                let page = ps.fetch(peer, &path).ok().filter(|r| r.status == 200);
+                let body = page
+                    .as_ref()
+                    .and_then(|r| std::str::from_utf8(&r.body).ok());
+                let Some(doc) = body.and_then(|b| Json::parse(b).ok()) else {
                     break;
                 };
                 let records = doc.get("records").and_then(Json::as_arr).unwrap_or(&[]);
@@ -1579,90 +1510,27 @@ fn anti_entropy_loop(inner: &Arc<Inner>) {
     }
 }
 
-/// Replays one record pulled from a peer into the local store, cache,
-/// and negative caches. Keys already terminal locally are skipped, so
+/// Replays one record pulled from a peer through [`Inner::record`], which
+/// appends it locally. Keys the local store already holds are skipped, so
 /// repeated pulls and overlapping peers stay idempotent; malformed
 /// records are dropped (the source log is checksummed, so these only
 /// arise from a peer speaking a different wire version).
 fn apply_pull_record(inner: &Inner, store: &ResultStore, rec: &Json) {
-    let Some(key) = rec
-        .get("key")
-        .and_then(Json::as_str)
-        .and_then(|k| u64::from_str_radix(k, 16).ok())
-    else {
-        return;
-    };
-    let (Some(kind), Some(canonical), Some(payload)) = (
-        rec.get("kind").and_then(Json::as_str),
-        rec.get("canonical").and_then(Json::as_str),
-        rec.get("payload").and_then(Json::as_str),
+    let field = |name| rec.get(name).and_then(Json::as_str);
+    let (Some(kind), Some(key), Some(canonical), Some(payload)) = (
+        field("kind").and_then(RecordKind::parse),
+        field("key").and_then(|k| u64::from_str_radix(k, 16).ok()),
+        field("canonical"),
+        field("payload"),
     ) else {
         return;
     };
-    if inner
-        .known_keys
-        .lock()
-        .expect("known keys lock")
-        .contains(&key)
-    {
+    if store.contains(key) {
         return;
     }
-    match kind {
-        "result" => {
-            if store.append(key, canonical, payload).is_err() {
-                return;
-            }
-            inner
-                .cache
-                .put(key, canonical.to_owned(), Arc::new(payload.to_owned()));
-        }
-        "failed" => {
-            // Route the payload through the same decoder replay uses;
-            // non-deterministic kinds never replicate (same rule as the
-            // local append path).
-            let record = crate::store::StoreRecord {
-                kind: RecordKind::Failed,
-                key_hash: key,
-                canonical: canonical.to_owned(),
-                payload: payload.to_owned(),
-            };
-            let Some(failure) = record.failure() else {
-                return;
-            };
-            if !failure.kind.is_deterministic() {
-                return;
-            }
-            if store.append_failed(key, canonical, &failure).is_err() {
-                return;
-            }
-            inner
-                .failed
-                .lock()
-                .expect("failed cache lock")
-                .insert(key, (canonical.to_owned(), failure));
-        }
-        "program" => {
-            // Re-validate the payload locally; the content address must
-            // agree or the record is dropped (a peer cannot plant a
-            // program under someone else's id).
-            let Ok(program) = programs::decode_program_payload(payload) else {
-                return;
-            };
-            if program.hash() != key || program.ref_string() != canonical {
-                return;
-            }
-            if store.append_program(key, canonical, payload).is_err() {
-                return;
-            }
-            let _ = inner.programs.insert(program);
-        }
-        _ => return,
+    if let Ok(record) = Record::decode(kind, payload.to_owned()) {
+        inner.record(key, canonical, record, || true);
     }
-    inner
-        .known_keys
-        .lock()
-        .expect("known keys lock")
-        .insert(key);
 }
 
 /// The adaptive-plan driver: bisects the capacity axis until the UPC
@@ -1702,7 +1570,9 @@ fn drive_adaptive(
         for cap_idx in probes {
             let metas = axes.capacity_metas(cap_idx);
             let start = sweep.push_cells(metas.clone());
-            resolve_cells(inner, sweep, &metas, start, request_id);
+            for (offset, meta) in metas.iter().enumerate() {
+                resolve_cell(inner, sweep, start + offset, meta, request_id, false);
+            }
             // Wait the wave out, then fold its UPCs into one knee metric.
             let cells = sweep.cells();
             let mut upcs = Vec::with_capacity(metas.len());
@@ -1733,14 +1603,14 @@ fn drive_adaptive(
 }
 
 fn handle_matrix_list(inner: &Arc<Inner>, req: &Request, _params: &Params) -> Response {
-    let filter = state_filter(req);
+    let filter = req.query("state");
     let sweeps: Vec<Json> = inner
         .sweeps
         .list()
         .into_iter()
         .filter_map(|s| {
             let state = s.state_name();
-            if filter.as_deref().is_some_and(|f| f != state) {
+            if filter.is_some_and(|f| f != state) {
                 return None;
             }
             Some(Json::Obj(vec![
@@ -1848,26 +1718,17 @@ fn lookup_program(inner: &Inner, params: &Params) -> Result<Arc<StoredProgram>, 
 }
 
 fn handle_program_list(inner: &Arc<Inner>, req: &Request, _params: &Params) -> Response {
-    let mut kind = None;
-    if let Some(q) = &req.query {
-        for pair in q.split('&') {
-            let Some((k, v)) = pair.split_once('=') else {
-                continue;
-            };
-            if k == "kind" {
-                match ProgramKind::parse(v) {
-                    Some(pk) => kind = Some(pk),
-                    None => {
-                        return api::error_response(
-                            ErrorCode::BadRequest,
-                            &format!("unknown kind filter {v:?} (want asm or trace)"),
-                            None,
-                        )
-                    }
-                }
-            }
+    let kind = match req.query("kind").map(|v| (v, ProgramKind::parse(v))) {
+        None => None,
+        Some((_, Some(pk))) => Some(pk),
+        Some((v, None)) => {
+            return api::error_response(
+                ErrorCode::BadRequest,
+                &format!("unknown kind filter {v:?} (want asm or trace)"),
+                None,
+            )
         }
-    }
+    };
     let listed: Vec<Json> = inner
         .programs
         .list(kind)
@@ -1904,14 +1765,14 @@ fn handle_program_raw(inner: &Arc<Inner>, _req: &Request, params: &Params) -> Re
 }
 
 fn handle_jobs_list(inner: &Arc<Inner>, req: &Request, _params: &Params) -> Response {
-    let filter = state_filter(req);
+    let filter = req.query("state");
     let jobs: Vec<Json> = inner
         .jobs
         .snapshot()
         .into_iter()
         .filter_map(|cell| {
             let state = cell.state();
-            if filter.as_deref().is_some_and(|f| f != state.name()) {
+            if filter.is_some_and(|f| f != state.name()) {
                 return None;
             }
             Some(Json::Obj(vec![
@@ -1948,16 +1809,6 @@ fn handle_job_delete(inner: &Arc<Inner>, req: &Request, params: &Params) -> Resp
     api::error_response(ErrorCode::Cancelled, &format!("job {id} cancelled"), None)
 }
 
-/// Extracts the optional `?state=` filter of the listing endpoints.
-fn state_filter(req: &Request) -> Option<String> {
-    let q = req.query.as_ref()?;
-    q.split('&').find_map(|pair| {
-        pair.split_once('=')
-            .filter(|(k, _)| *k == "state")
-            .map(|(_, v)| v.to_owned())
-    })
-}
-
 fn handle_matrix_get(inner: &Arc<Inner>, _req: &Request, params: &Params) -> Response {
     let Some(id) = params.get("id").and_then(|s| s.parse::<u64>().ok()) else {
         return api::error_response(ErrorCode::BadRequest, "bad sweep id", None);
@@ -1985,15 +1836,14 @@ fn handle_job_get(inner: &Arc<Inner>, _req: &Request, params: &Params) -> Respon
         ("created_at".to_owned(), Json::Uint(cell.created_at)),
     ];
     match state {
-        JobState::Done(body) => {
-            // Splice the finished envelope in verbatim.
-            let envelope = std::str::from_utf8(&body).expect("envelope is utf-8");
-            let mut out = Json::Obj(obj).to_string();
+        JobState::Done(payload) => {
+            // Splice the finished job's response envelope in verbatim.
+            let mut out = Json::Obj(obj).to_string().into_bytes();
             out.pop(); // trailing '}'
-            out.push_str(",\"result\":");
-            out.push_str(envelope);
-            out.push('}');
-            Response::json(200, out.into_bytes())
+            out.extend_from_slice(b",\"result\":");
+            out.extend(api::envelope(cell.key_hash, false, &payload));
+            out.push(b'}');
+            Response::json(200, out)
         }
         JobState::Failed(failure) => {
             let mut err = vec![
@@ -2055,20 +1905,11 @@ fn handle_metrics(inner: &Arc<Inner>, req: &Request, _params: &Params) -> Respon
 }
 
 fn handle_trace(_inner: &Arc<Inner>, req: &Request, _params: &Params) -> Response {
-    let mut since = 0u64;
-    let mut max = 4096usize;
-    if let Some(q) = &req.query {
-        for pair in q.split('&') {
-            let Some((k, v)) = pair.split_once('=') else {
-                continue;
-            };
-            match k {
-                "since" => since = v.parse().unwrap_or(0),
-                "max" => max = v.parse().unwrap_or(max),
-                _ => {}
-            }
-        }
-    }
+    let since = req.query("since").and_then(|v| v.parse().ok()).unwrap_or(0);
+    let max = req
+        .query("max")
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(4096);
     let (events, next_since) = ucsim_obs::drain_since(since, max);
     let events = events
         .iter()
@@ -2119,37 +1960,18 @@ fn handle_store(inner: &Arc<Inner>, req: &Request, _params: &Params) -> Response
             None,
         );
     };
-    let mut since = 0u64;
-    let mut max = 1024usize;
-    if let Some(q) = &req.query {
-        for pair in q.split('&') {
-            let Some((k, v)) = pair.split_once('=') else {
-                continue;
-            };
-            match k {
-                "since" => since = v.parse().unwrap_or(0),
-                "max" => max = v.parse().unwrap_or(max),
-                _ => {}
-            }
-        }
-    }
+    let since = req.query("since").and_then(|v| v.parse().ok()).unwrap_or(0);
+    let max = req
+        .query("max")
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(1024);
     match store.read_since(since, max.min(4096), STORE_PAGE_BYTES) {
         Ok((records, next, eof)) => {
             let records = records
                 .into_iter()
                 .map(|r| {
                     Json::Obj(vec![
-                        (
-                            "kind".to_owned(),
-                            Json::Str(
-                                match r.kind {
-                                    RecordKind::Result => "result",
-                                    RecordKind::Failed => "failed",
-                                    RecordKind::Program => "program",
-                                }
-                                .to_owned(),
-                            ),
-                        ),
+                        ("kind".to_owned(), Json::Str(r.kind.name().to_owned())),
                         ("key".to_owned(), Json::Str(api::format_key(r.key_hash))),
                         ("canonical".to_owned(), Json::Str(r.canonical)),
                         ("payload".to_owned(), Json::Str(r.payload)),

@@ -37,8 +37,9 @@
 //! truncates the file there, so a crash mid-append costs at most the last
 //! record — never the log. A file with any other magic is refused.
 
+use std::collections::HashSet;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -57,6 +58,9 @@ const RECORD_HEADER_BYTES: usize = 25;
 /// Replay refuses records larger than this (corrupt length fields would
 /// otherwise make it try to allocate garbage).
 const MAX_RECORD_BYTES: usize = 64 * 1024 * 1024;
+/// Most bytes a record read reserves up front; larger records grow their
+/// buffer as the bytes arrive.
+const READ_CHUNK_BYTES: usize = 64 * 1024;
 
 const KIND_RESULT: u8 = 1;
 const KIND_FAILED: u8 = 2;
@@ -87,28 +91,48 @@ pub struct StoreRecord {
     pub payload: String,
 }
 
-impl StoreRecord {
-    /// Decodes a `Failed` record's payload into a [`JobFailure`]. Returns
-    /// `None` for `Result` records or unparseable payloads (treated as
-    /// generic simulation failures would be too optimistic — the caller
-    /// skips them).
-    pub fn failure(&self) -> Option<JobFailure> {
-        if self.kind != RecordKind::Failed {
-            return None;
+impl RecordKind {
+    /// The record's on-disk kind byte.
+    fn code(self) -> u8 {
+        match self {
+            RecordKind::Result => KIND_RESULT,
+            RecordKind::Failed => KIND_FAILED,
+            RecordKind::Program => KIND_PROGRAM,
         }
-        let v = Json::parse(&self.payload).ok()?;
-        let kind = FailureKind::parse(v.get("code")?.as_str()?)?;
-        let message = v.get("message")?.as_str()?.to_owned();
-        let request_id = v
-            .get("request_id")
-            .and_then(Json::as_str)
-            .map(str::to_owned);
-        Some(JobFailure {
-            kind,
-            message,
-            request_id,
-        })
     }
+
+    /// The kind's name in `GET /v1/store` pages.
+    pub fn name(self) -> &'static str {
+        match self {
+            RecordKind::Result => "result",
+            RecordKind::Failed => "failed",
+            RecordKind::Program => "program",
+        }
+    }
+
+    /// Parses a [`name`](Self::name).
+    pub fn parse(name: &str) -> Option<RecordKind> {
+        [RecordKind::Result, RecordKind::Failed, RecordKind::Program]
+            .into_iter()
+            .find(|k| k.name() == name)
+    }
+}
+
+/// Decodes a `FAILED` record's payload (see [`failure_payload`]); `None`
+/// when it does not parse.
+pub fn parse_failure_payload(payload: &str) -> Option<JobFailure> {
+    let v = Json::parse(payload).ok()?;
+    let kind = FailureKind::parse(v.get("code")?.as_str()?)?;
+    let message = v.get("message")?.as_str()?.to_owned();
+    let request_id = v
+        .get("request_id")
+        .and_then(Json::as_str)
+        .map(str::to_owned);
+    Some(JobFailure {
+        kind,
+        message,
+        request_id,
+    })
 }
 
 /// Encodes a failure as the `FAILED` record payload.
@@ -132,6 +156,9 @@ pub fn failure_payload(failure: &JobFailure) -> String {
 pub struct ResultStore {
     file: Mutex<File>,
     path: PathBuf,
+    /// Content keys with a record in the log: seeded by replay, extended
+    /// by every successful append.
+    keys: Mutex<HashSet<u64>>,
     /// When set, every append is fsync'd (`--durable`).
     durable: bool,
     /// Health flag for `/v1/healthz`: cleared when an append fails, set
@@ -162,33 +189,37 @@ impl ResultStore {
 
         let mut raw = Vec::new();
         file.read_to_end(&mut raw)?;
-        let (records, valid_len) = if raw.is_empty() {
+        if raw.is_empty() {
             file.write_all(MAGIC)?;
             file.flush()?;
-            (Vec::new(), MAGIC.len() as u64)
-        } else {
+        } else if !raw.starts_with(MAGIC) {
             let found = &raw[..raw.len().min(MAGIC.len())];
-            if found != MAGIC {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "{} is not a ucsim result store: expected magic \"{}\", found \"{}\"",
-                        path.display(),
-                        MAGIC.escape_ascii(),
-                        found.escape_ascii()
-                    ),
-                ));
-            }
-            replay(&raw[MAGIC.len()..])
-        };
-        // Chop any corrupt tail so future appends extend the valid prefix
-        // (a no-op when the whole log replayed).
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "{} is not a ucsim result store: expected magic \"{}\", found \"{}\"",
+                    path.display(),
+                    MAGIC.escape_ascii(),
+                    found.escape_ascii()
+                ),
+            ));
+        }
+        // Replay the valid prefix, then chop any corrupt tail so future
+        // appends extend it (a no-op when the whole log replayed).
+        let mut body = raw.get(MAGIC.len()..).unwrap_or_default();
+        let mut records = Vec::new();
+        let mut valid_len = MAGIC.len() as u64;
+        while let Some((record, len)) = read_record(&mut body)? {
+            records.push(record);
+            valid_len += len;
+        }
         file.set_len(valid_len)?;
         file.seek(SeekFrom::End(0))?;
         Ok((
             ResultStore {
                 file: Mutex::new(file),
                 path,
+                keys: Mutex::new(records.iter().map(|r| r.key_hash).collect()),
                 durable,
                 healthy: AtomicBool::new(true),
             },
@@ -203,54 +234,32 @@ impl ResultStore {
     /// Propagates write errors (the caller counts and carries on — the
     /// in-memory cache still holds the result).
     pub fn append(&self, key_hash: u64, canonical: &str, payload: &str) -> io::Result<()> {
-        self.append_record(KIND_RESULT, key_hash, canonical, payload)
+        self.append_record(RecordKind::Result, key_hash, canonical, payload)
     }
 
-    /// Appends one deterministic failure as a `FAILED` record.
+    /// Appends one record of any kind: `payload` is the report JSON, the
+    /// failure's `{"code","message","request_id"?}` JSON, or the program
+    /// resource JSON.
     ///
     /// # Errors
     ///
     /// Propagates write errors.
-    pub fn append_failed(
+    pub fn append_record(
         &self,
-        key_hash: u64,
-        canonical: &str,
-        failure: &JobFailure,
-    ) -> io::Result<()> {
-        self.append_record(KIND_FAILED, key_hash, canonical, &failure_payload(failure))
-    }
-
-    /// Appends one uploaded program: `canonical` is the workload ref
-    /// string, `payload` the program resource JSON.
-    ///
-    /// # Errors
-    ///
-    /// Propagates write errors (the in-memory registry still holds the
-    /// program; only restart durability is lost).
-    pub fn append_program(&self, key_hash: u64, canonical: &str, payload: &str) -> io::Result<()> {
-        self.append_record(KIND_PROGRAM, key_hash, canonical, payload)
-    }
-
-    fn append_record(
-        &self,
-        kind: u8,
+        kind: RecordKind,
         key_hash: u64,
         canonical: &str,
         payload: &str,
     ) -> io::Result<()> {
-        let result = self.append_record_inner(kind, key_hash, canonical, payload);
+        let result = self.write_record(&encode_record(kind.code(), key_hash, canonical, payload));
         self.healthy.store(result.is_ok(), Ordering::Relaxed);
+        if result.is_ok() {
+            self.keys.lock().expect("store keys lock").insert(key_hash);
+        }
         result
     }
 
-    fn append_record_inner(
-        &self,
-        kind: u8,
-        key_hash: u64,
-        canonical: &str,
-        payload: &str,
-    ) -> io::Result<()> {
-        let record = encode_record(kind, key_hash, canonical, payload);
+    fn write_record(&self, record: &[u8]) -> io::Result<()> {
         let mut file = self.file.lock().expect("store lock");
         // Named fault site: chaos tests inject hard I/O errors and torn
         // (partial) writes here to prove the recovery paths.
@@ -269,12 +278,21 @@ impl ResultStore {
             }
             None => {}
         }
-        file.write_all(&record)?;
+        file.write_all(record)?;
         file.flush()?;
         if self.durable {
             file.sync_data()?;
         }
         Ok(())
+    }
+
+    /// Whether the log holds a record for `key_hash` (replayed at open
+    /// or appended since).
+    pub fn contains(&self, key_hash: u64) -> bool {
+        self.keys
+            .lock()
+            .expect("store keys lock")
+            .contains(&key_hash)
     }
 
     /// Reads up to `max_records` verified records starting at byte offset
@@ -283,14 +301,16 @@ impl ResultStore {
     /// page past `max_bytes` of log (record headers included); the first
     /// record is always returned, whatever its size. Returns the records,
     /// the byte offset the *next* pull should use, and whether the
-    /// verified end of the log was reached. The cursor never advances past a short, corrupt, or
-    /// still-being-written record, so a puller that keeps its returned
-    /// offset resumes exactly where verification stopped — the anti-
-    /// entropy loop (DESIGN.md §10) relies on this to never replicate a
-    /// torn tail.
+    /// verified end of the log was reached. The cursor never advances
+    /// past a short, corrupt, or still-being-written record, so a puller
+    /// that keeps its returned offset resumes exactly where verification
+    /// stopped — the anti-entropy loop (DESIGN.md §10) relies on this to
+    /// never replicate a torn tail.
     ///
-    /// Reads use a fresh handle on the log path so concurrent appends via
-    /// `self.file` are unaffected.
+    /// The read walks one record at a time and stops at the page, so a
+    /// page costs its own size (plus one record of look-ahead), not the
+    /// rest of the log. It uses a fresh handle on the log path so
+    /// concurrent appends via `self.file` are unaffected.
     ///
     /// # Errors
     ///
@@ -304,27 +324,20 @@ impl ResultStore {
         let start = since.max(MAGIC.len() as u64);
         let mut file = File::open(&self.path)?;
         file.seek(SeekFrom::Start(start))?;
-        let mut raw = Vec::new();
-        file.read_to_end(&mut raw)?;
-        let (all, valid) = replay(&raw);
-        let mut records = all;
+        let mut reader = BufReader::new(file);
+        let mut records = Vec::new();
         let mut next = start;
-        let mut kept = 0;
-        for r in &records {
-            let len = (RECORD_HEADER_BYTES + r.canonical.len() + r.payload.len()) as u64;
-            if kept == max_records || (kept > 0 && next - start + len > max_bytes) {
-                break;
+        while let Some((record, len)) = read_record(&mut reader)? {
+            // A verified record the page has no room for: the log goes on.
+            let full = records.len() == max_records
+                || (!records.is_empty() && next - start + len > max_bytes);
+            if full {
+                return Ok((records, next, false));
             }
+            records.push(record);
             next += len;
-            kept += 1;
         }
-        let capped = kept < records.len();
-        records.truncate(kept);
-        // `valid` counts from MAGIC.len(); recompute the absolute offset of
-        // the verified end to decide eof when nothing was capped away.
-        let verified_end = start + (valid - MAGIC.len() as u64);
-        let eof = !capped && next >= verified_end;
-        Ok((records, next, eof))
+        Ok((records, next, true))
     }
 
     /// Whether the last append succeeded (`true` before any append).
@@ -363,47 +376,55 @@ fn encode_record(kind: u8, key_hash: u64, canonical: &str, payload: &str) -> Vec
     out
 }
 
-/// Walks the record region, returning the valid records and the file
-/// length (magic included) of the valid prefix.
-fn replay(mut body: &[u8]) -> (Vec<StoreRecord>, u64) {
-    let mut records = Vec::new();
-    let mut valid = MAGIC.len() as u64;
-    while body.len() >= RECORD_HEADER_BYTES {
-        let kind = match body[0] {
-            KIND_RESULT => RecordKind::Result,
-            KIND_FAILED => RecordKind::Failed,
-            KIND_PROGRAM => RecordKind::Program,
-            _ => break, // unknown kind — truncate here
-        };
-        let key_hash = u64::from_be_bytes(body[1..9].try_into().expect("8 bytes"));
-        let c_len = u32::from_be_bytes(body[9..13].try_into().expect("4 bytes")) as usize;
-        let p_len = u32::from_be_bytes(body[13..17].try_into().expect("4 bytes")) as usize;
-        let checksum = u64::from_be_bytes(body[17..25].try_into().expect("8 bytes"));
-        let total = RECORD_HEADER_BYTES + c_len + p_len;
-        if c_len + p_len > MAX_RECORD_BYTES || body.len() < total {
-            break; // short or absurd tail — truncate here
-        }
-        let data = &body[RECORD_HEADER_BYTES..total];
-        if fnv1a(data) != checksum {
-            break;
-        }
-        let (c, p) = data.split_at(c_len);
-        let (Ok(canonical), Ok(payload)) = (
-            std::str::from_utf8(c).map(str::to_owned),
-            std::str::from_utf8(p).map(str::to_owned),
-        ) else {
-            break;
-        };
-        records.push(StoreRecord {
-            kind,
-            key_hash,
-            canonical,
-            payload,
-        });
-        valid += total as u64;
-        body = &body[total..];
+/// Reads and verifies the next record, returning it with its length in
+/// the log. `None` marks the end of the verified log: a clean end, a
+/// short or absurd record, an unknown kind, a checksum mismatch, or text
+/// that is not UTF-8.
+///
+/// # Errors
+///
+/// Propagates read errors.
+fn read_record(r: &mut impl Read) -> io::Result<Option<(StoreRecord, u64)>> {
+    // Buffers grow with what actually arrives: a torn header's lengths
+    // claim bytes that are not there.
+    let mut read = |n: usize| -> io::Result<Vec<u8>> {
+        let mut buf = Vec::with_capacity(n.min(READ_CHUNK_BYTES));
+        r.by_ref().take(n as u64).read_to_end(&mut buf)?;
+        Ok(buf)
+    };
+    let head = read(RECORD_HEADER_BYTES)?;
+    if head.len() < RECORD_HEADER_BYTES {
+        return Ok(None);
     }
-    (records, valid)
+    let kind = match head[0] {
+        KIND_RESULT => RecordKind::Result,
+        KIND_FAILED => RecordKind::Failed,
+        KIND_PROGRAM => RecordKind::Program,
+        _ => return Ok(None),
+    };
+    let key_hash = u64::from_be_bytes(head[1..9].try_into().expect("8 bytes"));
+    let c_len = u32::from_be_bytes(head[9..13].try_into().expect("4 bytes")) as usize;
+    let p_len = u32::from_be_bytes(head[13..17].try_into().expect("4 bytes")) as usize;
+    let checksum = u64::from_be_bytes(head[17..25].try_into().expect("8 bytes"));
+    let len = c_len + p_len;
+    if len > MAX_RECORD_BYTES {
+        return Ok(None);
+    }
+    let mut data = read(len)?;
+    if data.len() < len || fnv1a(&data) != checksum {
+        return Ok(None);
+    }
+    let payload = data.split_off(c_len);
+    let (Ok(canonical), Ok(payload)) = (String::from_utf8(data), String::from_utf8(payload)) else {
+        return Ok(None);
+    };
+    let record = StoreRecord {
+        kind,
+        key_hash,
+        canonical,
+        payload,
+    };
+    Ok(Some((record, (RECORD_HEADER_BYTES + len) as u64)))
 }
 
 #[cfg(test)]
@@ -442,13 +463,19 @@ mod tests {
         {
             let (store, _) = ResultStore::open(&dir, false).unwrap();
             store.append(1, "spec-ok", "{\"upc\":1.0}").unwrap();
-            store.append_failed(2, "spec-bad", &failure).unwrap();
+            store
+                .append_record(
+                    RecordKind::Failed,
+                    2,
+                    "spec-bad",
+                    &failure_payload(&failure),
+                )
+                .unwrap();
         }
         let (_store, replayed) = ResultStore::open(&dir, false).unwrap();
         assert_eq!(replayed.len(), 2);
-        assert_eq!(replayed[0].failure(), None, "result record has no failure");
         assert_eq!(replayed[1].kind, RecordKind::Failed);
-        assert_eq!(replayed[1].failure(), Some(failure));
+        assert_eq!(parse_failure_payload(&replayed[1].payload), Some(failure));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -521,7 +548,12 @@ mod tests {
         {
             let (store, _) = ResultStore::open(&dir, false).unwrap();
             store
-                .append_program(0xabcd, "program:000000000000abcd", "{\"kind\":\"asm\"}")
+                .append_record(
+                    RecordKind::Program,
+                    0xabcd,
+                    "program:000000000000abcd",
+                    "{\"kind\":\"asm\"}",
+                )
                 .unwrap();
             store.append(1, "spec", "{\"upc\":1.0}").unwrap();
         }
@@ -531,7 +563,6 @@ mod tests {
         assert_eq!(replayed[0].key_hash, 0xabcd);
         assert_eq!(replayed[0].canonical, "program:000000000000abcd");
         assert_eq!(replayed[0].payload, "{\"kind\":\"asm\"}");
-        assert_eq!(replayed[0].failure(), None);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -580,13 +611,12 @@ mod tests {
     #[test]
     fn failure_payload_round_trips_request_id() {
         let f = JobFailure::new(FailureKind::SimulationFailed, "boom").with_request_id("req-12ab");
-        let rec = StoreRecord {
-            kind: RecordKind::Failed,
-            key_hash: 1,
-            canonical: "spec".to_owned(),
-            payload: failure_payload(&f),
-        };
-        assert_eq!(rec.failure(), Some(f));
+        assert_eq!(parse_failure_payload(&failure_payload(&f)), Some(f));
+        assert_eq!(parse_failure_payload("{\"upc\":1.0}"), None);
+        for kind in [RecordKind::Result, RecordKind::Failed, RecordKind::Program] {
+            assert_eq!(RecordKind::parse(kind.name()), Some(kind));
+        }
+        assert_eq!(RecordKind::parse("nope"), None);
     }
 
     #[test]
@@ -659,6 +689,57 @@ mod tests {
         assert_eq!(records.len(), 1, "only the verified prefix is served");
         assert_eq!(next, clean_end, "cursor never passes the corruption");
         assert!(eof, "verified end reached");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn read_since_pages_concatenate_to_the_replay() {
+        let dir = temp_dir("read-since-pages");
+        {
+            let (store, _) = ResultStore::open(&dir, false).unwrap();
+            for i in 0..1000u64 {
+                let payload = "p".repeat((i % 37) as usize);
+                store.append(i, &format!("spec-{i}"), &payload).unwrap();
+            }
+        }
+        let (store, replayed) = ResultStore::open(&dir, false).unwrap();
+        let mut pulled = Vec::new();
+        let mut pages = Vec::new();
+        let mut cursor = 0;
+        loop {
+            let (page, next, eof) = store.read_since(cursor, 7, u64::MAX).unwrap();
+            pages.push(page.len());
+            pulled.extend(page);
+            cursor = next;
+            if eof {
+                break;
+            }
+        }
+        assert_eq!(pulled, replayed);
+        // 1000 = 142 × 7 + 6: full pages, then a short last one at eof.
+        assert_eq!(pages.len(), 143);
+        assert!(pages[..142].iter().all(|&n| n == 7));
+        assert_eq!(pages[142], 6);
+        let (page, next, eof) = store.read_since(cursor, 7, u64::MAX).unwrap();
+        assert!(page.is_empty() && eof);
+        assert_eq!(next, cursor, "cursor is stable at eof");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn contains_covers_replayed_and_appended_keys() {
+        let dir = temp_dir("contains");
+        {
+            let (store, _) = ResultStore::open(&dir, false).unwrap();
+            store.append(1, "spec-1", "{}").unwrap();
+        }
+        let (store, _) = ResultStore::open(&dir, false).unwrap();
+        assert!(store.contains(1), "seeded by replay");
+        assert!(!store.contains(2));
+        store
+            .append_record(RecordKind::Program, 2, "program:2", "{}")
+            .unwrap();
+        assert!(store.contains(2), "extended by the append");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -96,12 +96,7 @@ impl SweepCell {
         let mut slot = self.slot.lock().expect("cell lock");
         if let CellSlot::Waiting(job) = &*slot {
             match job.state() {
-                JobState::Done(_) => {
-                    let payload = job
-                        .payload()
-                        .unwrap_or_else(|| Arc::new(String::from("null")));
-                    *slot = CellSlot::Done(payload, job.profile());
-                }
+                JobState::Done(payload) => *slot = CellSlot::Done(payload, job.profile()),
                 JobState::Failed(failure) => *slot = CellSlot::Failed(failure),
                 _ => {}
             }
@@ -930,7 +925,8 @@ mod tests {
         assert_eq!(sweep.total(), 1);
         let cell_meta = sweep.cells()[0].meta.clone();
         let jobs = crate::jobs::JobTable::new(4);
-        let crate::jobs::Submit::New(job) = jobs.submit(cell_meta.key_hash) else {
+        let crate::jobs::Submit::<()>::New(job) = jobs.submit(cell_meta.key_hash, |_| Ok(()))
+        else {
             panic!()
         };
         sweep.attach(0, Arc::clone(&job));
@@ -943,14 +939,13 @@ mod tests {
         assert!(!body.contains("\"pending\""), "{body}");
 
         // Settle the cell through its job, as a worker would: complete
-        // the envelope and publish the bare report payload.
+        // it with the report payload.
         let report = SimReport {
             workload: "redis".to_owned(),
             upc: 2.5,
             ..SimReport::default()
         };
-        assert!(job.complete(Arc::new(b"{}".to_vec())));
-        job.set_payload(Arc::new(report.to_json_string()));
+        assert!(job.complete(Arc::new(report.to_json_string())));
         let body = String::from_utf8(sweep.status_body().to_vec()).unwrap();
         let v = Json::parse(&body).unwrap();
         assert_eq!(v.get("state").unwrap().as_str(), Some("done"));
@@ -1055,7 +1050,8 @@ mod tests {
         };
         // Cell 0 already done; cell 1 still riding a queued job.
         sweep.fulfill(0, Arc::new(report.to_json_string()));
-        let crate::jobs::Submit::New(job) = jobs.submit(sweep.cells()[1].meta.key_hash) else {
+        let key = sweep.cells()[1].meta.key_hash;
+        let crate::jobs::Submit::<()>::New(job) = jobs.submit(key, |_| Ok(())) else {
             panic!()
         };
         sweep.attach(1, Arc::clone(&job));

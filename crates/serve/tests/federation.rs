@@ -4,13 +4,16 @@
 //! introspection endpoints. Fault-free paths only; the kill/partition
 //! scenarios live in `cluster_chaos.rs` (feature-gated).
 
-use std::io::Write;
-use std::net::TcpListener;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ucsim_model::json::Json;
-use ucsim_serve::{Client, Server, ServerConfig};
+use ucsim_serve::{fnv1a, request, Client, PeerSet, Server, ServerConfig, SimRequest};
 
 /// Reserves `n` distinct loopback addresses by binding ephemeral
 /// listeners, then releasing them for the servers to rebind.
@@ -116,6 +119,130 @@ fn routed_job_executes_once_and_both_nodes_answer_it() {
 
     a.shutdown();
     b.shutdown();
+}
+
+/// A fake cluster member: answers `GET /v1/healthz` with 200 and every
+/// other request with a canned status line, extra headers and body,
+/// counting the `POST /v1/sim`s it gets.
+struct FakePeer {
+    addr: String,
+    sims: Arc<AtomicUsize>,
+    stop: Arc<AtomicBool>,
+    thread: JoinHandle<()>,
+}
+
+impl FakePeer {
+    fn start(status: &str, headers: &str, body: &str) -> FakePeer {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake peer");
+        let addr = listener.local_addr().unwrap().to_string();
+        let sims = Arc::new(AtomicUsize::new(0));
+        let stop = Arc::new(AtomicBool::new(false));
+        let (counter, stopping) = (Arc::clone(&sims), Arc::clone(&stop));
+        let (status, headers, body) = (status.to_owned(), headers.to_owned(), body.to_owned());
+        let thread = std::thread::spawn(move || {
+            for stream in listener.incoming() {
+                if stopping.load(Ordering::SeqCst) {
+                    return;
+                }
+                let Ok(mut stream) = stream else { continue };
+                let mut reader = BufReader::new(stream.try_clone().unwrap());
+                let mut request_line = String::new();
+                let mut content_length = 0;
+                let _ = reader.read_line(&mut request_line);
+                loop {
+                    let mut line = String::new();
+                    if reader.read_line(&mut line).unwrap_or(0) == 0 || line == "\r\n" {
+                        break;
+                    }
+                    if let Some((k, v)) = line.split_once(':') {
+                        if k.eq_ignore_ascii_case("content-length") {
+                            content_length = v.trim().parse().unwrap_or(0);
+                        }
+                    }
+                }
+                let mut request_body = vec![0u8; content_length];
+                let _ = reader.read_exact(&mut request_body);
+                let (status, headers, body) = if request_line.starts_with("GET /v1/healthz") {
+                    ("200 OK", "", r#"{"ok":true}"#)
+                } else {
+                    if request_line.starts_with("POST /v1/sim") {
+                        counter.fetch_add(1, Ordering::SeqCst);
+                    }
+                    (status.as_str(), headers.as_str(), body.as_str())
+                };
+                let _ = stream.write_all(
+                    format!(
+                        "HTTP/1.1 {status}\r\nContent-Type: application/json\r\n\
+                         Content-Length: {}\r\n{headers}Connection: close\r\n\r\n{body}",
+                        body.len()
+                    )
+                    .as_bytes(),
+                );
+            }
+        });
+        FakePeer {
+            addr,
+            sims,
+            stop,
+            thread,
+        }
+    }
+
+    /// Stops the accept loop (one dial wakes it) and joins its thread.
+    fn stop(self) {
+        self.stop.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(&self.addr);
+        self.thread.join().expect("fake peer thread");
+    }
+}
+
+/// Starts a node peered with `fake`, sends it a `POST /v1/sim` for a
+/// spec the fake owns, and checks the node ran the job itself after the
+/// fake's answer failed it over.
+fn assert_owner_answer_fails_over(fake: FakePeer) {
+    let addr = reserve_addrs(1).remove(0);
+    let members = vec![addr.clone(), fake.addr.clone()];
+    let node = start_node(ServerConfig {
+        workers: 1,
+        ..member_cfg(&addr, &members)
+    });
+    // A spec whose rendezvous primary owner is the fake.
+    let view = PeerSet::new(addr.clone(), members.clone(), Duration::from_secs(5));
+    let body = (1u64..)
+        .map(|seed| format!(r#"{{"workload":"bm-cc","seed":{seed},"warmup":100,"insts":500}}"#))
+        .find(|body| {
+            let spec = SimRequest::parse(body).unwrap().resolve(0);
+            !view.owns(fnv1a(spec.canonical().as_bytes()))
+        })
+        .unwrap();
+
+    let r = request(&addr, "POST", "/v1/sim", body.as_bytes()).unwrap();
+    assert_eq!(r.status, 200, "body: {}", r.body_str());
+    let doc = parse_json(&r.body_str());
+    assert_eq!(doc.get("cached").unwrap().as_bool(), Some(false));
+    assert!(doc.get("report").is_some(), "no report: {}", r.body_str());
+    assert_eq!(
+        fake.sims.load(Ordering::SeqCst),
+        1,
+        "the owner was asked first"
+    );
+    assert_eq!(node.simulations_executed(), 1, "the job ran locally");
+    node.shutdown();
+    fake.stop();
+}
+
+#[test]
+fn routed_sim_fails_over_when_the_owner_answers_429() {
+    assert_owner_answer_fails_over(FakePeer::start(
+        "429 Too Many Requests",
+        "Retry-After: 1\r\n",
+        r#"{"error":{"code":"queue_full","message":"job queue full; retry later","retry_after":1}}"#,
+    ));
+}
+
+#[test]
+fn routed_sim_fails_over_when_the_owner_answers_200_without_json() {
+    assert_owner_answer_fails_over(FakePeer::start("200 OK", "", "this is not an envelope"));
 }
 
 const SWEEP_BODY: &[u8] = br#"{"workloads":["redis","jvm","bm-cc"],"capacities":[2048,4096,8192,16384],"policies":["baseline","clasp","rac","pwac","fpwac"],"seed":7,"warmup":200,"insts":2000}"#;

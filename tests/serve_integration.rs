@@ -3,6 +3,9 @@
 //! cache, matrix sweeps, the persistent store, keep-alive connections,
 //! the uniform error envelope, backpressure, and graceful drain.
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 use ucsim::model::Json;
@@ -240,6 +243,108 @@ fn full_queue_returns_429_with_retry_after() {
     }
 
     // Graceful drain: B is still queued or running; shutdown waits for it.
+    server.shutdown();
+}
+
+/// Sends one `POST /v1/sim` on a fresh connection and returns the status
+/// code of the response, or `None` when no status line arrives within
+/// `timeout`.
+fn sim_status_within(addr: &str, body: &str, timeout: Duration) -> Option<u16> {
+    let mut stream = TcpStream::connect(addr).ok()?;
+    stream.set_read_timeout(Some(timeout)).ok()?;
+    let head = format!(
+        "POST /v1/sim HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+        body.len()
+    );
+    stream.write_all(format!("{head}{body}").as_bytes()).ok()?;
+    let mut line = Vec::new();
+    let mut byte = [0u8; 1];
+    while !line.ends_with(b"\r\n") {
+        if stream.read(&mut byte).ok()? == 0 {
+            return None;
+        }
+        line.push(byte[0]);
+    }
+    // "HTTP/1.1 429 Too Many Requests"
+    String::from_utf8(line)
+        .ok()?
+        .split(' ')
+        .nth(1)?
+        .parse()
+        .ok()
+}
+
+/// Requests that coalesce onto a job the full queue is refusing still get
+/// an answer: a fresh job only becomes joinable once the scheduler
+/// accepted it, so nobody waits on a job no worker will run. One worker
+/// is busy and the one-slot queue is full; rounds of eight concurrent
+/// identical requests for a fresh key race the refusal, and every one of
+/// them must get a status line.
+#[test]
+fn requests_racing_a_full_queue_all_get_a_status() {
+    let server = Server::start(ServerConfig {
+        workers: 1,
+        queue_capacity: 1,
+        drain_timeout: Duration::from_secs(1),
+        ..test_config()
+    })
+    .unwrap();
+    let addr = server.local_addr().to_string();
+
+    // Job A holds the single worker; job B then fills the queue slot.
+    let a = request(
+        &addr,
+        "POST",
+        "/v1/sim",
+        br#"{"workload":"test-sleep:4000","warmup":100,"insts":2000,"background":true}"#,
+    )
+    .unwrap();
+    assert_eq!(a.status, 202, "body: {}", a.body_str());
+    let a_id = parse_json(&a.body_str())
+        .get("id")
+        .unwrap()
+        .as_u64()
+        .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let r = request(&addr, "GET", &format!("/v1/jobs/{a_id}"), b"").unwrap();
+        if parse_json(&r.body_str()).get("state").unwrap().as_str() == Some("running") {
+            break;
+        }
+        assert!(Instant::now() < deadline, "job A never started");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let b = request(
+        &addr,
+        "POST",
+        "/v1/sim",
+        br#"{"workload":"test-sleep:4001","warmup":100,"insts":2000,"background":true}"#,
+    )
+    .unwrap();
+    assert_eq!(b.status, 202, "body: {}", b.body_str());
+
+    let t0 = Instant::now();
+    let mut round = 0u64;
+    while t0.elapsed() < Duration::from_millis(2500) {
+        round += 1;
+        let body = format!(r#"{{"workload":"bm-cc","seed":{round},"warmup":100,"insts":2000}}"#);
+        let barrier = Barrier::new(8);
+        let statuses: Vec<Option<u16>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        sim_status_within(&addr, &body, Duration::from_secs(2))
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(
+            statuses.iter().all(Option::is_some),
+            "round {round}: a request got no answer: {statuses:?}"
+        );
+    }
     server.shutdown();
 }
 
