@@ -53,7 +53,7 @@ fn bench_pw_generation(c: &mut Criterion) {
         b.iter(|| {
             let mut gen = SlicePwGen::new(BpuConfig::default(), &insts);
             let mut pws = 0u64;
-            while gen.advance().is_some() {
+            while gen.next_batch().is_some() {
                 pws += 1;
             }
             black_box(pws)

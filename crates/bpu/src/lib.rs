@@ -24,13 +24,16 @@
 //!     DynInst::simple(Addr::new(0x1004), 4, InstClass::IntAlu),
 //! ];
 //! let mut gen = SlicePwGen::new(BpuConfig::default(), &insts);
-//! let span = gen.advance().expect("one window");
-//! assert_eq!(span.pw.start, Addr::new(0x1000));
-//! assert_eq!(gen.batch_for(&span).insts.len(), 2);
+//! let batch = gen.next_batch().expect("one window");
+//! assert_eq!(batch.pw.start, Addr::new(0x1000));
+//! assert_eq!(batch.insts(&insts).len(), 2);
+//! assert!(gen.next_batch().is_none());
 //! ```
 //!
-//! Windows are [`PwSpan`] index ranges into the generator's slice;
-//! [`SlicePwGen::batch_for`] turns one into a borrowed [`PwBatchRef`].
+//! A window is one `Copy` [`PwBatch`]: the descriptor and its branch
+//! events. Its instructions are `pw.inst_count` entries of the walked
+//! slice from `pw.first_seq` on, which [`PwBatch::insts`] borrows, so a
+//! recorded window stream is a plain `Vec<PwBatch>`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,6 +46,6 @@ mod tage;
 
 pub use btb::{BranchKind, Btb, BtbStats};
 pub use config::BpuConfig;
-pub use pwgen::{BpuStats, Mispredict, PwBatchRef, PwSpan, SlicePwGen};
+pub use pwgen::{BpuStats, Mispredict, PwBatch, SlicePwGen};
 pub use ras::ReturnAddressStack;
 pub use tage::{Tage, TageConfig, TageStats};

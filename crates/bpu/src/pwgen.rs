@@ -1,11 +1,11 @@
 //! The prediction-window generator: the heart of the decoupled front end.
 //!
 //! Walks the architecturally-correct dynamic instruction stream (a
-//! borrowed slice) and produces [`PwSpan`]s — prediction windows as index
-//! ranges over the instructions they cover, plus any branch-prediction
-//! events attached to them. The pipeline (in `ucsim-pipeline`) consumes
-//! them as batches; the uop cache is indexed by PW start addresses
-//! exactly as the paper describes (Section II-B3).
+//! borrowed slice) and produces [`PwBatch`]es — prediction windows whose
+//! sequence numbers index that slice, plus any branch-prediction events
+//! attached to them. The pipeline (in `ucsim-pipeline`) consumes them;
+//! the uop cache is indexed by PW start addresses exactly as the paper
+//! describes (Section II-B3).
 //!
 //! ## Wrong-path modeling
 //!
@@ -103,22 +103,6 @@ enum StepOutcome {
     },
 }
 
-/// Borrowed view of one prediction window: the descriptor, the
-/// instructions it covers, and its branch events.
-#[derive(Debug)]
-pub struct PwBatchRef<'a> {
-    /// The window descriptor.
-    pub pw: PredictionWindow,
-    /// Instructions in fetch order.
-    pub insts: &'a [DynInst],
-    /// Misprediction on the final branch, if any.
-    pub mispredict: Option<Mispredict>,
-    /// Taken branch discovered only at decode (BTB miss in both levels).
-    pub decode_redirect: bool,
-    /// BTB L2→L1 promotion bubble.
-    pub btb_promote: bool,
-}
-
 impl PredictorCore {
     fn new(cfg: BpuConfig) -> Self {
         PredictorCore {
@@ -199,19 +183,14 @@ impl PredictorCore {
     }
 }
 
-/// A prediction window described as an index range into a shared
-/// instruction slice — the zero-copy counterpart of [`PwBatchRef`].
-///
-/// Produced by [`SlicePwGen::advance`]; `&insts[start..end]` are the
-/// instructions the window covers, in fetch order.
-#[derive(Debug, Clone, Copy)]
-pub struct PwSpan {
+/// One prediction window: the descriptor and the branch events the
+/// pipeline charges for. It borrows nothing: the window's instructions
+/// are `pw.inst_count` entries of the walked slice from `pw.first_seq`
+/// on ([`PwBatch::insts`]), so a recording of batches is just a `Vec`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PwBatch {
     /// The window descriptor.
     pub pw: PredictionWindow,
-    /// Index of the first covered instruction.
-    pub start: usize,
-    /// One past the last covered instruction.
-    pub end: usize,
     /// Misprediction on the final branch, if any.
     pub mispredict: Option<Mispredict>,
     /// Taken branch discovered only at decode (BTB miss in both levels).
@@ -220,11 +199,18 @@ pub struct PwSpan {
     pub btb_promote: bool,
 }
 
+impl PwBatch {
+    /// The instructions this window covers, in fetch order, out of the
+    /// slice the generator walked.
+    pub fn insts<'a>(&self, walked: &'a [DynInst]) -> &'a [DynInst] {
+        &walked[self.pw.first_seq as usize..self.pw.end_seq() as usize]
+    }
+}
+
 /// The prediction-window generator: walks a borrowed correct-path
 /// `&[DynInst]` through the TAGE/BTB/RAS state machine and emits each
-/// window as an index range into that slice, so no instruction is ever
-/// copied into per-window storage and consumers index the shared slice
-/// directly.
+/// window as a [`PwBatch`] whose sequence numbers index that slice, so no
+/// instruction is ever copied into per-window storage.
 ///
 /// # Example
 ///
@@ -240,11 +226,11 @@ pub struct PwSpan {
 ///     DynInst::simple(Addr::new(0x2000), 4, InstClass::IntAlu),
 /// ];
 /// let mut gen = SlicePwGen::new(BpuConfig::default(), &insts);
-/// let span = gen.advance().unwrap();
-/// assert!(span.pw.ends_in_taken_branch);
-/// assert_eq!(gen.batch_for(&span).insts.len(), 2);
-/// let span2 = gen.advance().unwrap();
-/// assert_eq!(span2.pw.start, Addr::new(0x2000));
+/// let batch = gen.next_batch().unwrap();
+/// assert!(batch.pw.ends_in_taken_branch);
+/// assert_eq!(batch.insts(&insts).len(), 2);
+/// let batch2 = gen.next_batch().unwrap();
+/// assert_eq!(batch2.pw.start, Addr::new(0x2000));
 /// ```
 #[derive(Debug)]
 pub struct SlicePwGen<'a> {
@@ -265,11 +251,6 @@ impl<'a> SlicePwGen<'a> {
         }
     }
 
-    /// The underlying instruction slice (windows index into it).
-    pub fn insts(&self) -> &'a [DynInst] {
-        self.insts
-    }
-
     /// Counters accumulated so far.
     pub fn stats(&self) -> BpuStats {
         self.core.stats
@@ -280,27 +261,8 @@ impl<'a> SlicePwGen<'a> {
         self.core.reset_stats();
     }
 
-    /// Borrowed-batch view of `span` (for consumers written against
-    /// [`PwBatchRef`]).
-    pub fn batch_for(&self, span: &PwSpan) -> PwBatchRef<'a> {
-        PwBatchRef {
-            pw: span.pw,
-            insts: &self.insts[span.start..span.end],
-            mispredict: span.mispredict,
-            decode_redirect: span.decode_redirect,
-            btb_promote: span.btb_promote,
-        }
-    }
-
-    /// [`Self::advance`] as a borrowed batch: the next window with the
-    /// instructions it covers, or `None` at slice end.
-    pub fn next_batch(&mut self) -> Option<PwBatchRef<'a>> {
-        let span = self.advance()?;
-        Some(self.batch_for(&span))
-    }
-
     /// Produces the next prediction window, or `None` at slice end.
-    pub fn advance(&mut self) -> Option<PwSpan> {
+    pub fn next_batch(&mut self) -> Option<PwBatch> {
         let first = *self.insts.get(self.pos)?;
         self.core.decode_redirect = false;
         self.core.btb_promote = false;
@@ -344,23 +306,20 @@ impl<'a> SlicePwGen<'a> {
             }
         }
 
-        let end = self.pos;
         let pw = PredictionWindow {
             id: PwId(self.next_pw_id),
             start: first.pc,
             end: cur.end(),
             first_seq: start as u64,
-            inst_count: (end - start) as u32,
+            inst_count: (self.pos - start) as u32,
             termination,
             ends_in_taken_branch: ends_taken,
         };
         self.next_pw_id += 1;
         self.core.stats.pws += 1;
 
-        Some(PwSpan {
+        Some(PwBatch {
             pw,
-            start,
-            end,
             mispredict,
             decode_redirect: self.core.decode_redirect,
             btb_promote: self.core.btb_promote,
@@ -533,7 +492,7 @@ mod tests {
         assert_eq!(b.pw.termination, PwTermination::IcacheLineEnd);
         assert_eq!(b.pw.start, Addr::new(0x1000));
         assert_eq!(b.pw.end, Addr::new(0x1040));
-        assert_eq!(b.insts.len(), 16);
+        assert_eq!(b.insts(&insts).len(), 16);
         let b2 = g.next_batch().unwrap();
         assert_eq!(b2.pw.start, Addr::new(0x1040));
     }
@@ -546,7 +505,7 @@ mod tests {
         let b = g.next_batch().unwrap();
         assert_eq!(b.pw.start, Addr::new(0x1020));
         assert_eq!(b.pw.end, Addr::new(0x1040));
-        assert_eq!(b.insts.len(), 8);
+        assert_eq!(b.insts(&insts).len(), 8);
     }
 
     #[test]
@@ -558,7 +517,7 @@ mod tests {
         let b = g.next_batch().unwrap();
         assert_eq!(b.pw.termination, PwTermination::TakenBranch);
         assert!(b.pw.ends_in_taken_branch);
-        assert_eq!(b.insts.len(), 2);
+        assert_eq!(b.insts(&insts).len(), 2);
         // First sighting of the jump: BTB cold → decode redirect bubble.
         assert!(b.decode_redirect);
         let b2 = g.next_batch().unwrap();
@@ -592,7 +551,7 @@ mod tests {
                     if b.pw.start == Addr::new(0x1000)
                         && b.pw.termination == PwTermination::MaxNotTakenBranches =>
                 {
-                    assert_eq!(b.insts.len(), 3, "ends right at the 3rd NT branch");
+                    assert_eq!(b.insts(&insts).len(), 3, "ends right at the 3rd NT branch");
                     found = true;
                     break;
                 }
@@ -762,20 +721,14 @@ mod tests {
         let mut g = gen(&insts);
         let mut next_start = 0usize;
         let mut pws = 0u64;
-        while let Some(span) = g.advance() {
-            assert_eq!(span.start, next_start, "windows tile the slice");
-            assert_eq!(span.pw.id, PwId(pws));
-            assert_eq!(span.pw.first_seq, span.start as u64);
-            assert_eq!(span.pw.inst_count as usize, span.end - span.start);
-            assert_eq!(span.pw.start, insts[span.start].pc);
-            assert_eq!(span.pw.end, insts[span.end - 1].end());
-            let b = g.batch_for(&span);
-            assert_eq!(b.pw, span.pw);
-            assert_eq!(b.insts, &insts[span.start..span.end]);
-            assert_eq!(b.mispredict, span.mispredict);
-            assert_eq!(b.decode_redirect, span.decode_redirect);
-            assert_eq!(b.btb_promote, span.btb_promote);
-            next_start = span.end;
+        while let Some(b) = g.next_batch() {
+            let covered = b.insts(&insts);
+            assert_eq!(b.pw.first_seq, next_start as u64, "windows tile the slice");
+            assert_eq!(b.pw.id, PwId(pws));
+            assert!(!covered.is_empty());
+            assert_eq!(b.pw.start, covered[0].pc);
+            assert_eq!(b.pw.end, covered[covered.len() - 1].end());
+            next_start = b.pw.end_seq() as usize;
             pws += 1;
         }
         assert_eq!(next_start, insts.len());
@@ -795,7 +748,7 @@ mod tests {
         let mut g = gen(&insts);
         let b = g.next_batch().unwrap();
         assert_eq!(b.pw.termination, PwTermination::IcacheLineEnd);
-        assert_eq!(b.insts.len(), 2);
+        assert_eq!(b.insts(&insts).len(), 2);
         assert_eq!(b.pw.end, Addr::new(0x1044));
         let b2 = g.next_batch().unwrap();
         assert_eq!(b2.pw.start, Addr::new(0x1044));

@@ -40,6 +40,12 @@ pub enum PlacementKind {
     Fpwac,
 }
 
+/// Largest capacity [`UopCacheConfig::check`] accepts, in uops, and the
+/// largest number of entry slots (`sets × ways × max_entries_per_line`)
+/// it lets a cache preallocate: 16× the 64K-uop top of the paper's
+/// capacity sweep.
+const MAX_CAPACITY_UOPS: usize = 1 << 20;
+
 /// Full uop cache configuration.
 ///
 /// The paper's baseline (Table I): 32 sets × 8 ways, 64-byte lines,
@@ -191,11 +197,26 @@ impl UopCacheConfig {
         if self.ways == 0 || self.max_uops_per_entry == 0 || self.max_entries_per_line == 0 {
             return Err("ways, uops per entry and entries per line must be positive".to_owned());
         }
+        // The per-set start index stores (way, slot) as a `(u8, u8)`.
+        if self.ways > 256 || self.max_entries_per_line > 256 {
+            return Err("ways and entries per line must be at most 256".to_owned());
+        }
+        let lines = self.sets.saturating_mul(self.ways);
+        let capacity = lines.saturating_mul(self.max_uops_per_entry as usize);
+        let slots = lines.saturating_mul(self.max_entries_per_line as usize);
+        if capacity > MAX_CAPACITY_UOPS || slots > MAX_CAPACITY_UOPS {
+            return Err(format!(
+                "capacity and entry slots must be at most {MAX_CAPACITY_UOPS}"
+            ));
+        }
+        if self.replacement == ReplacementPolicy::TreePlru && !self.ways.is_power_of_two() {
+            return Err("tree-PLRU needs a power-of-two way count".to_owned());
+        }
         if self.ctr_bytes >= self.line_bytes {
             return Err("counter bytes leave no room in the line".to_owned());
         }
-        if self.clasp_max_lines < 2 {
-            return Err("CLASP entries must be allowed to span 2 lines".to_owned());
+        if !(2..=64).contains(&self.clasp_max_lines) {
+            return Err("CLASP entries must be allowed to span 2 to 64 lines".to_owned());
         }
         if self.compaction.enabled() && self.max_entries_per_line < 2 {
             return Err(format!(
@@ -204,7 +225,9 @@ impl UopCacheConfig {
             ));
         }
         // An entry of max uops and no imm fields must fit a line.
-        if self.max_uops_per_entry * ucsim_model::UOP_BYTES > self.entry_byte_budget() {
+        if u64::from(self.max_uops_per_entry) * u64::from(ucsim_model::UOP_BYTES)
+            > u64::from(self.entry_byte_budget())
+        {
             return Err("max-uop entry cannot fit the line budget".to_owned());
         }
         Ok(())
@@ -280,6 +303,42 @@ mod tests {
             UopCacheConfig::try_baseline_with_capacity(4096).map(|c| c.sets),
             Ok(64)
         );
+    }
+
+    #[test]
+    fn oversized_geometry_is_rejected() {
+        let base = UopCacheConfig::baseline_2k();
+        // Way and slot indices are stored as u8.
+        for c in [
+            UopCacheConfig {
+                sets: 1,
+                ways: 300,
+                ..base.clone()
+            },
+            UopCacheConfig {
+                max_entries_per_line: 257,
+                ..base.clone()
+            },
+        ] {
+            assert!(c.check().unwrap_err().contains("at most 256"));
+        }
+        // Sizes that set an allocation are capped.
+        let huge = UopCacheConfig {
+            sets: 1 << 40,
+            ..base.clone()
+        };
+        assert!(huge.check().unwrap_err().contains("capacity"));
+        assert!(UopCacheConfig::try_baseline_with_capacity(MAX_CAPACITY_UOPS).is_ok());
+        assert!(UopCacheConfig::try_baseline_with_capacity(2 * MAX_CAPACITY_UOPS).is_err());
+        let span = UopCacheConfig {
+            clasp_max_lines: u32::MAX,
+            ..base.clone()
+        };
+        assert!(span.check().is_err());
+        let plru = base.with_replacement(ReplacementPolicy::TreePlru);
+        assert!(plru.check().is_ok());
+        let plru6 = UopCacheConfig { ways: 6, ..plru };
+        assert!(plru6.check().unwrap_err().contains("tree-PLRU"));
     }
 
     #[test]

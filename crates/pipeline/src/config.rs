@@ -1,7 +1,7 @@
 //! Whole-simulator configuration (paper Table I).
 
 use ucsim_bpu::BpuConfig;
-use ucsim_mem::HierarchyConfig;
+use ucsim_mem::{HierarchyConfig, ReplacementPolicy};
 use ucsim_model::{FromJson, ToJson};
 use ucsim_uopcache::UopCacheConfig;
 
@@ -134,6 +134,101 @@ impl SimConfig {
     pub fn quick(self) -> Self {
         self.with_insts(20_000, 120_000)
     }
+
+    /// The one validity rule for a whole configuration, checked before
+    /// every run: the uop cache geometry ([`UopCacheConfig::check`]),
+    /// positive widths and loop steps, and a cap on every size that sets
+    /// an allocation, so an untrusted configuration can neither hang a
+    /// run nor make it allocate without bound. Every cap is at least 16×
+    /// its Table I value.
+    ///
+    /// # Errors
+    ///
+    /// Names the first violated rule.
+    pub fn check(&self) -> Result<(), String> {
+        self.uop_cache
+            .check()
+            .map_err(|e| format!("uop_cache: {e}"))?;
+        let c = &self.core;
+        for (name, v) in [
+            ("dispatch_width", c.dispatch_width),
+            ("retire_width", c.retire_width),
+            ("issue_width", c.issue_width),
+            ("decode_width", c.decode_width),
+            ("oc_dispatch_bw", c.oc_dispatch_bw),
+            ("fetch_bytes_per_cycle", c.fetch_bytes_per_cycle),
+        ] {
+            if v == 0 {
+                return Err(format!("core.{name} must be positive"));
+            }
+        }
+        for (name, v) in [
+            ("rob_size", c.rob_size),
+            ("uop_queue_size", c.uop_queue_size),
+        ] {
+            if !(1..=1 << 16).contains(&v) {
+                return Err(format!("core.{name} must be in 1..=65536"));
+            }
+        }
+        if !(0.0..=1.0).contains(&c.dep_prob) {
+            return Err("core.dep_prob must be in [0, 1]".to_owned());
+        }
+
+        let b = &self.bpu;
+        let t = &b.tage;
+        // Table sizes are `1 << bits`; tags are u16, and folding the
+        // history steps by the bit width.
+        if !(1..=16).contains(&t.bimodal_bits) || !(1..=16).contains(&t.table_bits) {
+            return Err("bpu.tage bimodal_bits and table_bits must be in 1..=16".to_owned());
+        }
+        if !(1..=16).contains(&t.tag_bits) {
+            return Err("bpu.tage.tag_bits must be in 1..=16".to_owned());
+        }
+        let h = &t.history_lengths;
+        if h.is_empty()
+            || h.len() > 16
+            || !h.windows(2).all(|w| w[0] < w[1])
+            || h[h.len() - 1] > 128
+        {
+            return Err(
+                "bpu.tage.history_lengths must be 1 to 16 increasing lengths of at most 128"
+                    .to_owned(),
+            );
+        }
+        if !(1..=1 << 12).contains(&b.ras_depth) {
+            return Err("bpu.ras_depth must be in 1..=4096".to_owned());
+        }
+        for (name, bits, ways) in [
+            ("l1", b.btb_l1_set_bits, b.btb_l1_ways),
+            ("l2", b.btb_l2_set_bits, b.btb_l2_ways),
+        ] {
+            if bits > 16 || ways == 0 || (1usize << bits).saturating_mul(ways) > 1 << 18 {
+                return Err(format!(
+                    "bpu.btb_{name}: set bits must be at most 16, ways positive, and entries at most 262144"
+                ));
+            }
+        }
+
+        let m = &self.mem;
+        for level in [&m.l1i, &m.l1d, &m.l2, &m.l3] {
+            if !level.sets.is_power_of_two()
+                || level.ways == 0
+                || level.sets.saturating_mul(level.ways) > 1 << 20
+            {
+                return Err(format!(
+                    "mem.{}: sets must be a power of two, ways positive, and lines at most 1048576",
+                    level.name
+                ));
+            }
+            if level.policy == ReplacementPolicy::TreePlru && !level.ways.is_power_of_two() {
+                return Err(format!(
+                    "mem.{}: tree-PLRU needs a power-of-two way count",
+                    level.name
+                ));
+            }
+        }
+        Ok(())
+    }
 }
 
 impl Default for SimConfig {
@@ -159,6 +254,59 @@ mod tests {
         assert_eq!(c.uop_cache.sets, 32);
         assert_eq!(c.uop_cache.ways, 8);
         assert_eq!(c.uop_cache.capacity_uops(), 2048);
+    }
+
+    #[test]
+    fn check_accepts_table1_and_every_in_repo_capacity() {
+        assert_eq!(SimConfig::table1().check(), Ok(()));
+        let big = SimConfig::table1().with_uop_cache(UopCacheConfig::baseline_with_capacity(65536));
+        assert_eq!(big.check(), Ok(()));
+    }
+
+    fn rejects(edit: impl FnOnce(&mut SimConfig), needle: &str) {
+        let mut c = SimConfig::table1();
+        edit(&mut c);
+        let e = c.check().expect_err(needle);
+        assert!(e.contains(needle), "{e:?} should name {needle:?}");
+    }
+
+    #[test]
+    fn check_rejects_zero_widths() {
+        rejects(|c| c.core.decode_width = 0, "decode_width");
+        rejects(|c| c.core.dispatch_width = 0, "dispatch_width");
+        rejects(|c| c.core.retire_width = 0, "retire_width");
+        rejects(|c| c.core.dep_prob = f64::NAN, "dep_prob");
+    }
+
+    #[test]
+    fn check_rejects_uop_cache_index_overflow() {
+        rejects(
+            |c| {
+                c.uop_cache.sets = 1;
+                c.uop_cache.ways = 300;
+            },
+            "uop_cache",
+        );
+        rejects(|c| c.uop_cache.max_entries_per_line = 300, "uop_cache");
+    }
+
+    #[test]
+    fn check_caps_allocation_sizes() {
+        rejects(|c| c.uop_cache.sets = 1 << 30, "uop_cache");
+        rejects(|c| c.core.rob_size = usize::MAX, "rob_size");
+        rejects(|c| c.core.uop_queue_size = 0, "uop_queue_size");
+        rejects(|c| c.bpu.tage.table_bits = 40, "table_bits");
+        rejects(|c| c.bpu.tage.tag_bits = 0, "tag_bits");
+        rejects(
+            |c| c.bpu.tage.history_lengths = vec![8, 4],
+            "history_lengths",
+        );
+        rejects(|c| c.bpu.ras_depth = 0, "ras_depth");
+        rejects(|c| c.bpu.btb_l2_set_bits = 40, "btb_l2");
+        rejects(|c| c.bpu.btb_l1_ways = 1 << 20, "btb_l1");
+        rejects(|c| c.mem.l3.sets = 1 << 40, "mem.L3");
+        rejects(|c| c.mem.l1d.sets = 3, "mem.L1D");
+        rejects(|c| c.mem.l2.ways = 0, "mem.L2");
     }
 
     #[test]

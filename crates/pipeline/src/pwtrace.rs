@@ -12,41 +12,25 @@
 //! instruction stream itself already being shared via
 //! [`ucsim_trace::SharedTrace`].
 //!
-//! Replayed reports are byte-identical to [`crate::Simulator::run_trace`]
-//! for any configuration whose front end [`PwTrace::matches`] the
-//! recording; mismatched configurations must fall back to a full run.
+//! A recording is a `Vec` of [`ucsim_bpu::PwBatch`]es, and replay feeds it
+//! through the same run path and loop as a live run, so replayed reports
+//! are byte-identical to [`crate::Simulator::run_trace`] for any
+//! configuration whose front end [`PwTrace::matches`] the recording;
+//! mismatched configurations must fall back to a full run.
 
-use ucsim_bpu::{BpuStats, Mispredict, PwBatchRef, SlicePwGen};
+use ucsim_bpu::{BpuStats, PwBatch, SlicePwGen};
 use ucsim_isa::UopKindTable;
-use ucsim_model::{mix64, PredictionWindow, ToJson};
+use ucsim_model::{mix64, DynInst, ToJson};
 use ucsim_trace::SharedTrace;
 
-use crate::sim::{drive, PwSink, RunState};
+use crate::sim::{drive, run, PwSink, RunState, Windows};
 use crate::{SimConfig, SimReport};
-
-/// One recorded prediction window: the descriptor (whose sequence
-/// numbers index the shared trace) and the branch events the pipeline
-/// charges for.
-#[derive(Debug, Clone)]
-struct RecordedBatch {
-    pw: PredictionWindow,
-    mispredict: Option<Mispredict>,
-    decode_redirect: bool,
-    btb_promote: bool,
-}
-
-impl RecordedBatch {
-    /// One past the index of the window's last instruction.
-    fn end(&self) -> usize {
-        self.pw.end_seq() as usize
-    }
-}
 
 /// A recorded prediction-window stream over a shared instruction trace.
 #[derive(Debug, Clone)]
 pub struct PwTrace {
     trace: SharedTrace,
-    batches: Vec<RecordedBatch>,
+    batches: Vec<PwBatch>,
     /// BPU counters over the measurement window (over everything when the
     /// run never reached the warmup boundary — exactly what
     /// [`crate::Simulator::run_trace`] reports in that degenerate case).
@@ -67,13 +51,8 @@ impl PwTrace {
         let insts = trace.insts();
         let insts = &insts[..(total as usize).min(insts.len())];
         let mut batches = Vec::new();
-        let bpu = drive(
-            cfg,
-            &mut [SlicePwGen::new(cfg.bpu.clone(), insts)],
-            &mut batches,
-            None,
-        )
-        .expect("never cancelled");
+        let gen = SlicePwGen::new(cfg.bpu.clone(), insts);
+        let bpu = drive(cfg, &mut [(gen, insts)], &mut batches, None).expect("never cancelled");
         PwTrace {
             trace: SharedTrace::clone(trace),
             batches,
@@ -108,10 +87,10 @@ impl PwTrace {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg` does not [`Self::matches`] the recording, or on an
-    /// invalid uop-cache configuration.
+    /// Panics if `cfg` does not [`Self::matches`] the recording, or if it
+    /// fails [`SimConfig::check`].
     pub fn replay(&self, name: &str, cfg: &SimConfig) -> SimReport {
-        self.replay_staged(name, cfg, &[], &mut [])
+        self.replay_with(name, cfg, |st| st)
     }
 
     /// [`Self::replay`] with PW-granular intra-cell parallelism:
@@ -135,17 +114,17 @@ impl PwTrace {
     /// therefore precompute the hash stream in batch-aligned chunks
     /// (two parallel passes: per-chunk uop counts, then the hashes from
     /// each chunk's prefix-sum base), and the sequential consumer stages
-    /// each chunk into the pipeline, which consumes one staged hash per
-    /// uop instead of mixing inline. Debug builds assert every staged
-    /// hash against the inline computation.
+    /// each chunk into the pipeline (the `Staged` sink wrapper), which
+    /// consumes one staged hash per uop instead of mixing inline. Debug
+    /// builds assert every staged hash against the inline computation.
     ///
     /// `threads <= 1` (or a recording too small to chunk) falls back to
     /// the plain sequential [`Self::replay`].
     ///
     /// # Panics
     ///
-    /// Panics if `cfg` does not [`Self::matches`] the recording, or on an
-    /// invalid uop-cache configuration.
+    /// Panics if `cfg` does not [`Self::matches`] the recording, or if it
+    /// fails [`SimConfig::check`].
     pub fn replay_parallel(&self, name: &str, cfg: &SimConfig, threads: usize) -> SimReport {
         let n_chunks = (threads * 4).min(self.batches.len());
         if threads <= 1 || n_chunks < 2 {
@@ -160,7 +139,7 @@ impl PwTrace {
         bounds.push(0usize);
         for k in 1..=n_chunks {
             let b_end = k * self.batches.len() / n_chunks;
-            bounds.push(self.batches[b_end - 1].end());
+            bounds.push(self.batches[b_end - 1].pw.end_seq() as usize);
         }
 
         let kinds = UopKindTable::get();
@@ -192,71 +171,91 @@ impl PwTrace {
             v
         });
 
-        self.replay_staged(name, cfg, &bounds, &mut chunks)
+        self.replay_with(name, cfg, |st| Staged {
+            st,
+            bounds: &bounds,
+            chunks: &mut chunks,
+            next: 0,
+        })
     }
 
-    /// The replay loop: feeds every recorded window through a fresh
-    /// pipeline, opening the measurement window where the recording did.
-    /// Before the batch starting at instruction `bounds[k]` it stages
-    /// `chunks[k]`, the precomputed identity hashes of that chunk; with
-    /// no chunks the pipeline mixes every hash inline.
-    fn replay_staged(
+    /// Feeds the recorded windows through the one run path, into the
+    /// pipeline as `sink` wraps it.
+    fn replay_with<S: PwSink + Into<RunState>>(
         &self,
         name: &str,
         cfg: &SimConfig,
-        bounds: &[usize],
-        chunks: &mut [Vec<u64>],
+        sink: impl FnOnce(RunState) -> S,
     ) -> SimReport {
         assert!(
             self.matches(cfg),
             "config front end or run length differs from the recording"
         );
-        cfg.uop_cache.validate();
-        let insts = self.trace.insts();
-        let mut st = RunState::new(cfg);
-        let mut insts_done: u64 = 0;
-        let mut measured = false;
-        let mut chunk = 0usize;
-        let mut batches = self.batches.iter();
-        loop {
-            // Same boundary rule as the live loop, which also checks
-            // before the fetch that finds the stream exhausted.
-            if !measured && insts_done >= cfg.warmup_insts {
-                st.begin_measurement();
-                measured = true;
-            }
-            let Some(rb) = batches.next() else { break };
-            let start = rb.pw.first_seq as usize;
-            if chunk < chunks.len() && start == bounds[chunk] {
-                st.stage_hashes(&mut chunks[chunk]);
-                chunk += 1;
-            }
-            let batch = PwBatchRef {
-                pw: rb.pw,
-                insts: &insts[start..rb.end()],
-                mispredict: rb.mispredict,
-                decode_redirect: rb.decode_redirect,
-                btb_promote: rb.btb_promote,
-            };
-            insts_done += u64::from(rb.pw.inst_count);
-            st.window(&batch, 0);
-        }
-        debug_assert!(st.staged_fully_consumed(), "hash chunks misaligned");
-        st.finish(name, self.bpu, cfg)
+        let windows = Playback {
+            batches: self.batches.iter(),
+            bpu: self.bpu,
+        };
+        run(cfg, name, &mut [(windows, self.trace.insts())], None, sink).expect("never cancelled")
     }
 }
 
-/// Recording is the live loop with the recording as its sink.
-impl PwSink for Vec<RecordedBatch> {
+/// A recorded window stream played back as one hardware thread.
+struct Playback<'a> {
+    batches: std::slice::Iter<'a, PwBatch>,
+    /// The recording's counters, which already cover the measurement
+    /// window.
+    bpu: BpuStats,
+}
+
+impl Windows for Playback<'_> {
+    fn next_batch(&mut self) -> Option<PwBatch> {
+        self.batches.next().copied()
+    }
+
     fn begin_measurement(&mut self) {}
 
-    fn window(&mut self, batch: &PwBatchRef<'_>, _tid: usize) {
-        self.push(RecordedBatch {
-            pw: batch.pw,
-            mispredict: batch.mispredict,
-            decode_redirect: batch.decode_redirect,
-            btb_promote: batch.btb_promote,
-        });
+    fn stats(&self) -> BpuStats {
+        self.bpu
+    }
+}
+
+/// Recording is the simulation loop with the recording as its sink.
+impl PwSink for Vec<PwBatch> {
+    fn begin_measurement(&mut self) {}
+
+    fn window(&mut self, batch: &PwBatch, _insts: &[DynInst], _tid: usize) {
+        self.push(*batch);
+    }
+}
+
+/// The pipeline with precomputed identity hashes
+/// ([`PwTrace::replay_parallel`]): before the window starting at
+/// instruction `bounds[k]` it stages `chunks[k]`.
+struct Staged<'a> {
+    st: RunState,
+    bounds: &'a [usize],
+    chunks: &'a mut [Vec<u64>],
+    next: usize,
+}
+
+impl PwSink for Staged<'_> {
+    fn begin_measurement(&mut self) {
+        self.st.begin_measurement();
+    }
+
+    fn window(&mut self, batch: &PwBatch, insts: &[DynInst], tid: usize) {
+        if self.next < self.chunks.len() && batch.pw.first_seq as usize == self.bounds[self.next] {
+            self.st.stage_hashes(&mut self.chunks[self.next]);
+            self.next += 1;
+        }
+        self.st.window(batch, insts, tid);
+    }
+}
+
+impl From<Staged<'_>> for RunState {
+    fn from(staged: Staged<'_>) -> RunState {
+        debug_assert!(staged.st.staged_fully_consumed(), "hash chunks misaligned");
+        staged.st
     }
 }
 

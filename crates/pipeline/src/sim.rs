@@ -1,10 +1,10 @@
 //! The front-end simulator: PW stream → uop supply (uop cache / decoder /
 //! loop cache) → back end, with all the paper's metrics.
 
-use ucsim_bpu::{BpuStats, PwBatchRef, SlicePwGen};
+use ucsim_bpu::{BpuStats, PwBatch, SlicePwGen};
 use ucsim_isa::UopKindTable;
 use ucsim_mem::{AccessKind, FetchDirectedPrefetcher, MemoryHierarchy};
-use ucsim_model::{mix64, Addr, CancelToken, DynInst, PwId};
+use ucsim_model::{mix64, Addr, CancelToken, DynInst};
 use ucsim_obs::Stage;
 use ucsim_trace::{record_workload, Program, WorkloadProfile};
 use ucsim_uopcache::{AccumulationBuffer, UopCache, UopCacheEntry};
@@ -16,7 +16,7 @@ use crate::{Backend, BackendConfig, FrontEndEnergy, LoopCache, SimConfig, SimRep
 /// decoder-path branches and the measured execution path.
 const BASE_FRONT_DEPTH: u64 = 6;
 
-/// How many rounds of PW batches (one per hardware thread) the live loop
+/// How many rounds of PW batches (one per hardware thread) the loop
 /// processes between cancellation checks. Polling an atomic every batch
 /// would be noise in the hot loop; every 128 rounds (a few thousand
 /// instructions per thread) bounds the response latency to well under a
@@ -77,15 +77,11 @@ pub struct Simulator {
 }
 
 impl Simulator {
-    /// Creates a simulator for the given configuration.
+    /// Creates a simulator for the given configuration. Every run
+    /// checks it first ([`SimConfig::check`]) and panics when it is
+    /// invalid.
     pub fn new(cfg: SimConfig) -> Self {
-        cfg.uop_cache.validate();
         Simulator { cfg }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
     }
 
     /// Runs `warmup + measure` instructions of the workload and reports
@@ -141,39 +137,90 @@ impl Simulator {
         insts: &[DynInst],
         cancel: &CancelToken,
     ) -> Result<SimReport, Cancelled> {
-        let mut st = RunState::new(&self.cfg);
-        let mut gens = [SlicePwGen::new(self.cfg.bpu.clone(), insts)];
-        let bpu = drive(&self.cfg, &mut gens, &mut st, Some(cancel))?;
-        Ok(st.finish(name, bpu, &self.cfg))
+        let gen = SlicePwGen::new(self.cfg.bpu.clone(), insts);
+        run(&self.cfg, name, &mut [(gen, insts)], Some(cancel), |st| st)
     }
 }
 
-/// Where the live loop delivers prediction windows: the pipeline
+/// The one run path behind every report: [`Simulator`], [`crate::SmtSimulator`]
+/// and [`crate::PwTrace`] replay all end here. It checks `cfg`, builds
+/// the pipeline for `threads.len()` hardware threads, drives each
+/// thread's windows over its instructions into it, and builds the
+/// report. `sink` may wrap the pipeline for the run (identity for every
+/// caller but `PwTrace::replay_parallel`).
+///
+/// # Panics
+///
+/// Panics if `cfg` fails [`SimConfig::check`].
+pub(crate) fn run<W: Windows, S: PwSink + Into<RunState>>(
+    cfg: &SimConfig,
+    name: &str,
+    threads: &mut [(W, &[DynInst])],
+    cancel: Option<&CancelToken>,
+    sink: impl FnOnce(RunState) -> S,
+) -> Result<SimReport, Cancelled> {
+    if let Err(e) = cfg.check() {
+        panic!("invalid simulator configuration: {e}");
+    }
+    let mut sink = sink(RunState::with_threads(cfg, threads.len()));
+    let bpu = drive(cfg, threads, &mut sink, cancel)?;
+    Ok(sink.into().finish(name, bpu, cfg))
+}
+
+/// Where one hardware thread's prediction windows come from: the live
+/// generator, or a recording of it ([`crate::PwTrace`]).
+pub(crate) trait Windows {
+    /// The next window, or `None` once the stream is exhausted.
+    fn next_batch(&mut self) -> Option<PwBatch>;
+    /// The measurement window opens: branch counters restart.
+    fn begin_measurement(&mut self);
+    /// Branch counters since the measurement window opened (since the
+    /// start when it never did).
+    fn stats(&self) -> BpuStats;
+}
+
+impl Windows for SlicePwGen<'_> {
+    fn next_batch(&mut self) -> Option<PwBatch> {
+        SlicePwGen::next_batch(self)
+    }
+
+    fn begin_measurement(&mut self) {
+        self.reset_stats();
+    }
+
+    fn stats(&self) -> BpuStats {
+        SlicePwGen::stats(self)
+    }
+}
+
+/// Where the loop delivers prediction windows: the pipeline
 /// ([`RunState`]) or a PW-stream recording ([`crate::PwTrace::record`]).
 pub(crate) trait PwSink {
     /// The measurement window opens before the next window.
     fn begin_measurement(&mut self);
-    /// One prediction window fetched by hardware thread `tid`.
-    fn window(&mut self, batch: &PwBatchRef<'_>, tid: usize);
+    /// One prediction window fetched by hardware thread `tid`, with the
+    /// instructions it covers.
+    fn window(&mut self, batch: &PwBatch, insts: &[DynInst], tid: usize);
 }
 
-/// The live loop: one [`SlicePwGen`] per hardware thread, fetching one
-/// prediction window from each in turn into `sink` (round-robin SMT; a
-/// single-thread run is the one-generator case). Returns the summed
-/// branch statistics of every thread.
+/// The simulation loop: fetches one prediction window from each hardware
+/// thread in turn into `sink` (round-robin SMT; a single-thread run is
+/// the one-thread case). Each thread pairs its windows with the
+/// instructions their sequence numbers index. Returns the summed branch
+/// statistics of every thread.
 ///
 /// The measurement window opens at the first PW boundary after
-/// `gens.len() × warmup_insts` instructions, where the sink and every
-/// generator reset their counters. A run that never reaches that
+/// `threads.len() × warmup_insts` instructions, where the sink and every
+/// thread's windows reset their counters. A run that never reaches that
 /// boundary measures everything. `cancel` is polled every
 /// `CANCEL_CHECK_BATCHES` rounds.
-pub(crate) fn drive<S: PwSink>(
+pub(crate) fn drive<W: Windows, S: PwSink>(
     cfg: &SimConfig,
-    gens: &mut [SlicePwGen<'_>],
+    threads: &mut [(W, &[DynInst])],
     sink: &mut S,
     cancel: Option<&CancelToken>,
 ) -> Result<BpuStats, Cancelled> {
-    let warmup_total = gens.len() as u64 * cfg.warmup_insts;
+    let warmup_total = threads.len() as u64 * cfg.warmup_insts;
     let mut insts_done: u64 = 0;
     let mut measured = false;
     let mut check_in: u32 = 0;
@@ -187,22 +234,22 @@ pub(crate) fn drive<S: PwSink>(
         check_in -= 1;
         if !measured && insts_done >= warmup_total {
             sink.begin_measurement();
-            gens.iter_mut().for_each(SlicePwGen::reset_stats);
+            threads.iter_mut().for_each(|(w, _)| w.begin_measurement());
             measured = true;
         }
-        // An exhausted generator keeps returning `None`; the run ends
-        // when a whole round produces no window.
+        // An exhausted stream keeps returning `None`; the run ends when a
+        // whole round produces no window.
         let mut progressed = false;
-        for (tid, gen) in gens.iter_mut().enumerate() {
+        for (tid, (windows, insts)) in threads.iter_mut().enumerate() {
             // Stage timers feed the thread-local job profile (when one is
             // active); they read wall clocks only and never touch
             // simulated state, so reports stay byte-identical.
             let timer = ucsim_obs::stage_start(Stage::Predict);
-            let advanced = gen.next_batch();
+            let advanced = windows.next_batch();
             timer.stop();
             let Some(batch) = advanced else { continue };
-            insts_done += batch.insts.len() as u64;
-            sink.window(&batch, tid);
+            insts_done += u64::from(batch.pw.inst_count);
+            sink.window(&batch, batch.insts(insts), tid);
             progressed = true;
         }
         if !progressed {
@@ -210,8 +257,8 @@ pub(crate) fn drive<S: PwSink>(
         }
     }
     let mut bpu = BpuStats::default();
-    for gen in gens.iter() {
-        bpu += gen.stats();
+    for (windows, _) in threads.iter() {
+        bpu += windows.stats();
     }
     Ok(bpu)
 }
@@ -252,7 +299,7 @@ pub(crate) struct RunState {
     kinds: &'static UopKindTable,
     // Identity hashes staged by a parallel pre-pass (see
     // `PwTrace::replay_parallel`). While `staged_pos <
-    // staged_hashes.len()`, `deliver` consumes one staged hash per uop
+    // staged_hashes.len()`, `deliver_one` consumes one staged hash per uop
     // instead of mixing it inline; empty outside parallel replay.
     staged_hashes: Vec<u64>,
     staged_pos: usize,
@@ -274,10 +321,6 @@ pub(crate) struct RunState {
 }
 
 impl RunState {
-    pub(crate) fn new(cfg: &SimConfig) -> Self {
-        Self::with_threads(cfg, 1)
-    }
-
     /// Creates state for an `n_threads`-way SMT core sharing one uop
     /// cache, memory hierarchy, fetch engine and back end.
     pub(crate) fn with_threads(cfg: &SimConfig, n_threads: usize) -> Self {
@@ -472,23 +515,11 @@ impl RunState {
         n as u32
     }
 
-    /// Delivers all uops of one instruction to the back end.
-    fn deliver(&mut self, inst: &DynInst, delivery: u64, source: UopSource) {
-        let mut run_max = 0u64;
-        let n = self.deliver_one(inst, delivery, source, &mut run_max);
-        // Queue back-pressure stalls the front end.
-        self.fe_ready = self.fe_ready.max(run_max);
-        match source {
-            UopSource::OpCache => self.oc_uops += n as u64,
-            UopSource::Decoder => self.decoder_uops += n as u64,
-            UopSource::LoopCache => self.loop_uops += n as u64,
-        }
-    }
-
     /// Delivers a run of instructions that share one delivery cycle (a
     /// uop-cache entry's coverage, a loop-cache window, a carry-over)
     /// with the per-instruction counter bumps and `fe_ready` folds
-    /// batched into per-run deltas.
+    /// batched into per-run deltas. The fold is the queue back-pressure
+    /// that stalls the front end.
     fn deliver_run(&mut self, insts: &[DynInst], delivery: u64, source: UopSource) {
         let mut run_max = 0u64;
         let mut uops: u64 = 0;
@@ -505,7 +536,7 @@ impl RunState {
 
     /// Installs a chunk of precomputed uop identity hashes, reclaiming
     /// the previous (fully consumed) chunk's buffer through the swap.
-    /// `deliver` consumes them in uop order; the hashes are a pure
+    /// `deliver_one` consumes them in uop order; the hashes are a pure
     /// function of `(uop_seq, pc, slot)`, so a worker thread can compute
     /// a chunk ahead of the sequential consumer (debug builds assert
     /// each staged hash against the inline computation).
@@ -527,12 +558,10 @@ impl RunState {
 
     /// Runs one prediction window of hardware thread `tid` through the
     /// pipeline.
-    fn process_batch(&mut self, batch: &PwBatchRef<'_>, tid: usize) {
+    fn process_batch(&mut self, batch: &PwBatch, insts: &[DynInst], tid: usize) {
         debug_assert!(tid < self.threads.len());
         self.cur = tid;
-        let insts = batch.insts;
         debug_assert!(!insts.is_empty());
-        let pw_id = batch.pw.id;
 
         // Feed the fetch-directed prefetcher with the predicted PW line.
         self.prefetcher
@@ -628,7 +657,7 @@ impl RunState {
                 timer.stop();
                 // IC path for the remainder of the window.
                 let timer = ucsim_obs::stage_start(Stage::Decode);
-                self.ic_path(&insts[idx..], batch, pw_id);
+                self.ic_path(&insts[idx..], batch);
                 timer.stop();
                 idx = insts.len();
             }
@@ -639,8 +668,9 @@ impl RunState {
         timer.stop();
     }
 
-    fn ic_path(&mut self, insts: &[DynInst], batch: &PwBatchRef<'_>, pw_id: PwId) {
+    fn ic_path(&mut self, insts: &[DynInst], batch: &PwBatch) {
         self.switch_to(Path::Icache);
+        let pw_id = batch.pw.id;
         let ends_taken = batch.pw.ends_in_taken_branch;
         let total = insts.len();
         let mut line_cursor = None;
@@ -667,7 +697,7 @@ impl RunState {
             for (j, inst) in insts[i..group_end].iter().enumerate() {
                 let is_last = i + j == total - 1;
                 let pred_taken = is_last && ends_taken;
-                self.deliver(inst, delivery, UopSource::Decoder);
+                self.deliver_run(std::slice::from_ref(inst), delivery, UopSource::Decoder);
                 self.energy.decoded_insts += 1;
                 for e in self.threads[self.cur].acc.push(inst, pw_id, pred_taken) {
                     self.fill(e);
@@ -677,7 +707,7 @@ impl RunState {
         }
     }
 
-    fn end_of_batch(&mut self, batch: &PwBatchRef<'_>) {
+    fn end_of_batch(&mut self, batch: &PwBatch) {
         if batch.mispredict.is_some() {
             let resolve = self.last_branch_resolve;
             self.mispredicts += 1;
@@ -808,8 +838,8 @@ impl PwSink for RunState {
         self.busy_base = busy;
     }
 
-    fn window(&mut self, batch: &PwBatchRef<'_>, tid: usize) {
-        self.process_batch(batch, tid);
+    fn window(&mut self, batch: &PwBatch, insts: &[DynInst], tid: usize) {
+        self.process_batch(batch, insts, tid);
     }
 }
 

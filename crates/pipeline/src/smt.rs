@@ -12,7 +12,7 @@
 use ucsim_bpu::SlicePwGen;
 use ucsim_trace::{record_workload, Program, SharedTrace, WorkloadProfile};
 
-use crate::sim::{drive, RunState};
+use crate::sim::run;
 use crate::{SimConfig, SimReport};
 
 /// A two-thread SMT simulator sharing one front end.
@@ -37,15 +37,10 @@ pub struct SmtSimulator {
 impl SmtSimulator {
     /// Creates an SMT simulator for the given configuration. The
     /// instruction budgets (`warmup_insts`, `measure_insts`) apply *per
-    /// thread*.
+    /// thread*. Every run checks it first ([`SimConfig::check`]) and
+    /// panics when it is invalid.
     pub fn new(cfg: SimConfig) -> Self {
-        cfg.uop_cache.validate();
         SmtSimulator { cfg }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
     }
 
     /// Runs two workloads on the shared front end, alternating prediction
@@ -73,13 +68,12 @@ impl SmtSimulator {
     /// `warmup + measure` instructions of its trace.
     pub fn run_traces(&self, a: (&str, &SharedTrace), b: (&str, &SharedTrace)) -> SimReport {
         let per_thread = (self.cfg.warmup_insts + self.cfg.measure_insts) as usize;
-        let mut gens = [a.1.insts(), b.1.insts()].map(|insts| {
-            SlicePwGen::new(self.cfg.bpu.clone(), &insts[..per_thread.min(insts.len())])
+        let mut threads = [a.1.insts(), b.1.insts()].map(|insts| {
+            let insts = &insts[..per_thread.min(insts.len())];
+            (SlicePwGen::new(self.cfg.bpu.clone(), insts), insts)
         });
-        let mut st = RunState::with_threads(&self.cfg, gens.len());
-        let bpu = drive(&self.cfg, &mut gens, &mut st, None).expect("never cancelled");
         let name = format!("smt:{}+{}", a.0, b.0);
-        st.finish(&name, bpu, &self.cfg)
+        run(&self.cfg, &name, &mut threads, None, |st| st).expect("never cancelled")
     }
 }
 

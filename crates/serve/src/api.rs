@@ -251,6 +251,32 @@ impl SweepMode {
     }
 }
 
+/// Budget (in recorded instructions) of the shared trace store: jobs with
+/// the same workload × seed × run length replay one recording instead of
+/// re-walking the generator per cell. It also caps one served run
+/// (`warmup + insts`), whose recording must fit the store.
+pub const TRACE_BUDGET_INSTS: u64 = 8_000_000;
+
+/// The admission rule for a served configuration, checked before a job
+/// is cached, forwarded or queued: a run of at most
+/// [`TRACE_BUDGET_INSTS`] instructions and a configuration that passes
+/// [`SimConfig::check`]. Without it a hostile config could hang a worker
+/// (a zero decode width), corrupt uop-cache lookups (more than 256 ways)
+/// or abort the process on a huge allocation.
+///
+/// # Errors
+///
+/// Names the first violated rule.
+pub fn check_config(config: &SimConfig) -> Result<(), String> {
+    let total = config.warmup_insts.checked_add(config.measure_insts);
+    if total.is_none_or(|t| t > TRACE_BUDGET_INSTS) {
+        return Err(format!(
+            "warmup + insts must be at most {TRACE_BUDGET_INSTS} instructions"
+        ));
+    }
+    config.check()
+}
+
 /// Parses the `test-sleep:<ms>` pseudo-workload name (integration tests
 /// use it to hold workers busy deterministically).
 pub fn test_sleep_ms(workload: &str) -> Option<u64> {
@@ -458,6 +484,18 @@ mod tests {
         let spec = r.resolve(7);
         assert_eq!(spec.seed, 7);
         assert_eq!(spec.config.warmup_insts, SimConfig::table1().warmup_insts);
+    }
+
+    #[test]
+    fn check_config_bounds_the_run_length() {
+        let cfg = |warmup, measure| SimConfig::table1().with_insts(warmup, measure);
+        assert_eq!(check_config(&cfg(200_000, 2_000_000)), Ok(()));
+        assert_eq!(check_config(&cfg(0, TRACE_BUDGET_INSTS)), Ok(()));
+        assert!(check_config(&cfg(1, TRACE_BUDGET_INSTS)).is_err());
+        assert!(check_config(&cfg(u64::MAX, 1)).is_err());
+        let mut zero = cfg(1_000, 5_000);
+        zero.core.decode_width = 0;
+        assert!(check_config(&zero).unwrap_err().contains("decode_width"));
     }
 
     #[test]

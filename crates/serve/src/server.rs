@@ -44,11 +44,6 @@ const RETAIN_SWEEPS: usize = 64;
 /// the server closes it.
 const KEEP_ALIVE_IDLE: Duration = Duration::from_secs(30);
 
-/// Budget (in recorded instructions) of the shared trace store: jobs with
-/// the same workload × seed × run length replay one recording instead of
-/// re-walking the generator per cell.
-const TRACE_BUDGET_INSTS: u64 = 8_000_000;
-
 /// Max records per anti-entropy pull request.
 const ANTI_ENTROPY_BATCH: usize = 256;
 
@@ -330,7 +325,7 @@ impl Server {
             cache: ResultCache::new(cfg.cache_budget_bytes),
             failed: Mutex::new(HashMap::new()),
             store,
-            traces: TraceStore::new(TRACE_BUDGET_INSTS),
+            traces: TraceStore::new(api::TRACE_BUDGET_INSTS),
             programs: ProgramRegistry::new(),
             metrics,
             watchdog: Watchdog::new(),
@@ -959,6 +954,9 @@ fn handle_sim(inner: &Arc<Inner>, req: &Request, _params: &Params) -> Response {
             sim_req.priority,
         )
     };
+    if let Err(e) = api::check_config(&spec.config) {
+        return api::error_response(ErrorCode::BadRequest, &format!("bad config: {e}"), None);
+    }
     if let Err(resp) = workload_available(inner, &spec.workload) {
         return resp;
     }

@@ -24,7 +24,7 @@ use std::sync::{Arc, Mutex};
 use ucsim_bench::{MatrixCross, SweepPolicy};
 use ucsim_model::json::Json;
 use ucsim_model::{FromJson, ToJson, WorkloadRef};
-use ucsim_pipeline::{LabeledConfig, SimReport, SweepCellReport, SweepReport};
+use ucsim_pipeline::{LabeledConfig, SimConfig, SimReport, SweepCellReport, SweepReport};
 
 use crate::api::{self, ErrorCode, JobSpec, MatrixRequest};
 use crate::jobs::{JobCell, JobFailure, JobState};
@@ -692,7 +692,7 @@ impl PlanAxes {
         let policies_per_capacity = cross.policies.len();
         let capacities = cross.capacities.clone();
         let configs = cross.try_expand().map_err(|e| (ErrorCode::BadRequest, e))?;
-        Ok(PlanAxes {
+        let axes = PlanAxes {
             workloads: req.workloads.clone(),
             capacities,
             configs,
@@ -700,7 +700,12 @@ impl PlanAxes {
             seed: req.seed,
             warmup: req.warmup,
             insts: req.insts,
-        })
+        };
+        for lc in &axes.configs {
+            api::check_config(&axes.cell_config(lc))
+                .map_err(|e| (ErrorCode::BadRequest, format!("{}: {e}", lc.label)))?;
+        }
+        Ok(axes)
     }
 
     /// The capacity axis, ascending request order (uops).
@@ -708,8 +713,8 @@ impl PlanAxes {
         &self.capacities
     }
 
-    fn build_meta(&self, workload: &str, lc: &LabeledConfig) -> CellMeta {
-        let seed = self.seed.unwrap_or_else(|| api::default_seed(workload));
+    /// A cell's configuration: `lc` with the plan's run lengths.
+    fn cell_config(&self, lc: &LabeledConfig) -> SimConfig {
         let mut config = lc.config.clone();
         if let Some(w) = self.warmup {
             config.warmup_insts = w;
@@ -717,10 +722,15 @@ impl PlanAxes {
         if let Some(n) = self.insts {
             config.measure_insts = n;
         }
+        config
+    }
+
+    fn build_meta(&self, workload: &str, lc: &LabeledConfig) -> CellMeta {
+        let seed = self.seed.unwrap_or_else(|| api::default_seed(workload));
         let spec = JobSpec {
             workload: workload.to_owned(),
             seed,
-            config,
+            config: self.cell_config(lc),
         };
         let canonical = spec.canonical();
         let key_hash = api::content_hash(&canonical);
@@ -912,6 +922,21 @@ mod tests {
         // Test workloads only expand when enabled.
         assert!(expand_request(&parse(r#"{"workloads":["test-sleep:5"]}"#), true).is_ok());
         assert!(expand_request(&parse(r#"{"workloads":["test-sleep:5"]}"#), false).is_err());
+    }
+
+    #[test]
+    fn run_lengths_and_oversized_axes_are_bad_requests() {
+        for body in [
+            r#"{"workloads":["redis"],"warmup":8000000,"insts":1}"#,
+            r#"{"workloads":["redis"],"warmup":18446744073709551615,"insts":1}"#,
+            r#"{"workloads":["redis"],"capacities":[1099511627776]}"#,
+            r#"{"workloads":["redis"],"policies":["rac"],"max_entries":300}"#,
+        ] {
+            let e = expand_request(&parse(body), false).unwrap_err();
+            assert_eq!(e.0, ErrorCode::BadRequest, "{body}: {}", e.1);
+        }
+        let at_cap = parse(r#"{"workloads":["redis"],"warmup":0,"insts":8000000}"#);
+        assert!(expand_request(&at_cap, false).is_ok());
     }
 
     #[test]

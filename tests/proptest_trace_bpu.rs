@@ -78,23 +78,23 @@ proptest! {
         let mut replayed = Vec::new();
         let max_nt = BpuConfig::default().max_not_taken_per_pw;
         while let Some(b) = gen.next_batch() {
+            let insts = b.insts(&trace);
             // Window geometry: starts where its first inst starts, ends
             // where its last inst ends, stays within one I-cache line.
-            prop_assert_eq!(b.pw.start, b.insts[0].pc);
-            prop_assert_eq!(b.pw.end, b.insts[b.insts.len() - 1].end());
+            prop_assert_eq!(b.pw.start, insts[0].pc);
+            prop_assert_eq!(b.pw.end, insts[insts.len() - 1].end());
             prop_assert!(
-                b.pw.start.line() == b.insts[b.insts.len() - 1].pc.line()
+                b.pw.start.line() == insts[insts.len() - 1].pc.line()
                     || b.pw.inst_count >= 1
             );
-            prop_assert_eq!(b.pw.inst_count as usize, b.insts.len());
+            prop_assert_eq!(b.pw.inst_count as usize, insts.len());
             // Not-taken budget: at most max_nt NT conditionals inside.
-            let nt = b
-                .insts
+            let nt = insts
                 .iter()
                 .filter(|i| i.class.is_cond_branch() && !i.is_taken_branch())
                 .count();
             prop_assert!(nt <= max_nt as usize + 1, "NT budget exceeded: {nt}");
-            replayed.extend_from_slice(b.insts);
+            replayed.extend_from_slice(insts);
         }
         prop_assert_eq!(replayed, trace);
     }

@@ -9,9 +9,11 @@
 //! and every run path is pinned to checked-in report digests in
 //! `report_digests.rs`.
 
+use proptest::prelude::*;
 use ucsim_model::ToJson;
 use ucsim_pipeline::{run_configs_on_trace, LabeledConfig, PwTrace, SimConfig, Simulator};
 use ucsim_trace::{record_workload, Program, WorkloadProfile};
+use ucsim_uopcache::{CompactionPolicy, UopCacheConfig};
 
 const WORKLOADS: [&str; 3] = ["nutch", "bm-pb", "redis"];
 
@@ -96,5 +98,39 @@ fn pw_trace_replay_matches_full_runs_across_policies() {
             "policy {}",
             lc.label
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// PW replay is the live run: for any warmup/measure budget (a warmup
+    /// past the end of the trace and an empty measurement window
+    /// included) and baseline, CLASP or F-PWAC, replaying a recording is
+    /// byte-identical to `Simulator::run_trace` on the same trace. Both go
+    /// through one run path, so the measurement window opens at the same
+    /// boundary.
+    #[test]
+    fn pw_replay_is_the_live_run(
+        trace_len in 500u64..5_000,
+        warmup in 0u64..7_000,
+        measure in (0u64..8_000).prop_map(|m| m.saturating_sub(2_000)),
+        policy in 0usize..3,
+    ) {
+        let oc = [
+            UopCacheConfig::baseline_2k(),
+            UopCacheConfig::baseline_2k().with_clasp(),
+            UopCacheConfig::baseline_2k().with_compaction(CompactionPolicy::Fpwac, 2),
+        ][policy]
+            .clone();
+        let cfg = SimConfig::table1()
+            .with_uop_cache(oc)
+            .with_insts(warmup, measure);
+        let profile = WorkloadProfile::quick_test();
+        let program = Program::generate(&profile);
+        let trace = record_workload(&profile, &program, trace_len);
+        let live = Simulator::new(cfg.clone()).run_trace(profile.name, &trace);
+        let replayed = PwTrace::record(&trace, &cfg).replay(profile.name, &cfg);
+        prop_assert_eq!(replayed.to_json_string(), live.to_json_string());
     }
 }

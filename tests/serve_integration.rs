@@ -246,14 +246,19 @@ fn full_queue_returns_429_with_retry_after() {
     server.shutdown();
 }
 
-/// Sends one `POST /v1/sim` on a fresh connection and returns the status
-/// code of the response, or `None` when no status line arrives within
-/// `timeout`.
-fn sim_status_within(addr: &str, body: &str, timeout: Duration) -> Option<u16> {
+/// Sends one `POST /v1/sim` (with any `extra_headers` lines) on a fresh
+/// connection and returns the status code of the response, or `None`
+/// when no status line arrives within `timeout`.
+fn sim_status_within(
+    addr: &str,
+    extra_headers: &str,
+    body: &str,
+    timeout: Duration,
+) -> Option<u16> {
     let mut stream = TcpStream::connect(addr).ok()?;
     stream.set_read_timeout(Some(timeout)).ok()?;
     let head = format!(
-        "POST /v1/sim HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+        "POST /v1/sim HTTP/1.1\r\nHost: {addr}\r\n{extra_headers}Content-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     );
     stream.write_all(format!("{head}{body}").as_bytes()).ok()?;
@@ -334,7 +339,7 @@ fn requests_racing_a_full_queue_all_get_a_status() {
                 .map(|_| {
                     s.spawn(|| {
                         barrier.wait();
-                        sim_status_within(&addr, &body, Duration::from_secs(2))
+                        sim_status_within(&addr, "", &body, Duration::from_secs(2))
                     })
                 })
                 .collect();
@@ -429,6 +434,84 @@ fn error_paths_answer_without_side_effects() {
         poll_sweep(&mut client, id).get("done").unwrap().as_u64(),
         Some(1)
     );
+    server.shutdown();
+}
+
+/// Configurations that would hang a worker, corrupt the uop cache or
+/// allocate without bound, and run lengths past the trace budget, get a
+/// prompt 400 `bad_request` on every path that admits a job (direct,
+/// forwarded, matrix), and the node keeps serving.
+#[test]
+fn hostile_configs_and_run_lengths_are_refused_at_admission() {
+    use ucsim::model::ToJson;
+    use ucsim::pipeline::SimConfig;
+    use ucsim::serve::JobSpec;
+
+    let server = Server::start(test_config()).unwrap();
+    let addr = server.local_addr().to_string();
+    let edits: [fn(&mut SimConfig); 6] = [
+        |c| c.core.decode_width = 0,
+        |c| {
+            c.uop_cache.sets = 1;
+            c.uop_cache.ways = 300;
+        },
+        |c| c.uop_cache.sets = 1 << 40,
+        |c| c.core.rob_size = 1 << 40,
+        |c| c.bpu.tage.table_bits = 48,
+        |c| c.mem.l3.sets = 1 << 40,
+    ];
+    for edit in edits {
+        let mut config = SimConfig::table1().with_insts(1_000, 5_000);
+        edit(&mut config);
+        let body = format!(
+            r#"{{"workload":"bm-cc","config":{}}}"#,
+            config.to_json_string()
+        );
+        let t0 = Instant::now();
+        let status = sim_status_within(&addr, "", &body, Duration::from_secs(10));
+        assert_eq!(status, Some(400), "config {body}");
+        assert!(t0.elapsed() < Duration::from_secs(5));
+        let r = request(&addr, "POST", "/v1/sim", body.as_bytes()).unwrap();
+        assert_eq!(envelope_code(&r.body_str()).0, "bad_request");
+
+        // A peer's forwarded spec is checked by the same rule.
+        let spec = JobSpec {
+            workload: "bm-cc".to_owned(),
+            seed: 1,
+            config,
+        };
+        let status = sim_status_within(
+            &addr,
+            "x-ucsim-forwarded: 1\r\n",
+            &spec.canonical(),
+            Duration::from_secs(10),
+        );
+        assert_eq!(status, Some(400));
+    }
+
+    // Run lengths: past the 8M trace budget, and overflowing u64.
+    for (warmup, insts) in [(8_000_000u64, 1u64), (u64::MAX, 1)] {
+        let body = format!(r#"{{"workload":"bm-cc","warmup":{warmup},"insts":{insts}}}"#);
+        let r = request(&addr, "POST", "/v1/sim", body.as_bytes()).unwrap();
+        assert_eq!(r.status, 400, "body: {}", r.body_str());
+        assert_eq!(envelope_code(&r.body_str()).0, "bad_request");
+        let body = format!(
+            r#"{{"workloads":["bm-cc"],"capacities":[2048],"warmup":{warmup},"insts":{insts}}}"#
+        );
+        let r = request(&addr, "POST", "/v1/matrix", body.as_bytes()).unwrap();
+        assert_eq!(r.status, 400, "body: {}", r.body_str());
+        assert_eq!(envelope_code(&r.body_str()).0, "bad_request");
+    }
+    // A capacity past the uop-cache cap is refused by matrix expansion.
+    let body = br#"{"workloads":["bm-cc"],"capacities":[1099511627776]}"#;
+    let r = request(&addr, "POST", "/v1/matrix", body).unwrap();
+    assert_eq!(r.status, 400, "body: {}", r.body_str());
+    assert_eq!(server.simulations_executed(), 0);
+
+    // The node still serves a normal job.
+    let body = br#"{"workload":"bm-cc","seed":7,"warmup":1000,"insts":6000}"#;
+    let r = request(&addr, "POST", "/v1/sim", body).unwrap();
+    assert_eq!(r.status, 200, "body: {}", r.body_str());
     server.shutdown();
 }
 

@@ -95,7 +95,7 @@ fn measured_batches_allocate_nothing() {
     // rings, etc.) so the counted runs see only per-run allocations.
     Simulator::new(long_cfg.clone()).run_trace(profile.name, &trace);
 
-    // The live loop.
+    // A live run.
     let (short_report, long_report) = assert_steady("run_trace", |long| {
         Simulator::new(cfg(long).clone()).run_trace(profile.name, &trace)
     });
@@ -106,7 +106,7 @@ fn measured_batches_allocate_nothing() {
     assert!(long_report.insts.abs_diff(LONG) < 100);
     assert!(long_report.cycles > short_report.cycles);
 
-    // The replay loop, over recordings made outside the counted runs.
+    // A replay, over recordings made outside the counted runs.
     let recorded = [
         PwTrace::record(&trace, &short_cfg),
         PwTrace::record(&trace, &long_cfg),
