@@ -11,6 +11,7 @@
 //! in the same commit. On a mismatch the test prints every case with its
 //! pinned and observed digest, and paste-ready rows for the new table.
 
+use ucsim::mem::{CacheConfig, ReplacementPolicy};
 use ucsim::model::{CancelToken, ToJson};
 use ucsim::pipeline::{PwTrace, SimConfig, SimReport, Simulator, SmtSimulator};
 use ucsim::serve::fnv1a;
@@ -68,6 +69,24 @@ const PINNED: &[(&str, u64)] = &[
     ("asm:fragmenter/baseline", 0x5a27202a721a083a),
     ("asm:fragmenter/clasp", 0x3fd70afedd54d6f2),
     ("asm:fragmenter/fpwac", 0xc4c262ee2163bb18),
+    ("redis/rac", 0x18e5c746f8c9e9ed),
+    ("redis/pwac", 0xc358d397fd7082c8),
+    ("redis/fpwac3", 0x1eaf04ec3f43e2af),
+    ("redis/64k", 0x2d19b978ccc7a467),
+    ("redis/64k-fpwac", 0x8d2eb931d349ec2d),
+    ("redis/plru-oc", 0x44a69546d651995e),
+    ("redis/srrip-oc", 0x9cad1dbab96f8921),
+    ("redis/plru-l2", 0xb2d1a8bcb9214c8b),
+    ("redis/btb-l1-1way", 0x9ad38f0e1e87ee1e),
+    ("bm-cc/rac", 0xba37ee1fb7535673),
+    ("bm-cc/pwac", 0xe0c4d0c072ed6fa3),
+    ("bm-cc/fpwac3", 0x9eb09ec5050d55a6),
+    ("bm-cc/64k", 0x5b02d0e38e5155a5),
+    ("bm-cc/64k-fpwac", 0x69e67e6b394d3834),
+    ("bm-cc/plru-oc", 0xe6365cf0c34261d0),
+    ("bm-cc/srrip-oc", 0x4e732d8742255d61),
+    ("bm-cc/plru-l2", 0x473bcb6b73cfcced),
+    ("bm-cc/btb-l1-1way", 0x4192a371347f9323),
 ];
 
 /// One observed report: which case, through which path.
@@ -274,6 +293,77 @@ fn asm_example_matches_pinned_digests() {
         });
         let trace = record_workload(&profile, &program, cfg.warmup_insts + cfg.measure_insts);
         observed.extend(trace_paths(&case, profile.name, &trace, &cfg));
+    }
+    check(&observed);
+}
+
+/// Geometries and policies beyond the three Table I uop caches: the other
+/// compaction policies, three entries per line, the 64K top of the
+/// capacity sweep, tree-PLRU and SRRIP uop caches, a small tree-PLRU L2
+/// that actually evicts, and a small direct-mapped BTB L1. Each touches a
+/// replacement or set-storage path the Table I cases leave cold.
+fn variants() -> Vec<(&'static str, SimConfig)> {
+    // Long enough that every variant's digest differs from the others'
+    // and from the same workload's Table I baseline at this budget.
+    let cfg = |oc| {
+        SimConfig::table1()
+            .with_uop_cache(oc)
+            .with_insts(5_000, 25_000)
+    };
+    let fpwac = UopCacheConfig::baseline_2k().with_compaction(CompactionPolicy::Fpwac, 2);
+    let k64 = UopCacheConfig::baseline_with_capacity(65536);
+    let mut plru_l2 = cfg(UopCacheConfig::baseline_2k());
+    plru_l2.mem.l2 = CacheConfig::new("L2", 64, 8, ReplacementPolicy::TreePlru);
+    let mut btb_1way = cfg(UopCacheConfig::baseline_2k());
+    btb_1way.bpu.btb_l1_set_bits = 5;
+    btb_1way.bpu.btb_l1_ways = 1;
+    vec![
+        (
+            "rac",
+            cfg(UopCacheConfig::baseline_2k().with_compaction(CompactionPolicy::Rac, 2)),
+        ),
+        (
+            "pwac",
+            cfg(UopCacheConfig::baseline_2k().with_compaction(CompactionPolicy::Pwac, 2)),
+        ),
+        (
+            "fpwac3",
+            cfg(UopCacheConfig::baseline_2k().with_compaction(CompactionPolicy::Fpwac, 3)),
+        ),
+        ("64k", cfg(k64.clone())),
+        (
+            "64k-fpwac",
+            cfg(k64.with_compaction(CompactionPolicy::Fpwac, 2)),
+        ),
+        (
+            "plru-oc",
+            cfg(fpwac.clone().with_replacement(ReplacementPolicy::TreePlru)),
+        ),
+        (
+            "srrip-oc",
+            cfg(fpwac.with_replacement(ReplacementPolicy::Srrip)),
+        ),
+        ("plru-l2", plru_l2),
+        ("btb-l1-1way", btb_1way),
+    ]
+}
+
+#[test]
+fn geometry_variants_match_pinned_digests() {
+    let mut observed = Vec::new();
+    for name in ["redis", "bm-cc"] {
+        let profile = WorkloadProfile::by_name(name).expect("known workload");
+        let program = Program::generate(&profile);
+        for (variant, cfg) in variants() {
+            let case = format!("{name}/{variant}");
+            observed.push(Observed {
+                case: case.clone(),
+                path: "run",
+                digest: digest(&Simulator::new(cfg.clone()).run(&profile, &program)),
+            });
+            let trace = record_workload(&profile, &program, cfg.warmup_insts + cfg.measure_insts);
+            observed.extend(trace_paths(&case, profile.name, &trace, &cfg));
+        }
     }
     check(&observed);
 }
