@@ -1,10 +1,13 @@
 //! Microbenchmarks of the front-end substrates: trace generation, TAGE
-//! prediction, and prediction-window generation throughput.
+//! prediction, prediction-window generation throughput, and the cost of
+//! building (and tearing down) a simulator before it runs anything.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use ucsim_bpu::{BpuConfig, SlicePwGen, Tage};
 use ucsim_model::Addr;
+use ucsim_pipeline::{SimConfig, Simulator};
 use ucsim_trace::{Program, WorkloadProfile};
+use ucsim_uopcache::{CompactionPolicy, UopCacheConfig};
 
 fn bench_trace_generation(c: &mut Criterion) {
     let profile = WorkloadProfile::by_name("bm-ds").expect("profile");
@@ -62,10 +65,31 @@ fn bench_pw_generation(c: &mut Criterion) {
     g.finish();
 }
 
+/// An empty Table I run with an F-PWAC uop cache of each swept capacity:
+/// everything a served sweep cell pays besides simulating, i.e. building
+/// every structure, reporting, and freeing them.
+fn bench_setup(c: &mut Criterion) {
+    let mut g = c.benchmark_group("setup");
+    for (label, uops) in [
+        ("empty_run_2k", 2048),
+        ("empty_run_8k", 8192),
+        ("empty_run_64k", 65536),
+    ] {
+        let oc = UopCacheConfig::baseline_with_capacity(uops)
+            .with_compaction(CompactionPolicy::Fpwac, 2);
+        let cfg = SimConfig::table1().with_uop_cache(oc);
+        g.bench_function(label, |b| {
+            b.iter(|| black_box(Simulator::new(cfg.clone()).run_slice("setup", &[])))
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_trace_generation,
     bench_tage,
-    bench_pw_generation
+    bench_pw_generation,
+    bench_setup
 );
 criterion_main!(benches);

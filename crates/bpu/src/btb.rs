@@ -6,7 +6,7 @@
 //! front end a small bubble; a miss in both levels means a taken branch is
 //! discovered only at decode, a larger bubble.
 
-use ucsim_model::Addr;
+use ucsim_model::{Addr, SetSlots};
 
 /// Static classification of a branch for the BTB.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,6 +82,102 @@ pub enum BtbOutcome {
 const BLOCK_SHIFT: u32 = 5; // 32-byte blocks
 const BRANCHES_PER_ENTRY: usize = 2;
 
+/// A placeholder for slots past a set's live prefix; never read.
+const EMPTY_ENTRY: BtbEntry = BtbEntry {
+    block: 0,
+    branches: [BtbBranch {
+        pc: Addr::new(0),
+        kind: BranchKind::Conditional,
+        target: Addr::new(0),
+    }; BRANCHES_PER_ENTRY],
+    n_branches: 0,
+    lru: 0,
+};
+
+/// One BTB level: every set's entries in one set-major [`SetSlots`].
+///
+/// Each set has `ways` slots; its first `lens[set]` are live, in
+/// insertion order, and the rest are unused. The storage is reserved for
+/// a full level up front, so entries churn continuously once the
+/// predictor warms without a steady-state allocation, and building a
+/// level costs a fixed three allocations however many sets it has.
+#[derive(Debug, Clone)]
+struct BtbLevel {
+    entries: SetSlots<BtbEntry>,
+    /// Live entries per set (`u32`: one set may hold up to 2^18 ways).
+    lens: Vec<u32>,
+    ways: usize,
+    set_mask: usize,
+}
+
+impl BtbLevel {
+    fn new(set_bits: u32, ways: usize) -> Self {
+        let sets = 1usize << set_bits;
+        BtbLevel {
+            entries: SetSlots::new(sets, ways, EMPTY_ENTRY),
+            lens: vec![0; sets],
+            ways,
+            set_mask: sets - 1,
+        }
+    }
+
+    fn set_of(&self, block: u64) -> usize {
+        (block as usize) & self.set_mask
+    }
+
+    /// The live entries of `block`'s set.
+    fn live(&self, block: u64) -> &[BtbEntry] {
+        let set = self.set_of(block);
+        &self.entries.set(set)[..self.lens[set] as usize]
+    }
+
+    /// The live entry for `block`, if resident.
+    fn entry_mut(&mut self, block: u64) -> Option<&mut BtbEntry> {
+        let i = self.live(block).iter().position(|e| e.block == block)?;
+        Some(&mut self.entries.set_mut(self.set_of(block))[i])
+    }
+
+    fn insert(&mut self, b: BtbBranch, block: u64, clock: u64) {
+        if let Some(e) = self.entry_mut(block) {
+            e.lru = clock;
+            if let Some(slot) = e.branches_mut().iter_mut().find(|x| x.pc == b.pc) {
+                slot.target = b.target;
+                slot.kind = b.kind;
+            } else if (e.n_branches as usize) < BRANCHES_PER_ENTRY {
+                e.branches[e.n_branches as usize] = b;
+                e.n_branches += 1;
+                e.branches_mut().sort_by_key(|x| x.pc);
+            } else {
+                // Two branches per entry (Table I): displace the later one.
+                e.branches[BRANCHES_PER_ENTRY - 1] = b;
+                e.branches_mut().sort_by_key(|x| x.pc);
+            }
+            return;
+        }
+        let entry = BtbEntry {
+            block,
+            branches: [b; BRANCHES_PER_ENTRY],
+            n_branches: 1,
+            lru: clock,
+        };
+        let set = self.set_of(block);
+        let len = self.lens[set] as usize;
+        let slots = self.entries.set_mut(set);
+        if len < self.ways {
+            slots[len] = entry;
+            self.lens[set] += 1;
+        } else {
+            // Evict the LRU entry (the first, on a tie).
+            let (victim, _) = slots
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, e)| e.lru)
+                .expect("non-empty set");
+            slots[victim] = entry;
+        }
+    }
+}
+
 /// The two-level BTB.
 ///
 /// # Example
@@ -98,12 +194,8 @@ const BRANCHES_PER_ENTRY: usize = 2;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Btb {
-    l1: Vec<Vec<BtbEntry>>,
-    l2: Vec<Vec<BtbEntry>>,
-    l1_sets: usize,
-    l2_sets: usize,
-    l1_ways: usize,
-    l2_ways: usize,
+    l1: BtbLevel,
+    l2: BtbLevel,
     clock: u64,
     stats: BtbStats,
 }
@@ -113,18 +205,9 @@ impl Btb {
     /// `2^l2_set_bits × l2_ways` L2 entries.
     pub fn new(l1_set_bits: u32, l1_ways: usize, l2_set_bits: u32, l2_ways: usize) -> Self {
         assert!(l1_ways > 0 && l2_ways > 0, "BTB needs at least one way");
-        let l1_sets = 1usize << l1_set_bits;
-        let l2_sets = 1usize << l2_set_bits;
-        // Set vectors are pre-sized to their way count: entries churn
-        // continuously once the predictor warms, and growing a cold set
-        // mid-run would be a steady-state allocation.
         Btb {
-            l1: (0..l1_sets).map(|_| Vec::with_capacity(l1_ways)).collect(),
-            l2: (0..l2_sets).map(|_| Vec::with_capacity(l2_ways)).collect(),
-            l1_sets,
-            l2_sets,
-            l1_ways,
-            l2_ways,
+            l1: BtbLevel::new(l1_set_bits, l1_ways),
+            l2: BtbLevel::new(l2_set_bits, l2_ways),
             clock: 0,
             stats: BtbStats::default(),
         }
@@ -152,8 +235,7 @@ impl Btb {
         let block = Self::block_of(pc);
         let clock = self.clock;
 
-        let l1_set = (block as usize) & (self.l1_sets - 1);
-        if let Some(e) = self.l1[l1_set].iter_mut().find(|e| e.block == block) {
+        if let Some(e) = self.l1.entry_mut(block) {
             e.lru = clock;
             if let Some(b) = e.branches().iter().find(|b| b.pc == pc) {
                 self.stats.l1_hits += 1;
@@ -161,18 +243,14 @@ impl Btb {
             }
         }
 
-        let l2_set = (block as usize) & (self.l2_sets - 1);
-        let found = self.l2[l2_set]
-            .iter_mut()
-            .find(|e| e.block == block)
-            .and_then(|e| {
-                e.lru = clock;
-                e.branches().iter().find(|b| b.pc == pc).copied()
-            });
+        let found = self.l2.entry_mut(block).and_then(|e| {
+            e.lru = clock;
+            e.branches().iter().find(|b| b.pc == pc).copied()
+        });
         if let Some(b) = found {
             self.stats.l2_hits += 1;
             // Promote the whole block entry into L1.
-            self.insert_level1(b);
+            self.l1.insert(b, block, clock);
             return (BtbOutcome::L2Hit, Some(b.target));
         }
 
@@ -183,18 +261,14 @@ impl Btb {
     /// Predicted target without updating stats or recency (peek).
     pub fn predict_target(&self, pc: Addr) -> Option<Addr> {
         let block = Self::block_of(pc);
-        let l1_set = (block as usize) & (self.l1_sets - 1);
-        if let Some(e) = self.l1[l1_set].iter().find(|e| e.block == block) {
-            if let Some(b) = e.branches().iter().find(|b| b.pc == pc) {
-                return Some(b.target);
-            }
-        }
-        let l2_set = (block as usize) & (self.l2_sets - 1);
-        self.l2[l2_set]
-            .iter()
-            .find(|e| e.block == block)
-            .and_then(|e| e.branches().iter().find(|b| b.pc == pc))
-            .map(|b| b.target)
+        [&self.l1, &self.l2].into_iter().find_map(|level| {
+            level
+                .live(block)
+                .iter()
+                .find(|e| e.block == block)
+                .and_then(|e| e.branches().iter().find(|b| b.pc == pc))
+                .map(|b| b.target)
+        })
     }
 
     /// Installs/updates the branch at `pc` with its latest `target` in both
@@ -202,65 +276,14 @@ impl Btb {
     pub fn update(&mut self, pc: Addr, kind: BranchKind, target: Addr) {
         self.clock += 1;
         let b = BtbBranch { pc, kind, target };
-        self.insert_level1(b);
-        self.insert_level2(b);
+        let block = Self::block_of(pc);
+        self.l1.insert(b, block, self.clock);
+        self.l2.insert(b, block, self.clock);
     }
 
     /// Records an indirect-target misprediction (bookkeeping for MPKI).
     pub fn note_target_mispredict(&mut self) {
         self.stats.target_mispredicts += 1;
-    }
-
-    fn insert_level1(&mut self, b: BtbBranch) {
-        let block = Self::block_of(b.pc);
-        let set = (block as usize) & (self.l1_sets - 1);
-        let ways = self.l1_ways;
-        let clock = self.clock;
-        Self::insert_into(&mut self.l1[set], b, block, ways, clock);
-    }
-
-    fn insert_level2(&mut self, b: BtbBranch) {
-        let block = Self::block_of(b.pc);
-        let set = (block as usize) & (self.l2_sets - 1);
-        let ways = self.l2_ways;
-        let clock = self.clock;
-        Self::insert_into(&mut self.l2[set], b, block, ways, clock);
-    }
-
-    fn insert_into(set: &mut Vec<BtbEntry>, b: BtbBranch, block: u64, ways: usize, clock: u64) {
-        if let Some(e) = set.iter_mut().find(|e| e.block == block) {
-            e.lru = clock;
-            if let Some(slot) = e.branches_mut().iter_mut().find(|x| x.pc == b.pc) {
-                slot.target = b.target;
-                slot.kind = b.kind;
-            } else if (e.n_branches as usize) < BRANCHES_PER_ENTRY {
-                e.branches[e.n_branches as usize] = b;
-                e.n_branches += 1;
-                e.branches_mut().sort_by_key(|x| x.pc);
-            } else {
-                // Two branches per entry (Table I): displace the later one.
-                e.branches[BRANCHES_PER_ENTRY - 1] = b;
-                e.branches_mut().sort_by_key(|x| x.pc);
-            }
-            return;
-        }
-        let entry = BtbEntry {
-            block,
-            branches: [b; BRANCHES_PER_ENTRY],
-            n_branches: 1,
-            lru: clock,
-        };
-        if set.len() < ways {
-            set.push(entry);
-        } else {
-            // Evict LRU entry.
-            let (victim, _) = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.lru)
-                .expect("non-empty set");
-            set[victim] = entry;
-        }
     }
 }
 

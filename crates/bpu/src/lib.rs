@@ -44,7 +44,7 @@ mod pwgen;
 mod ras;
 mod tage;
 
-pub use btb::{BranchKind, Btb, BtbStats};
+pub use btb::{BranchKind, Btb, BtbOutcome, BtbStats};
 pub use config::BpuConfig;
 pub use pwgen::{BpuStats, Mispredict, PwBatch, SlicePwGen};
 pub use ras::ReturnAddressStack;

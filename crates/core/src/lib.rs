@@ -54,12 +54,10 @@ mod builder;
 mod cache;
 mod config;
 mod entry;
-mod line;
 mod stats;
 
 pub use builder::{AccumulationBuffer, ClosedEntries};
 pub use cache::{FillOutcome, UopCache};
 pub use config::{CompactionPolicy, PlacementKind, UopCacheConfig};
 pub use entry::UopCacheEntry;
-pub use line::UopCacheLine;
 pub use stats::UopCacheStats;

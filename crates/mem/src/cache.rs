@@ -99,7 +99,8 @@ pub struct Cache {
     /// replaces cost a pointer chase plus 16-byte compares per way on the
     /// hottest path in the simulator.
     tags: Vec<u64>,
-    repl: Vec<ReplacementState>,
+    /// Replacement state of every set, in one allocation.
+    repl: ReplacementState,
     stats: CacheStats,
     /// Reusable victim-selection buffer; fills happen on every miss in
     /// every level, so the valid-way snapshot must not allocate.
@@ -113,15 +114,11 @@ const INVALID_TAG: u64 = u64::MAX;
 impl Cache {
     /// Creates an empty cache.
     pub fn new(cfg: CacheConfig) -> Self {
-        let tags = vec![INVALID_TAG; cfg.sets * cfg.ways];
-        let repl = (0..cfg.sets)
-            .map(|_| ReplacementState::new(cfg.policy, cfg.ways))
-            .collect();
         Cache {
             valid_scratch: Vec::with_capacity(cfg.ways),
+            tags: vec![INVALID_TAG; cfg.sets * cfg.ways],
+            repl: ReplacementState::new(cfg.policy, cfg.sets, cfg.ways),
             cfg,
-            tags,
-            repl,
             stats: CacheStats::default(),
         }
     }
@@ -159,7 +156,7 @@ impl Cache {
         let set = self.set_of(line);
         if let Some(way) = self.set_tags(set).iter().position(|&t| t == tag) {
             self.stats.hits += 1;
-            self.repl[set].on_hit(way);
+            self.repl.on_hit(set, way);
             true
         } else {
             false
@@ -191,18 +188,18 @@ impl Cache {
         let set = self.set_of(line);
         if let Some(way) = self.set_tags(set).iter().position(|&t| t == tag) {
             // Already resident (e.g. race between demand and prefetch).
-            self.repl[set].on_fill(way);
+            self.repl.on_fill(set, way);
             return None;
         }
         let mut valid = std::mem::take(&mut self.valid_scratch);
         valid.clear();
         valid.extend(self.set_tags(set).iter().map(|&t| t != INVALID_TAG));
-        let way = self.repl[set].victim(&valid);
+        let way = self.repl.victim(set, &valid);
         self.valid_scratch = valid;
         let slot = &mut self.tags[set * self.cfg.ways + way];
         let evicted = (*slot != INVALID_TAG).then(|| LineAddr::from_line_number(*slot));
         *slot = tag;
-        self.repl[set].on_fill(way);
+        self.repl.on_fill(set, way);
         self.stats.fills += 1;
         if prefetch {
             self.stats.prefetch_fills += 1;

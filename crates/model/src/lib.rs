@@ -19,6 +19,8 @@
 //!   workload synthesis and stable per-uop hashes.
 //! * [`Histogram`] / [`RunningStat`] — bookkeeping used by every stats
 //!   module in the workspace.
+//! * [`SetSlots`] — set-major entry storage, backed set by set on first
+//!   write, used by the BTB and the uop cache.
 //! * [`CancelToken`] / [`FailureKind`] — cooperative cancellation and the
 //!   stable failure vocabulary shared by the worker pool, the pipeline,
 //!   and the serving layer.
@@ -53,6 +55,7 @@ mod hist;
 mod inst;
 mod pw;
 mod rng;
+mod sets;
 mod term;
 mod uop;
 mod workload;
@@ -65,6 +68,7 @@ pub use inst::{BranchExec, DynInst, InstClass};
 pub use json::{FromJson, Json, JsonError, ToJson};
 pub use pw::{PredictionWindow, PwId, PwTermination};
 pub use rng::{mix64, SplitMix64};
+pub use sets::SetSlots;
 pub use term::EntryTermination;
 pub use ucsim_derive::{FromJson, ToJson};
 pub use uop::{Uop, UopKind, IMM_DISP_BYTES, UOP_BYTES};

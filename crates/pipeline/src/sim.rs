@@ -745,6 +745,7 @@ impl RunState {
         let uops = uops_now - self.uops_base;
         let busy = (busy_now - self.busy_base).max(1);
         let oc_stats = self.oc.stats().clone();
+        let (coverage_total_bytes, coverage_unique_bytes) = self.oc.coverage();
         // Structure-counter deltas for the active job profile, if any
         // (no-ops otherwise). Reads finished stats only.
         ucsim_obs::counter_add(ucsim_obs::Counter::OcHits, oc_stats.hits);
@@ -810,8 +811,8 @@ impl RunState {
             smc_probes: self.smc_probes,
             smc_invalidated_entries: self.smc_invalidated,
             fill_stall_cycles: self.fill_stall_cycles,
-            coverage_total_bytes: self.oc.coverage().0,
-            coverage_unique_bytes: self.oc.coverage().1,
+            coverage_total_bytes,
+            coverage_unique_bytes,
             mem: self.mem.stats(),
         }
     }

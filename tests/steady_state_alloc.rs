@@ -14,12 +14,19 @@
 //! behind `run_trace` and the `PwTrace` replay: any per-instruction or
 //! per-batch allocation that creeps back in shows up as a count
 //! difference proportional to the extra instructions.
+//!
+//! Setup itself is bounded too: every set-associative structure keeps its
+//! sets in a fixed number of flat arrays, so an empty run makes the same
+//! small number of allocations at every capacity, up to the largest
+//! configuration `SimConfig::check` accepts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use ucsim::mem::CacheConfig;
 use ucsim::pipeline::{PwTrace, SimConfig, Simulator};
 use ucsim::trace::{record_workload, Program, WorkloadProfile};
+use ucsim::uopcache::{CompactionPolicy, UopCacheConfig};
 
 /// System allocator wrapper counting allocation events (frees are not
 /// counted: the assertion is about acquiring memory in the hot loop).
@@ -75,6 +82,33 @@ fn assert_steady<R>(what: &str, mut run: impl FnMut(bool) -> R) -> (R, R) {
     (short, long)
 }
 
+/// Most allocations an empty run may make, whatever the geometry: a
+/// fixed number per structure, none per set.
+const SETUP_ALLOCS: u64 = 200;
+
+/// The largest configuration [`SimConfig::check`] accepts in every
+/// set-associative structure: four direct-mapped memory levels of 2^20
+/// sets, two BTB levels of 2^16 sets × 4 ways (2^18 entries), and a
+/// 2^20-uop F-PWAC uop cache.
+fn largest_config() -> SimConfig {
+    let oc =
+        UopCacheConfig::baseline_with_capacity(1 << 20).with_compaction(CompactionPolicy::Fpwac, 2);
+    let mut cfg = SimConfig::table1().with_uop_cache(oc);
+    for level in [
+        &mut cfg.mem.l1i,
+        &mut cfg.mem.l1d,
+        &mut cfg.mem.l2,
+        &mut cfg.mem.l3,
+    ] {
+        *level = CacheConfig::new(&level.name, 1 << 20, 1, level.policy);
+    }
+    cfg.bpu.btb_l1_set_bits = 16;
+    cfg.bpu.btb_l1_ways = 4;
+    cfg.bpu.btb_l2_set_bits = 16;
+    cfg.bpu.btb_l2_ways = 4;
+    cfg
+}
+
 /// One test, so no other test in this binary allocates concurrently
 /// with the counted sections.
 #[test]
@@ -116,4 +150,28 @@ fn measured_batches_allocate_nothing() {
     });
     assert_eq!(short_replay.cycles, short_report.cycles);
     assert_eq!(long_replay.cycles, long_report.cycles);
+
+    // Setup: an empty run builds every structure and reports, and the
+    // count must not grow with any structure's set count.
+    let fpwac = |uops| {
+        SimConfig::table1().with_uop_cache(
+            UopCacheConfig::baseline_with_capacity(uops)
+                .with_compaction(CompactionPolicy::Fpwac, 2),
+        )
+    };
+    let largest = largest_config();
+    assert_eq!(largest.check(), Ok(()));
+    for (what, cfg) in [
+        ("2K F-PWAC", fpwac(2048)),
+        ("8K F-PWAC", fpwac(8192)),
+        ("64K F-PWAC", fpwac(65536)),
+        ("largest accepted", largest),
+    ] {
+        let (allocs, report) = allocs_during(|| Simulator::new(cfg).run_slice(profile.name, &[]));
+        assert_eq!(report.insts, 0);
+        assert!(
+            allocs <= SETUP_ALLOCS,
+            "an empty {what} run made {allocs} allocations (at most {SETUP_ALLOCS})"
+        );
+    }
 }
