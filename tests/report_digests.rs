@@ -11,11 +11,12 @@
 //! in the same commit. On a mismatch the test prints every case with its
 //! pinned and observed digest, and paste-ready rows for the new table.
 
+use ucsim::isa::StaticInst;
 use ucsim::mem::{CacheConfig, ReplacementPolicy};
 use ucsim::model::{CancelToken, ToJson};
 use ucsim::pipeline::{PwTrace, SimConfig, SimReport, Simulator, SmtSimulator};
 use ucsim::serve::fnv1a;
-use ucsim::trace::{load_asm, record_workload, Program, SharedTrace, WorkloadProfile};
+use ucsim::trace::{load_asm, record_workload, Program, SharedTrace, TermKind, WorkloadProfile};
 use ucsim::uopcache::{CompactionPolicy, UopCacheConfig};
 
 /// `(case, digest)`: the canonical-JSON report digest every path must
@@ -366,4 +367,232 @@ fn geometry_variants_match_pinned_digests() {
         }
     }
     check(&observed);
+}
+
+/// `(case, digest)` for workload synthesis itself: the generated
+/// program (every block's start, body and terminator) and the first
+/// [`SYNTH_WALK`] instructions of its walk, per Table II profile at two
+/// seeds, plus each `examples/asm` program through `load_asm` and a walk.
+///
+/// The report pins above see synthesis only through simulated reports at
+/// each profile's default seed; a sampler that moved one draw value's
+/// outcome could leave those unmoved. These pin the streams directly.
+const SYNTH_PINNED: &[(&str, u64)] = &[
+    ("sp(log_regr)@65/program", 0x4cae1312d7da97da),
+    ("sp(log_regr)@65/walk", 0x40745fa7355bcb63),
+    ("sp(log_regr)@5eed0f3b/program", 0x9ac0d657b8e5defc),
+    ("sp(log_regr)@5eed0f3b/walk", 0xbcaa4966006d36ba),
+    ("sp(tr_cnt)@66/program", 0x143e0e3fce778a77),
+    ("sp(tr_cnt)@66/walk", 0xf1f551b2088a8f5c),
+    ("sp(tr_cnt)@5eed0f38/program", 0x7887f2bf15d44c51),
+    ("sp(tr_cnt)@5eed0f38/walk", 0xc3f0589c89005343),
+    ("sp(pg_rnk)@67/program", 0xf668d78560b3d95d),
+    ("sp(pg_rnk)@67/walk", 0x1ab86e3e1c76d294),
+    ("sp(pg_rnk)@5eed0f39/program", 0xb5389047e38a07f1),
+    ("sp(pg_rnk)@5eed0f39/walk", 0xcf94cd7a45375d52),
+    ("nutch@68/program", 0x12c032a8a1088dc1),
+    ("nutch@68/walk", 0x4a4e80d3180d752d),
+    ("nutch@5eed0f36/program", 0x1bef75f0d8a2386a),
+    ("nutch@5eed0f36/walk", 0x2ed5d0a604f8dcf6),
+    ("mahout@69/program", 0x98ff56d9d7ebd548),
+    ("mahout@69/walk", 0x81a1be3d1e601b26),
+    ("mahout@5eed0f37/program", 0xdf599bc9d00da549),
+    ("mahout@5eed0f37/walk", 0xe7c1ee4cbf9e4d52),
+    ("redis@6a/program", 0x23752ae6b4d4d182),
+    ("redis@6a/walk", 0xd87d16e0abfbc205),
+    ("redis@5eed0f34/program", 0x2c49f8ce8d78c6c8),
+    ("redis@5eed0f34/walk", 0x20f6ff8a55ed2ab8),
+    ("jvm@6b/program", 0x896496da8f3c27fa),
+    ("jvm@6b/walk", 0x5b7ae83901142a1c),
+    ("jvm@5eed0f35/program", 0x2422730b807d254a),
+    ("jvm@5eed0f35/walk", 0x6cb8b35af37b0892),
+    ("bm-pb@6c/program", 0xa81f9e81c870dc9b),
+    ("bm-pb@6c/walk", 0x93c75473d4b51af8),
+    ("bm-pb@5eed0f32/program", 0x4daec87cf9e56c92),
+    ("bm-pb@5eed0f32/walk", 0xd6a96d4630bac2bd),
+    ("bm-cc@6d/program", 0x194dbd53ac65b4a3),
+    ("bm-cc@6d/walk", 0xd4ef9af426559198),
+    ("bm-cc@5eed0f33/program", 0x330c7a6457f6de4b),
+    ("bm-cc@5eed0f33/walk", 0x60d4906bc2fba285),
+    ("bm-x64@6e/program", 0x814ee907c5065301),
+    ("bm-x64@6e/walk", 0x2fd1c801aef3520e),
+    ("bm-x64@5eed0f30/program", 0x7052fe2bf399a6ff),
+    ("bm-x64@5eed0f30/walk", 0xc610ec242a23a041),
+    ("bm-ds@6f/program", 0xc576952b3f542ef8),
+    ("bm-ds@6f/walk", 0xb7b22d79da739e7c),
+    ("bm-ds@5eed0f31/program", 0x5bb49cec84964a90),
+    ("bm-ds@5eed0f31/walk", 0xa31a5d8d101cb6e0),
+    ("bm-lla@70/program", 0x3bf89f6b23713880),
+    ("bm-lla@70/walk", 0x2b8247b7755d119f),
+    ("bm-lla@5eed0f2e/program", 0x13407e355db9d9b6),
+    ("bm-lla@5eed0f2e/walk", 0x68fa2fa9697f4ac8),
+    ("bm-z@71/program", 0x74f0892e736558df),
+    ("bm-z@71/walk", 0x6599b4af0f6f7684),
+    ("bm-z@5eed0f2f/program", 0xeb8300ed5d1c3b97),
+    ("bm-z@5eed0f2f/walk", 0xcbfeebd9981f3c9a),
+    ("asm:dense_loop/program", 0xd4a8e866fe2a690a),
+    ("asm:dense_loop/walk", 0x895498dd216a1008),
+    ("asm:dispatcher/program", 0xaa81c6580529f8e1),
+    ("asm:dispatcher/walk", 0xb62743ae36c6dde5),
+    ("asm:fragmenter/program", 0xf1e470926fbfaeac),
+    ("asm:fragmenter/walk", 0x95fd8694867f3e1f),
+];
+
+/// Instructions of each pinned walk.
+const SYNTH_WALK: usize = 20_000;
+
+/// Appends a little-endian field to a digest buffer.
+fn put(buf: &mut Vec<u8>, v: u64) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_static(buf: &mut Vec<u8>, i: &StaticInst) {
+    put(buf, i.class as u64);
+    put(buf, u64::from(i.len));
+    put(buf, u64::from(i.uops));
+    put(buf, u64::from(i.imm_disp));
+    put(buf, u64::from(i.microcoded));
+}
+
+/// Digest of a program's layout: every block's start, body instructions
+/// and terminator (instruction and semantics, seeds included).
+fn program_digest(program: &Program) -> u64 {
+    let mut buf = Vec::new();
+    for f in &program.funcs {
+        put(&mut buf, f.entry_block as u64);
+        put(&mut buf, f.end_block as u64);
+    }
+    for b in &program.blocks {
+        put(&mut buf, b.start.get());
+        put(&mut buf, b.body.len() as u64);
+        for i in &b.body {
+            put_static(&mut buf, i);
+        }
+        let Some(t) = &b.terminator else {
+            put(&mut buf, u64::MAX);
+            continue;
+        };
+        put_static(&mut buf, &t.inst);
+        match &t.kind {
+            TermKind::CondForward {
+                target_block,
+                p_taken,
+                seed,
+            } => {
+                buf.push(0);
+                put(&mut buf, *target_block as u64);
+                put(&mut buf, p_taken.to_bits());
+                put(&mut buf, *seed);
+            }
+            TermKind::CondLoop {
+                target_block,
+                trip_mean,
+                seed,
+            } => {
+                buf.push(1);
+                put(&mut buf, *target_block as u64);
+                put(&mut buf, trip_mean.to_bits());
+                put(&mut buf, *seed);
+            }
+            TermKind::Jump { target_block } => {
+                buf.push(2);
+                put(&mut buf, *target_block as u64);
+            }
+            TermKind::IndirectJump { targets, seed } => {
+                buf.push(3);
+                targets.iter().for_each(|&t| put(&mut buf, t as u64));
+                put(&mut buf, *seed);
+            }
+            TermKind::Call { callee_func } => {
+                buf.push(4);
+                put(&mut buf, *callee_func as u64);
+            }
+            TermKind::IndirectCall { callees, seed } => {
+                buf.push(5);
+                callees.iter().for_each(|&c| put(&mut buf, c as u64));
+                put(&mut buf, *seed);
+            }
+            TermKind::Ret => buf.push(6),
+        }
+    }
+    fnv1a(&buf)
+}
+
+/// Digest of a walk's first [`SYNTH_WALK`] instructions: pc, length,
+/// uops, imm/disp, class, memory address and branch outcome.
+fn walk_digest(program: &Program, profile: &WorkloadProfile) -> u64 {
+    let mut buf = Vec::new();
+    for d in program.walk(profile).take(SYNTH_WALK) {
+        put(&mut buf, d.pc.get());
+        put(&mut buf, u64::from(d.len));
+        put(&mut buf, u64::from(d.uops));
+        put(&mut buf, u64::from(d.imm_disp));
+        put(&mut buf, u64::from(d.microcoded));
+        put(&mut buf, d.class as u64);
+        put(&mut buf, d.mem_addr.map_or(u64::MAX, |a| a.get()));
+        match d.branch {
+            Some(b) => {
+                put(&mut buf, u64::from(b.taken));
+                put(&mut buf, b.target.get());
+            }
+            None => put(&mut buf, u64::MAX),
+        }
+    }
+    fnv1a(&buf)
+}
+
+#[test]
+fn synthesis_matches_pinned_digests() {
+    let mut observed: Vec<(String, u64)> = Vec::new();
+    for base in WorkloadProfile::table2() {
+        for seed in [base.seed, base.seed ^ 0x5EED_0F5E] {
+            let profile = WorkloadProfile {
+                seed,
+                ..base.clone()
+            };
+            let program = Program::generate(&profile);
+            let case = format!("{}@{seed:x}", profile.name);
+            observed.push((format!("{case}/program"), program_digest(&program)));
+            observed.push((format!("{case}/walk"), walk_digest(&program, &profile)));
+        }
+    }
+    for (name, src) in [
+        ("dense_loop", include_str!("../examples/asm/dense_loop.asm")),
+        ("dispatcher", include_str!("../examples/asm/dispatcher.asm")),
+        ("fragmenter", include_str!("../examples/asm/fragmenter.asm")),
+    ] {
+        let asm = ucsim::isa::assemble(src).expect("example assembles");
+        let seed = fnv1a(src.as_bytes());
+        let program = load_asm(&asm, seed);
+        let profile = WorkloadProfile::user_program(seed);
+        observed.push((format!("asm:{name}/program"), program_digest(&program)));
+        observed.push((format!("asm:{name}/walk"), walk_digest(&program, &profile)));
+    }
+    let pinned = |case: &str| {
+        SYNTH_PINNED
+            .iter()
+            .find(|(c, _)| *c == case)
+            .map(|&(_, d)| d)
+    };
+    let bad: Vec<_> = observed
+        .iter()
+        .filter(|(case, d)| pinned(case) != Some(*d))
+        .collect();
+    if bad.is_empty() {
+        return;
+    }
+    let mut table = format!(
+        "{} of {} synthesis digests differ from the pinned ones\n",
+        bad.len(),
+        observed.len()
+    );
+    for (case, d) in &bad {
+        let old = pinned(case).map_or_else(|| "-".to_owned(), |p| format!("{p:016x}"));
+        table += &format!("{case:<32} pinned {old:<18} observed {d:016x}\n");
+    }
+    table += "\nrows for SYNTH_PINNED:\n";
+    for (case, d) in &observed {
+        table += &format!("    (\"{case}\", 0x{d:016x}),\n");
+    }
+    panic!("{table}");
 }
