@@ -6,7 +6,7 @@
 //! determines how many instructions fit in a 64-byte I-cache line and thus
 //! where the line-boundary termination bites.
 
-use ucsim_model::{InstClass, SplitMix64};
+use ucsim_model::InstClass;
 
 /// Cumulative length distribution for "plain" integer code, calibrated to
 /// published x86-64 length histograms: P(len ≤ k).
@@ -44,38 +44,52 @@ pub const fn typical_len(class: InstClass) -> u8 {
     }
 }
 
-/// Samples a byte length for an instruction of the given class.
+/// Probability that a conditional branch uses its short `Jcc rel8`
+/// (2-byte) encoding rather than `rel32` (6 bytes).
+pub(crate) const JCC_REL8_PROB: f64 = 0.75;
+
+/// Probability that a direct jump uses its short `JMP rel8` (2-byte)
+/// encoding rather than `rel32` (5 bytes).
+pub(crate) const JMP_REL8_PROB: f64 = 0.6;
+
+/// Number of base-length buckets: one per [`BASE_CDF`] row.
+pub(crate) const BASE_BUCKETS: usize = BASE_CDF.len();
+
+/// The base length of each bucket.
+pub(crate) const fn base_len(bucket: usize) -> u8 {
+    BASE_CDF[bucket].0
+}
+
+/// The base-length bucket a unit draw `u ∈ [0, 1)` selects: the first
+/// [`BASE_CDF`] row with `u ≤ P(len ≤ k)`.
+///
+/// This is the definition of the length distribution;
+/// [`crate::InstSynthesizer`] derives its integer thresholds from it.
+pub(crate) fn base_bucket_at(u: f64) -> usize {
+    BASE_CDF
+        .iter()
+        .position(|&(_, c)| u <= c)
+        .unwrap_or(BASE_BUCKETS - 1)
+}
+
+/// The byte length of a `class` instruction whose base draw gave `base`
+/// and, for Jcc and direct JMP, whose short-encoding coin ([`JCC_REL8_PROB`],
+/// [`JMP_REL8_PROB`]) came up `rel8`.
 ///
 /// Branches, SIMD and FP shift the base distribution to match their typical
 /// encodings (short Jcc rel8/rel32; long VEX/EVEX vector ops).
-///
-/// # Example
-///
-/// ```
-/// use ucsim_isa::sample_len;
-/// use ucsim_model::{InstClass, SplitMix64};
-/// let mut rng = SplitMix64::new(7);
-/// let l = sample_len(InstClass::Simd, &mut rng);
-/// assert!((1..=15).contains(&l));
-/// ```
-pub fn sample_len(class: InstClass, rng: &mut SplitMix64) -> u8 {
-    let u = rng.unit_f64();
-    let base = BASE_CDF
-        .iter()
-        .find(|&&(_, c)| u <= c)
-        .map(|&(l, _)| l)
-        .unwrap_or(15);
+pub(crate) fn class_len(class: InstClass, base: u8, rel8: bool) -> u8 {
     let adjusted: i16 = match class {
         // Jcc rel8 = 2B, rel32 = 6B; calls are 5B; ret 1B.
         InstClass::CondBranch => {
-            if rng.chance(0.75) {
+            if rel8 {
                 2
             } else {
                 6
             }
         }
         InstClass::JumpDirect => {
-            if rng.chance(0.6) {
+            if rel8 {
                 2
             } else {
                 5
@@ -109,9 +123,19 @@ mod tests {
         assert_eq!(BASE_CDF.last().unwrap().1, 1.0);
     }
 
+    /// Exact expected length of a non-branch `class` under [`BASE_CDF`].
+    fn mean_len(class: InstClass) -> f64 {
+        let mut prev = 0.0;
+        let mut mean = 0.0;
+        for (b, &(_, c)) in BASE_CDF.iter().enumerate() {
+            mean += (c - prev) * class_len(class, base_len(b), false) as f64;
+            prev = c;
+        }
+        mean
+    }
+
     #[test]
     fn all_lengths_legal() {
-        let mut rng = SplitMix64::new(42);
         for class in [
             InstClass::IntAlu,
             InstClass::Load,
@@ -125,21 +149,26 @@ mod tests {
             InstClass::JumpIndirect,
             InstClass::Nop,
         ] {
-            for _ in 0..500 {
-                let l = sample_len(class, &mut rng);
-                assert!((1..=15).contains(&l), "{class}: {l}");
+            for b in 0..BASE_BUCKETS {
+                for rel8 in [false, true] {
+                    let l = class_len(class, base_len(b), rel8);
+                    assert!((1..=15).contains(&l), "{class}: {l}");
+                }
             }
         }
     }
 
     #[test]
+    fn buckets_follow_the_cdf() {
+        assert_eq!(base_bucket_at(0.0), 0);
+        assert_eq!(base_bucket_at(0.03), 0);
+        assert_eq!(base_bucket_at(0.030_000_001), 1);
+        assert_eq!(base_bucket_at(0.999_999), BASE_BUCKETS - 1);
+    }
+
+    #[test]
     fn mean_length_is_x86_like() {
-        let mut rng = SplitMix64::new(11);
-        let n = 50_000;
-        let sum: u64 = (0..n)
-            .map(|_| sample_len(InstClass::IntAlu, &mut rng) as u64)
-            .sum();
-        let mean = sum as f64 / n as f64;
+        let mean = mean_len(InstClass::IntAlu);
         assert!(
             (3.0..5.0).contains(&mean),
             "mean x86 length should be ~3.5-4.5, got {mean}"
@@ -148,12 +177,8 @@ mod tests {
 
     #[test]
     fn branches_are_short() {
-        let mut rng = SplitMix64::new(11);
-        let n = 10_000;
-        let sum: u64 = (0..n)
-            .map(|_| sample_len(InstClass::CondBranch, &mut rng) as u64)
-            .sum();
-        let mean = sum as f64 / n as f64;
+        let mean = JCC_REL8_PROB * class_len(InstClass::CondBranch, 1, true) as f64
+            + (1.0 - JCC_REL8_PROB) * class_len(InstClass::CondBranch, 1, false) as f64;
         assert!(mean < 4.0, "Jcc mean should be short, got {mean}");
     }
 

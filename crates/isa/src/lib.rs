@@ -44,7 +44,7 @@ pub use asm::{assemble, AsmBlock, AsmError, AsmFunc, AsmProgram, AsmTerm, AsmTer
 pub use decode::{
     expand_uops, uop_kinds_for, uop_kinds_into, UopKindTable, UopTemplate, MAX_UOPS_PER_INST,
 };
-pub use lengths::{sample_len, typical_len};
+pub use lengths::typical_len;
 pub use mix::InstMix;
 pub use static_inst::StaticInst;
 pub use synth::InstSynthesizer;

@@ -5,7 +5,7 @@
 //! fragmentation. Presets are calibrated to published SPEC CPU / server
 //! workload characterizations.
 
-use ucsim_model::{InstClass, SplitMix64};
+use ucsim_model::InstClass;
 
 /// A categorical distribution over [`InstClass`] for non-control
 /// instructions, plus knobs for imm/disp density and micro-coded frequency.
@@ -17,11 +17,9 @@ use ucsim_model::{InstClass, SplitMix64};
 ///
 /// ```
 /// use ucsim_isa::InstMix;
-/// use ucsim_model::SplitMix64;
 /// let mix = InstMix::server();
-/// let mut rng = SplitMix64::new(3);
-/// let c = mix.sample_class(&mut rng);
-/// assert!(!c.is_branch()); // block bodies never contain branches
+/// // Block bodies never contain branches.
+/// assert!(mix.weights().iter().all(|(c, _)| !c.is_branch()));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct InstMix {
@@ -131,16 +129,21 @@ impl InstMix {
         m
     }
 
-    /// Samples a non-branch instruction class.
-    pub fn sample_class(&self, rng: &mut SplitMix64) -> InstClass {
-        let mut x = rng.unit_f64() * self.total;
-        for &(c, w) in &self.weights {
+    /// The weight slot a unit draw `u ∈ [0, 1)` selects: walk the
+    /// `(class, weight)` pairs subtracting each weight from `u · total`
+    /// until the remainder falls below one.
+    ///
+    /// This is the definition of the class distribution;
+    /// [`crate::InstSynthesizer`] derives its integer thresholds from it.
+    pub(crate) fn slot_at(&self, u: f64) -> usize {
+        let mut x = u * self.total;
+        for (i, &(_, w)) in self.weights.iter().enumerate() {
             if x < w {
-                return c;
+                return i;
             }
             x -= w;
         }
-        self.weights.last().expect("non-empty by invariant").0
+        self.weights.len() - 1
     }
 
     /// The configured `(class, weight)` pairs.
@@ -174,26 +177,35 @@ mod tests {
     #[test]
     fn sampling_respects_weights() {
         let mix = InstMix::new(vec![(InstClass::IntAlu, 9.0), (InstClass::Load, 1.0)]);
-        let mut rng = SplitMix64::new(5);
-        let n = 20_000;
-        let alus = (0..n)
-            .filter(|_| mix.sample_class(&mut rng) == InstClass::IntAlu)
-            .count();
-        let frac = alus as f64 / n as f64;
-        assert!((0.87..0.93).contains(&frac), "frac={frac}");
+        assert_eq!(mix.slot_at(0.0), 0);
+        assert_eq!(mix.slot_at(0.899_999), 0);
+        assert_eq!(mix.slot_at(0.9), 1);
+        assert_eq!(mix.slot_at(0.999_999), 1);
+    }
+
+    #[test]
+    fn zero_weights_are_never_selected() {
+        let mix = InstMix::new(vec![
+            (InstClass::Nop, 0.0),
+            (InstClass::IntAlu, 1.0),
+            (InstClass::Load, 0.0),
+        ]);
+        for u in [0.0, 0.25, 0.5, 0.999_999] {
+            assert_eq!(mix.slot_at(u), 1);
+        }
     }
 
     #[test]
     fn presets_sample_without_branches() {
-        let mut rng = SplitMix64::new(5);
         for mix in [
             InstMix::integer_heavy(),
             InstMix::server(),
             InstMix::vector_heavy(),
             InstMix::analytics(),
         ] {
-            for _ in 0..1000 {
-                assert!(!mix.sample_class(&mut rng).is_branch());
+            for i in 0..1000 {
+                let slot = mix.slot_at(i as f64 / 1000.0);
+                assert!(!mix.weights()[slot].0.is_branch());
             }
         }
     }

@@ -1,14 +1,32 @@
 //! Statistical synthesis of static instructions.
 
-use ucsim_model::{InstClass, SplitMix64};
+use ucsim_model::{unit_from_bits, InstClass, SplitMix64};
 
-use crate::{lengths, InstMix, StaticInst};
+use crate::lengths::{self, BASE_BUCKETS};
+use crate::{InstMix, StaticInst};
 
 /// Synthesizes statistically realistic non-branch instructions from an
 /// [`InstMix`].
 ///
 /// The CFG generator in `ucsim-trace` uses one synthesizer per workload to
 /// fill basic-block bodies and separately emits the terminating branch.
+///
+/// # Table-driven, draw for draw
+///
+/// Every decision a sample makes — the class, the base length, and each
+/// coin (micro-coded, two-uop, imm/disp, second imm, rel8 branch forms) —
+/// compares [`unit_from_bits`] of one draw against the mix's float
+/// definitions ([`InstMix`]'s weight walk, the length CDF, `chance(p)`).
+/// That float is exactly `k / 2⁵³` for the draw's top 53 bits `k`, and
+/// the weight walk only multiplies by the total and subtracts weights,
+/// both of which round monotonically, so each outcome is a monotone step
+/// function of `k`. [`InstSynthesizer::new`] finds every step by binary
+/// search over those same float expressions and stores the integer
+/// thresholds; a sample then counts thresholds `≤ k` without a float
+/// operation or a data-dependent branch. It consumes exactly the draws
+/// the float comparisons would, in the same order, so the instructions
+/// and the generator state after each one are those of the float
+/// definitions, bit for bit.
 ///
 /// # Example
 ///
@@ -24,12 +42,83 @@ use crate::{lengths, InstMix, StaticInst};
 #[derive(Debug, Clone)]
 pub struct InstSynthesizer {
     mix: InstMix,
+    /// `class_cuts[i]`: the first draw whose weight slot is past `i`; the
+    /// slot of draw `k` is the number of cuts `≤ k`.
+    class_cuts: Vec<u64>,
+    /// Per weight slot: its class and its length for each base bucket.
+    slots: Vec<Slot>,
+    /// `base_cuts[b]`: the first draw whose base-length bucket is past `b`.
+    base_cuts: [u64; BASE_BUCKETS - 1],
+    /// `chance(p)` holds for draws below these.
+    microcode_cut: u64,
+    two_uop_cut: u64,
+    imm_disp_cut: u64,
+    second_imm_cut: u64,
+    jcc_rel8_cut: u64,
+    jmp_rel8_cut: u64,
+}
+
+/// One `(class, weight)` slot of the mix, with its lengths precomputed.
+#[derive(Debug, Clone)]
+struct Slot {
+    class: InstClass,
+    lens: [u8; BASE_BUCKETS],
+}
+
+/// The top 53 bits of a raw draw: the `k` of [`unit_from_bits`].
+fn bits53(raw: u64) -> u64 {
+    raw >> 11
+}
+
+/// Number of 53-bit draws `k` for which `holds(unit_from_bits(k << 11))`,
+/// where `holds` is true on a prefix of draws (a monotone decision).
+fn cut(holds: impl Fn(f64) -> bool) -> u64 {
+    let (mut lo, mut hi) = (0u64, 1u64 << 53);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if holds(unit_from_bits(mid << 11)) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// Threshold of `rng.chance(p)`: it holds exactly for draws below it.
+fn chance_cut(p: f64) -> u64 {
+    cut(|u| u < p)
 }
 
 impl InstSynthesizer {
-    /// Creates a synthesizer over the given mix.
+    /// Creates a synthesizer over the given mix, deriving its sampling
+    /// thresholds from the mix's float definitions.
     pub fn new(mix: InstMix) -> Self {
-        InstSynthesizer { mix }
+        let slots: Vec<Slot> = mix
+            .weights()
+            .iter()
+            .map(|&(class, _)| Slot {
+                class,
+                lens: std::array::from_fn(|b| {
+                    lengths::class_len(class, lengths::base_len(b), false)
+                }),
+            })
+            .collect();
+        let class_cuts = (0..slots.len() - 1)
+            .map(|i| cut(|u| mix.slot_at(u) <= i))
+            .collect();
+        InstSynthesizer {
+            class_cuts,
+            slots,
+            base_cuts: std::array::from_fn(|b| cut(|u| lengths::base_bucket_at(u) <= b)),
+            microcode_cut: chance_cut(mix.microcode_prob),
+            two_uop_cut: chance_cut(mix.two_uop_prob),
+            imm_disp_cut: chance_cut(mix.imm_disp_prob),
+            second_imm_cut: chance_cut(mix.second_imm_prob),
+            jcc_rel8_cut: chance_cut(lengths::JCC_REL8_PROB),
+            jmp_rel8_cut: chance_cut(lengths::JMP_REL8_PROB),
+            mix,
+        }
     }
 
     /// The underlying mix.
@@ -37,40 +126,71 @@ impl InstSynthesizer {
         &self.mix
     }
 
+    /// The base-length bucket of one draw.
+    fn base_bucket(&self, raw: u64) -> usize {
+        let k = bits53(raw);
+        self.base_cuts.iter().map(|&c| usize::from(c <= k)).sum()
+    }
+
     /// Samples one non-branch static instruction.
+    ///
+    /// Draws, in order: the class, the base length, the micro-coded coin
+    /// and then either the micro-code uop count or (unless the class is a
+    /// divide) the two-uop coin, and finally the imm/disp coin and, when
+    /// it holds, the second-imm coin.
     pub fn sample(&self, rng: &mut SplitMix64) -> StaticInst {
-        let class = self.mix.sample_class(rng);
-        let len = lengths::sample_len(class, rng);
-        let mut inst = StaticInst::new(class, len);
+        let k = bits53(rng.next_u64());
+        let slot = &self.slots[self
+            .class_cuts
+            .iter()
+            .map(|&c| usize::from(c <= k))
+            .sum::<usize>()];
+        let len = slot.lens[self.base_bucket(rng.next_u64())];
 
-        // Micro-coded instructions expand to 4–8 uops.
-        if rng.chance(self.mix.microcode_prob) {
-            let uops = 4 + rng.below(5) as u8; // 4..=8
-            inst = inst.with_uops(uops).with_microcoded(true);
-        } else if matches!(class, InstClass::IntDiv) {
-            // Divides are multi-uop even when not micro-coded.
-            inst = inst.with_uops(3);
-        } else if rng.chance(self.mix.two_uop_prob) {
-            // Load-op / op-store fusion-breaking cases: 2 uops.
-            inst = inst.with_uops(2);
-        }
+        // Micro-coded instructions expand to 4–8 uops (a second draw);
+        // divides are 3 uops even when not micro-coded (no second draw);
+        // otherwise a second coin makes load-op / op-store cases 2 uops.
+        let [a, b] = rng.peek();
+        let microcoded = bits53(a) < self.microcode_cut;
+        let div = slot.class == InstClass::IntDiv;
+        let uops = if microcoded {
+            4 + ((b as u128 * 5) >> 64) as u8 // SplitMix64::below(5)
+        } else if div {
+            3
+        } else {
+            1 + u8::from(bits53(b) < self.two_uop_cut)
+        };
+        rng.advance(2 - u64::from(div && !microcoded));
 
-        // Immediate/displacement fields.
-        if rng.chance(self.mix.imm_disp_prob) {
-            let n = if rng.chance(self.mix.second_imm_prob) {
-                2
-            } else {
-                1
-            };
-            inst = inst.with_imm_disp(n);
+        // Immediate/displacement fields: a second field is only drawn for
+        // an instruction that carries a first.
+        let [a, b] = rng.peek();
+        let first = bits53(a) < self.imm_disp_cut;
+        let second = first && bits53(b) < self.second_imm_cut;
+        rng.advance(1 + u64::from(first));
+
+        StaticInst {
+            class: slot.class,
+            len,
+            uops,
+            imm_disp: u8::from(first) + u8::from(second),
+            microcoded,
         }
-        inst
     }
 
     /// Samples a branch instruction of the given class (CFG terminators).
+    ///
+    /// Draws the base length (which no branch class uses) and, for Jcc
+    /// and direct JMP, the short-encoding coin.
     pub fn sample_branch(&self, class: InstClass, rng: &mut SplitMix64) -> StaticInst {
         assert!(class.is_branch(), "sample_branch needs a branch class");
-        let len = lengths::sample_len(class, rng);
+        let base = lengths::base_len(self.base_bucket(rng.next_u64()));
+        let rel8 = match class {
+            InstClass::CondBranch => bits53(rng.next_u64()) < self.jcc_rel8_cut,
+            InstClass::JumpDirect => bits53(rng.next_u64()) < self.jmp_rel8_cut,
+            _ => false,
+        };
+        let len = lengths::class_len(class, base, rel8);
         let mut inst = StaticInst::new(class, len);
         match class {
             InstClass::Call | InstClass::Ret => {

@@ -125,7 +125,14 @@ impl LineAddr {
         Addr(self.0 << ICACHE_LINE_SHIFT)
     }
 
-    /// One past the last byte address of the line.
+    /// Last byte address of the line. Unlike [`Self::end`] it does not
+    /// wrap for the last line of the address space.
+    pub const fn last(self) -> Addr {
+        Addr((self.0 << ICACHE_LINE_SHIFT) | (ICACHE_LINE_BYTES - 1))
+    }
+
+    /// One past the last byte address of the line; wraps to 0 for the
+    /// last line of the address space.
     pub const fn end(self) -> Addr {
         Addr((self.0 + 1) << ICACHE_LINE_SHIFT)
     }
@@ -168,6 +175,8 @@ mod tests {
         assert_eq!(a.line_offset(), 0x23);
         assert_eq!(a.line().base(), Addr::new(0x40_0100));
         assert_eq!(a.line().end(), Addr::new(0x40_0140));
+        assert_eq!(a.line().last(), Addr::new(0x40_013f));
+        assert_eq!(Addr::new(u64::MAX).line().last(), Addr::new(u64::MAX));
     }
 
     #[test]

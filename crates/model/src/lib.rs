@@ -67,7 +67,7 @@ pub use hist::{Histogram, RunningStat};
 pub use inst::{BranchExec, DynInst, InstClass};
 pub use json::{FromJson, Json, JsonError, ToJson};
 pub use pw::{PredictionWindow, PwId, PwTermination};
-pub use rng::{mix64, SplitMix64};
+pub use rng::{mix64, unit_from_bits, SplitMix64, Zipf};
 pub use sets::SetSlots;
 pub use term::EntryTermination;
 pub use ucsim_derive::{FromJson, ToJson};
