@@ -387,10 +387,16 @@ impl Program {
     }
 
     /// The function containing arena block `block_id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no function contains the block.
     pub fn func_of_block(&self, block_id: usize) -> &Function {
+        // Functions tile the arena in order (checked by `validate`).
+        let i = self.funcs.partition_point(|f| f.end_block <= block_id);
         self.funcs
-            .iter()
-            .find(|f| (f.entry_block..f.end_block).contains(&block_id))
+            .get(i)
+            .filter(|f| f.entry_block <= block_id)
             .expect("block belongs to a function")
     }
 
@@ -434,8 +440,18 @@ impl Program {
             self.blocks.last().expect("non-empty").end().get() < 0x1_0000_0000,
             "code image crosses into the data region"
         );
+        // Functions tile the arena in order, so every block has exactly
+        // one owner and a fall-through stays inside it iff it is not the
+        // owner's last block.
+        let mut next = 0;
         for f in &self.funcs {
             assert!(f.entry_block < f.end_block, "empty function {}", f.id);
+            assert_eq!(
+                f.entry_block, next,
+                "function {} does not follow its predecessor",
+                f.id
+            );
+            next = f.end_block;
             // Blocks within a function are contiguous in memory.
             for b in f.entry_block..f.end_block - 1 {
                 assert_eq!(
@@ -447,8 +463,15 @@ impl Program {
                     b + 1
                 );
             }
+            assert!(
+                self.blocks[f.end_block - 1].terminator.is_some(),
+                "fall-through out of function {}",
+                f.id
+            );
         }
-        for block in &self.blocks {
+        assert_eq!(next, self.blocks.len(), "blocks outside every function");
+        for (i, block) in self.blocks.iter().enumerate() {
+            assert_eq!(block.id, i, "block id is not its arena index");
             if let Some(t) = &block.terminator {
                 assert!(t.inst.class.is_branch(), "terminator must be a branch");
                 match &t.kind {
@@ -479,14 +502,6 @@ impl Program {
                     }
                     TermKind::Ret => {}
                 }
-            } else {
-                // Fall-through must have a following block in-function.
-                let f = self.func_of_block(block.id);
-                assert!(
-                    block.id + 1 < f.end_block,
-                    "fall-through out of function {}",
-                    f.id
-                );
             }
         }
     }
@@ -543,6 +558,16 @@ mod tests {
         // gcc-like footprint must exceed the 64K-uop top of the sweep...
         // divided by reuse; at minimum it must far exceed 2K uops.
         assert!(big.static_uops() > 16_000, "{}", big.static_uops());
+    }
+
+    #[test]
+    fn func_of_block_finds_the_owner() {
+        let prog = Program::generate(&WorkloadProfile::quick_test());
+        for f in &prog.funcs {
+            for b in f.entry_block..f.end_block {
+                assert_eq!(prog.func_of_block(b).id, f.id);
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,6 @@
 //! Deterministic dynamic execution of a synthetic program.
 
-use std::collections::HashMap;
-
-use ucsim_model::{mix64, Addr, BranchExec, DynInst, SplitMix64};
+use ucsim_model::{mix64, unit_from_bits, Addr, BranchExec, DynInst, SplitMix64, Zipf};
 
 use crate::{Program, TermKind, WorkloadProfile};
 
@@ -29,20 +27,31 @@ pub struct TraceWalker<'p> {
     prog: &'p Program,
     p_smc_store: f64,
     func_zipf_s: f64,
+    /// Dispatcher skew over the last indirect call's callee count.
+    call_zipf: Zipf,
     phase_insts: Option<u64>,
-    data_lines: usize,
-    data_zipf_s: f64,
+    /// Skew over the data footprint's lines.
+    data_zipf: Zipf,
     data_seed: u64,
     /// Call stack of resume block indices.
     stack: Vec<usize>,
     cur_block: usize,
     inst_idx: usize,
-    /// Per-loop-branch state: (remaining taken count, activations so far).
-    loops: HashMap<usize, (u64, u64)>,
-    /// Per-branch execution counts (outcome hashing).
-    exec: HashMap<usize, u64>,
+    /// Per-block dynamic state, indexed by arena block id.
+    blocks: Vec<BlockState>,
     mem_count: u64,
     emitted: u64,
+}
+
+/// What the walker remembers about one block's terminator.
+#[derive(Debug, Clone, Copy, Default)]
+struct BlockState {
+    /// Executions so far (outcome hashing).
+    exec: u64,
+    /// Loop back-edges: taken count left in this activation.
+    trips_left: u64,
+    /// Loop back-edges: activations so far.
+    activations: u64,
 }
 
 impl Program {
@@ -53,24 +62,18 @@ impl Program {
             prog: self,
             p_smc_store: profile.p_smc_store,
             func_zipf_s: profile.func_zipf_s,
+            call_zipf: Zipf::new(1, profile.func_zipf_s),
             phase_insts: profile.phase_insts,
-            data_lines: profile.data_lines.max(1),
-            data_zipf_s: profile.data_zipf_s,
+            data_zipf: Zipf::new(profile.data_lines.max(1), profile.data_zipf_s),
             data_seed: mix64(profile.seed ^ 0xDA7A_5EED),
             stack: Vec::with_capacity(64),
             cur_block: self.funcs[0].entry_block,
             inst_idx: 0,
-            loops: HashMap::new(),
-            exec: HashMap::new(),
+            blocks: vec![BlockState::default(); self.blocks.len()],
             mem_count: 0,
             emitted: 0,
         }
     }
-}
-
-/// Stateless unit-interval sample from a hash.
-fn hash_unit(h: u64) -> f64 {
-    (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 /// Stateless geometric sample (mean `m`, min 1) from a hash.
@@ -79,7 +82,7 @@ fn hash_geometric(h: u64, m: f64) -> u64 {
         return 1;
     }
     let p = 1.0 / m;
-    let u = hash_unit(h).max(f64::MIN_POSITIVE);
+    let u = unit_from_bits(h).max(f64::MIN_POSITIVE);
     ((u.ln() / (1.0 - p).ln()).floor() as u64 + 1).min(100_000)
 }
 
@@ -99,7 +102,7 @@ impl TraceWalker<'_> {
             let f = 1 + r.index(self.prog.funcs.len() - 1);
             return self.prog.blocks[self.prog.funcs[f].entry_block].start;
         }
-        let line = r.zipf(self.data_lines, self.data_zipf_s) as u64;
+        let line = self.data_zipf.sample(&mut r) as u64;
         // Data region sits far above code, seed-spaced like the code
         // region so SMT threads do not falsely share data lines.
         let base = 0x1_0000_0000 + (self.data_seed % 256) * 0x1000_0000;
@@ -145,18 +148,17 @@ impl TraceWalker<'_> {
                 Some(term) => {
                     let pc = block.terminator_pc();
                     let fallthrough = block.id + 1;
-                    let count = {
-                        let c = self.exec.entry(block.id).or_insert(0);
-                        *c += 1;
-                        *c
-                    };
+                    let state = &mut self.blocks[block.id];
+                    state.exec += 1;
+                    let count = state.exec;
                     let (taken, target_block, target_addr, push, pop) = match &term.kind {
                         TermKind::CondForward {
                             target_block,
                             p_taken,
                             seed,
                         } => {
-                            let taken = hash_unit(mix64(seed ^ count.rotate_left(32))) < *p_taken;
+                            let taken =
+                                unit_from_bits(mix64(seed ^ count.rotate_left(32))) < *p_taken;
                             let t_addr = self.prog.blocks[*target_block].start;
                             (taken, *target_block, t_addr, false, false)
                         }
@@ -165,23 +167,22 @@ impl TraceWalker<'_> {
                             trip_mean,
                             seed,
                         } => {
-                            let entry = self.loops.entry(block.id).or_insert((0, 0));
-                            if entry.0 == 0 {
-                                entry.1 += 1;
+                            if state.trips_left == 0 {
+                                state.activations += 1;
                                 // Real loops have mostly-stable trip counts:
                                 // 90% of activations use the loop's base
                                 // trip (learnable by TAGE), the rest
                                 // re-draw (data-dependent exits).
                                 let base = hash_geometric(mix64(*seed), *trip_mean);
-                                let h = mix64(seed ^ entry.1);
-                                entry.0 = if h % 100 < 90 {
+                                let h = mix64(seed ^ state.activations);
+                                state.trips_left = if h % 100 < 90 {
                                     base
                                 } else {
                                     hash_geometric(h, *trip_mean)
                                 };
                             }
-                            entry.0 -= 1;
-                            let taken = entry.0 > 0;
+                            state.trips_left -= 1;
+                            let taken = state.trips_left > 0;
                             let t_addr = self.prog.blocks[*target_block].start;
                             (taken, *target_block, t_addr, false, false)
                         }
@@ -219,7 +220,10 @@ impl TraceWalker<'_> {
                             let raw = if self.func_zipf_s <= 0.0 {
                                 r.below(callees.len() as u64) as usize
                             } else {
-                                r.zipf(callees.len(), self.func_zipf_s)
+                                if self.call_zipf.n() != callees.len() {
+                                    self.call_zipf = Zipf::new(callees.len(), self.func_zipf_s);
+                                }
+                                self.call_zipf.sample(&mut r)
                             };
                             let stride = callees.len() / 7 + 1;
                             let idx =
@@ -280,6 +284,7 @@ impl Iterator for TraceWalker<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
     use ucsim_model::InstClass;
 
     fn quick() -> (WorkloadProfile, Program) {
@@ -396,7 +401,6 @@ mod tests {
     #[test]
     fn stateless_helpers_are_pure() {
         assert_eq!(hash_geometric(42, 8.0), hash_geometric(42, 8.0));
-        assert!(hash_unit(7) >= 0.0 && hash_unit(7) < 1.0);
         assert_eq!(hash_geometric(9, 0.5), 1);
     }
 }
