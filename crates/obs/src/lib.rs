@@ -14,8 +14,9 @@
 //!    signatures.
 //! 3. **Per-job stage profiles** ([`profile_begin`], [`profile_end`],
 //!    [`stage_start`], [`counter_add`]): a thread-local collector the
-//!    pipeline hot loop feeds with per-stage wall times and counter
-//!    deltas. Profiles never touch simulated state — results stay
+//!    pipeline hot loop feeds with per-stage call counts, wall times
+//!    sampled on one call in [`STAGE_STRIDE`], and counter deltas.
+//!    Profiles never touch simulated state — results stay
 //!    byte-identical with or without profiling.
 //!
 //! Only the profile half sits behind the `enabled` feature: without it,
@@ -35,7 +36,7 @@ mod ring;
 
 pub use profile::{
     counter_add, profile_begin, profile_end, Counter, JobProfile, Stage, StageStat, StageTimer,
-    COUNTER_COUNT, STAGE_BOUNDS_NS, STAGE_COUNT,
+    COUNTER_COUNT, STAGE_BOUNDS_NS, STAGE_COUNT, STAGE_STRIDE,
 };
 pub use ring::{
     current_request, drain_since, emit, now_us, request_scope, span, Event, QueueToken, ScopeGuard,

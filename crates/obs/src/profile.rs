@@ -9,6 +9,13 @@
 //! thread-local flag read; when the `enabled` feature is off they cost
 //! nothing at all.
 //!
+//! Every stage call is counted, but only every [`STAGE_STRIDE`]-th call
+//! of each stage reads the clock: calls `0, STRIDE, 2·STRIDE, …` of the
+//! job, counted from [`profile_begin`], so a job always times the same
+//! calls. Reading the clock twice around a 20–100 ns stage call cost a
+//! third of a served job's simulation time; sampling keeps the call
+//! counts exact and scales the timed calls' sum up to all calls.
+//!
 //! Profiles observe wall clocks only — never simulated state — so a
 //! profiled run's report is byte-identical to an unprofiled one.
 
@@ -17,6 +24,10 @@ use ucsim_model::Json;
 /// Per-call duration bucket bounds in nanoseconds (inclusive); a sixth
 /// implicit bucket catches the overflow.
 pub const STAGE_BOUNDS_NS: [u64; 5] = [1_000, 4_000, 16_000, 65_000, 262_000];
+
+/// Stage calls per timed call: each stage reads the clock on its calls
+/// `0, STAGE_STRIDE, 2·STAGE_STRIDE, …` within a job.
+pub const STAGE_STRIDE: u64 = 64;
 
 /// Number of instrumented pipeline stages.
 pub const STAGE_COUNT: usize = 5;
@@ -100,22 +111,26 @@ impl Counter {
     }
 }
 
-/// Timing summary for one stage: call count, total nanoseconds, and a
-/// per-call duration histogram over [`STAGE_BOUNDS_NS`].
+/// Timing summary for one stage: call count, estimated total
+/// nanoseconds, and a per-call duration histogram over
+/// [`STAGE_BOUNDS_NS`] of the calls that were timed.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StageStat {
-    /// Number of timed calls.
+    /// Calls of the stage, every one counted.
     pub count: u64,
-    /// Summed wall time across calls, nanoseconds.
+    /// Calls that read the clock: one in [`STAGE_STRIDE`], from the first.
+    pub timed: u64,
+    /// Wall time of all `count` calls, nanoseconds: the timed calls' sum
+    /// scaled by `count / timed` when the job ends.
     pub total_ns: u64,
-    /// Per-call duration buckets (last = overflow).
+    /// Per-call duration buckets of the timed calls (last = overflow).
     pub buckets: [u64; STAGE_BOUNDS_NS.len() + 1],
 }
 
 impl StageStat {
     #[cfg_attr(not(feature = "enabled"), allow(dead_code))]
     fn record(&mut self, ns: u64) {
-        self.count += 1;
+        self.timed += 1;
         self.total_ns += ns;
         let idx = STAGE_BOUNDS_NS
             .iter()
@@ -124,8 +139,20 @@ impl StageStat {
         self.buckets[idx] += 1;
     }
 
+    /// Closes a job's stat: `count` calls ran, of which the recorded
+    /// `timed` ones read the clock; scales their sum to all calls.
+    #[cfg_attr(not(feature = "enabled"), allow(dead_code))]
+    fn finish(&mut self, count: u64) {
+        self.count = count;
+        if self.timed > 0 {
+            let scaled = u128::from(self.total_ns) * u128::from(count) / u128::from(self.timed);
+            self.total_ns = u64::try_from(scaled).unwrap_or(u64::MAX);
+        }
+    }
+
     fn merge(&mut self, other: &StageStat) {
         self.count += other.count;
+        self.timed += other.timed;
         self.total_ns += other.total_ns;
         for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
             *a += b;
@@ -171,6 +198,7 @@ impl JobProfile {
                     s.name().to_owned(),
                     Json::Obj(vec![
                         ("count".to_owned(), Json::Uint(st.count)),
+                        ("timed".to_owned(), Json::Uint(st.timed)),
                         ("total_ns".to_owned(), Json::Uint(st.total_ns)),
                         (
                             "bounds_ns".to_owned(),
@@ -199,7 +227,7 @@ impl JobProfile {
 
 #[cfg(feature = "enabled")]
 mod imp {
-    use super::{JobProfile, Stage};
+    use super::{JobProfile, Stage, STAGE_COUNT, STAGE_STRIDE};
     use std::cell::{Cell, RefCell};
     use std::time::Instant;
 
@@ -208,10 +236,22 @@ mod imp {
         t0: Instant,
     }
 
+    /// The state every stage call touches, in one thread-local.
+    struct Hot {
+        profiling: Cell<bool>,
+        /// Calls of each stage since `profile_begin`.
+        calls: [Cell<u64>; STAGE_COUNT],
+    }
+
     thread_local! {
-        // Separate cheap flag: the hot path reads one `Cell<bool>` and
-        // bails before ever touching the RefCell or the clock.
-        static PROFILING: Cell<bool> = const { Cell::new(false) };
+        // The hot path reads the flag and bumps a call count; only every
+        // STAGE_STRIDE-th call touches the RefCell or the clock.
+        static HOT: Hot = const {
+            Hot {
+                profiling: Cell::new(false),
+                calls: [const { Cell::new(0) }; STAGE_COUNT],
+            }
+        };
         static COLLECTOR: RefCell<Option<Active>> = const { RefCell::new(None) };
     }
 
@@ -225,30 +265,45 @@ mod imp {
                 t0: Instant::now(),
             });
         });
-        PROFILING.with(|p| p.set(true));
+        HOT.with(|h| {
+            h.calls.iter().for_each(|c| c.set(0));
+            h.profiling.set(true);
+        });
     }
 
     pub fn profile_end() -> Option<JobProfile> {
-        PROFILING.with(|p| p.set(false));
+        let calls = HOT.with(|h| {
+            h.profiling.set(false);
+            std::array::from_fn::<u64, STAGE_COUNT, _>(|i| h.calls[i].replace(0))
+        });
         COLLECTOR.with(|c| {
             c.borrow_mut().take().map(|a| {
                 let mut p = a.profile;
                 p.wall_ns = a.t0.elapsed().as_nanos() as u64;
+                for (stat, count) in p.stages.iter_mut().zip(calls) {
+                    stat.finish(count);
+                }
                 p
             })
         })
     }
 
-    /// An in-flight stage timing; `None` inside when profiling is off.
+    /// An in-flight stage timing; `None` inside when profiling is off or
+    /// this call is not one the stride times.
     pub struct StageTimer(Option<(Stage, Instant)>);
 
     #[inline]
     pub fn stage_start(stage: Stage) -> StageTimer {
-        if PROFILING.with(Cell::get) {
-            StageTimer(Some((stage, Instant::now())))
-        } else {
-            StageTimer(None)
-        }
+        let timed = HOT.with(|h| {
+            if !h.profiling.get() {
+                return false;
+            }
+            let calls = &h.calls[stage as usize];
+            let n = calls.get();
+            calls.set(n + 1);
+            n % STAGE_STRIDE == 0
+        });
+        StageTimer(timed.then(|| (stage, Instant::now())))
     }
 
     impl StageTimer {
@@ -264,11 +319,17 @@ mod imp {
                 });
             }
         }
+
+        /// Whether this call reads the clock.
+        #[cfg(test)]
+        pub(crate) fn is_timed(&self) -> bool {
+            self.0.is_some()
+        }
     }
 
     #[inline]
     pub fn counter_add(counter: super::Counter, delta: u64) {
-        if !PROFILING.with(Cell::get) {
+        if !HOT.with(|h| h.profiling.get()) {
             return;
         }
         COLLECTOR.with(|c| {
@@ -336,6 +397,7 @@ mod tests {
             ..JobProfile::default()
         };
         a.stages[0].record(500);
+        a.stages[0].finish(64);
         a.counters[0] = 3;
         let mut b = JobProfile {
             jobs: 1,
@@ -343,18 +405,73 @@ mod tests {
             ..JobProfile::default()
         };
         b.stages[0].record(2_000_000);
+        b.stages[0].finish(1);
         b.counters[0] = 4;
         a.merge(&b);
         assert_eq!(a.jobs, 2);
         assert_eq!(a.wall_ns, 30);
         assert_eq!(a.counters[0], 7);
-        assert_eq!(a.stages[0].count, 2);
+        assert_eq!(a.stages[0].count, 65);
+        assert_eq!(a.stages[0].timed, 2);
+        assert_eq!(a.stages[0].total_ns, 500 * 64 + 2_000_000);
         assert_eq!(a.stages[0].buckets[0], 1, "500ns in the first bucket");
         assert_eq!(
             a.stages[0].buckets[STAGE_BOUNDS_NS.len()],
             1,
             "2ms in the overflow bucket"
         );
+    }
+
+    #[test]
+    fn finish_scales_the_timed_sum_to_every_call() {
+        let mut s = StageStat::default();
+        s.record(100);
+        s.record(300);
+        s.finish(128);
+        assert_eq!((s.count, s.timed, s.total_ns), (128, 2, 200 * 128));
+        assert_eq!(s.buckets[0], 2);
+        // A stage that never read the clock stays at zero time.
+        let mut idle = StageStat::default();
+        idle.finish(0);
+        assert_eq!(idle, StageStat::default());
+    }
+
+    #[cfg(feature = "enabled")]
+    #[test]
+    fn stride_counts_every_call_and_times_one_in_64() {
+        profile_begin();
+        for _ in 0..1000 {
+            stage_start(Stage::UcLookup).stop();
+        }
+        let p = profile_end().expect("collector active");
+        let s = &p.stages[Stage::UcLookup as usize];
+        assert_eq!(s.count, 1000);
+        assert_eq!(s.timed, 16, "calls 0, 64, ..., 960");
+        assert_eq!(s.buckets.iter().sum::<u64>(), 16);
+    }
+
+    #[cfg(feature = "enabled")]
+    #[test]
+    fn back_to_back_jobs_time_the_same_calls() {
+        // One job of `n` Decode calls: the indices of the calls it timed.
+        let job = |n: usize| -> Vec<usize> {
+            profile_begin();
+            let idx: Vec<usize> = (0..n)
+                .filter(|_| {
+                    let t = stage_start(Stage::Decode);
+                    let timed = t.is_timed();
+                    t.stop();
+                    timed
+                })
+                .collect();
+            let p = profile_end().expect("collector active");
+            assert_eq!(p.stages[Stage::Decode as usize].timed, idx.len() as u64);
+            idx
+        };
+        // The first job stops mid-stride; the next starts over at call 0.
+        assert_eq!(job(100), [0, 64]);
+        assert_eq!(job(200), [0, 64, 128, 192]);
+        assert_eq!(job(200), job(200));
     }
 
     #[cfg(feature = "enabled")]
@@ -369,6 +486,7 @@ mod tests {
         let p = profile_end().expect("collector active");
         assert_eq!(p.jobs, 1);
         assert_eq!(p.stages[Stage::Decode as usize].count, 1);
+        assert_eq!(p.stages[Stage::Decode as usize].timed, 1);
         assert_eq!(p.counters[Counter::OcHits as usize], 11);
         // After harvest the timers go quiet again.
         let t = stage_start(Stage::Decode);

@@ -349,6 +349,26 @@ fn job_profile_reports_stage_timings_and_counters() {
             "stage {stage} never fired"
         );
     }
+    // Every call is counted; the clock is read on a stride of them, the
+    // first call included, and the histogram holds exactly those.
+    for stage in ["predict", "uc_lookup", "uc_fill", "decode", "retire"] {
+        let s = stages.get(stage).unwrap();
+        let count = s.get("count").unwrap().as_u64().unwrap();
+        let timed = s.get("timed").unwrap().as_u64().unwrap();
+        assert!(
+            timed <= count,
+            "stage {stage}: timed {timed} > count {count}"
+        );
+        assert_eq!(timed == 0, count == 0, "stage {stage}: {s}");
+        let Some(Json::Arr(buckets)) = s.get("buckets") else {
+            panic!("stage {stage}: no buckets: {s}");
+        };
+        let bucketed: u64 = buckets.iter().filter_map(Json::as_u64).sum();
+        assert_eq!(
+            bucketed, timed,
+            "stage {stage}: buckets hold the timed calls"
+        );
+    }
     let counters = profile.get("counters").unwrap();
     let hits = counters.get("oc_hits").unwrap().as_u64().unwrap();
     let misses = counters.get("oc_misses").unwrap().as_u64().unwrap();
