@@ -705,6 +705,20 @@ mod tests {
         }
     }
 
+    #[test]
+    fn invalidation_reaches_the_last_line_of_the_address_space() {
+        let mut oc = baseline();
+        let e = UopCacheEntry {
+            start: Addr::new(u64::MAX - 15),
+            end: Addr::new(u64::MAX - 7),
+            ..entry_at(0, 2, 0)
+        };
+        oc.fill(e);
+        assert_eq!(oc.lookup(e.start), Some(e));
+        assert_eq!(oc.invalidate_icache_line(Addr::new(u64::MAX).line()), 1);
+        assert!(oc.lookup(e.start).is_none());
+    }
+
     fn baseline() -> UopCache {
         UopCache::new(UopCacheConfig::baseline_2k())
     }

@@ -63,7 +63,10 @@ impl UopCacheEntry {
     /// True if the entry's covered bytes overlap the given I-cache line
     /// (used by SMC invalidation probes).
     pub fn overlaps_line(&self, line: LineAddr) -> bool {
-        self.start.get() < line.end().get() && self.end.get() > line.base().get()
+        // Closed ranges of first and last bytes: neither side wraps for the
+        // last line of the address space, where `end()` values do.
+        let last = self.end.offset(u64::MAX);
+        self.start.get() <= line.last().get() && last.get() >= line.base().get()
     }
 
     /// True if the entry holds instructions from more than one I-cache
@@ -125,5 +128,17 @@ mod tests {
     fn exact_line_end_does_not_overlap_next() {
         let e = entry(0x1000, 0x1040, 8, 0);
         assert!(!e.overlaps_line(Addr::new(0x1040).line()));
+    }
+
+    #[test]
+    fn last_line_of_the_address_space_overlaps() {
+        let top = Addr::new(u64::MAX).line();
+        // Ends one byte short of the top, and ends at it (`end` wraps to 0).
+        let inner = entry(u64::MAX - 15, u64::MAX - 7, 2, 0);
+        let to_top = entry(u64::MAX - 7, 0, 2, 0);
+        assert!(inner.overlaps_line(top));
+        assert!(to_top.overlaps_line(top));
+        assert!(!to_top.overlaps_line(top.prev()));
+        assert!(!to_top.overlaps_line(Addr::new(0).line()));
     }
 }

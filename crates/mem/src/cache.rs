@@ -93,11 +93,13 @@ impl CacheStats {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    /// Flat `sets × ways` tag store of line *numbers* ([`INVALID_TAG`] when
-    /// empty). One contiguous array keeps a whole set's scan inside one or
-    /// two hardware cache lines; the nested-`Vec`-of-`Option` layout this
-    /// replaces cost a pointer chase plus 16-byte compares per way on the
-    /// hottest path in the simulator.
+    /// Flat `sets × ways` tag store of line numbers plus one ([`tag_of`]),
+    /// 0 when empty, so a new cache's store is a zeroed allocation the
+    /// allocator hands over without writing it. One contiguous array
+    /// keeps a whole set's scan inside one or two hardware cache lines;
+    /// the nested-`Vec`-of-`Option` layout this replaces cost a pointer
+    /// chase plus 16-byte compares per way on the hottest path in the
+    /// simulator.
     tags: Vec<u64>,
     /// Replacement state of every set, in one allocation.
     repl: ReplacementState,
@@ -107,16 +109,22 @@ pub struct Cache {
     valid_scratch: Vec<bool>,
 }
 
-/// Tag value marking an empty way. Line numbers are addresses shifted right
-/// by 6, so no reachable line can collide with it.
-const INVALID_TAG: u64 = u64::MAX;
+/// Tag value marking an empty way.
+const EMPTY_TAG: u64 = 0;
+
+/// The stored tag of `line`: its number plus one. Line numbers are
+/// addresses shifted right by 6, so the sum neither wraps nor reaches
+/// [`EMPTY_TAG`].
+const fn tag_of(line: LineAddr) -> u64 {
+    line.number() + 1
+}
 
 impl Cache {
     /// Creates an empty cache.
     pub fn new(cfg: CacheConfig) -> Self {
         Cache {
             valid_scratch: Vec::with_capacity(cfg.ways),
-            tags: vec![INVALID_TAG; cfg.sets * cfg.ways],
+            tags: vec![EMPTY_TAG; cfg.sets * cfg.ways],
             repl: ReplacementState::new(cfg.policy, cfg.sets, cfg.ways),
             cfg,
             stats: CacheStats::default(),
@@ -152,7 +160,7 @@ impl Cache {
     #[inline]
     pub fn access(&mut self, line: LineAddr) -> bool {
         self.stats.accesses += 1;
-        let tag = line.number();
+        let tag = tag_of(line);
         let set = self.set_of(line);
         if let Some(way) = self.set_tags(set).iter().position(|&t| t == tag) {
             self.stats.hits += 1;
@@ -166,7 +174,7 @@ impl Cache {
     /// Non-updating lookup.
     #[inline]
     pub fn probe(&self, line: LineAddr) -> bool {
-        self.set_tags(self.set_of(line)).contains(&line.number())
+        self.set_tags(self.set_of(line)).contains(&tag_of(line))
     }
 
     /// Fills `line`, returning the evicted line if a valid one was displaced.
@@ -183,8 +191,7 @@ impl Cache {
     }
 
     fn fill_inner(&mut self, line: LineAddr, prefetch: bool) -> Option<LineAddr> {
-        let tag = line.number();
-        debug_assert_ne!(tag, INVALID_TAG, "line number collides with sentinel");
+        let tag = tag_of(line);
         let set = self.set_of(line);
         if let Some(way) = self.set_tags(set).iter().position(|&t| t == tag) {
             // Already resident (e.g. race between demand and prefetch).
@@ -193,11 +200,11 @@ impl Cache {
         }
         let mut valid = std::mem::take(&mut self.valid_scratch);
         valid.clear();
-        valid.extend(self.set_tags(set).iter().map(|&t| t != INVALID_TAG));
+        valid.extend(self.set_tags(set).iter().map(|&t| t != EMPTY_TAG));
         let way = self.repl.victim(set, &valid);
         self.valid_scratch = valid;
         let slot = &mut self.tags[set * self.cfg.ways + way];
-        let evicted = (*slot != INVALID_TAG).then(|| LineAddr::from_line_number(*slot));
+        let evicted = (*slot != EMPTY_TAG).then(|| LineAddr::from_line_number(*slot - 1));
         *slot = tag;
         self.repl.on_fill(set, way);
         self.stats.fills += 1;
@@ -212,10 +219,10 @@ impl Cache {
 
     /// Invalidates `line` if present; returns whether it was.
     pub fn invalidate(&mut self, line: LineAddr) -> bool {
-        let tag = line.number();
+        let tag = tag_of(line);
         let set = self.set_of(line);
         if let Some(way) = self.set_tags(set).iter().position(|&t| t == tag) {
-            self.tags[set * self.cfg.ways + way] = INVALID_TAG;
+            self.tags[set * self.cfg.ways + way] = EMPTY_TAG;
             self.stats.invalidations += 1;
             true
         } else {
@@ -225,7 +232,7 @@ impl Cache {
 
     /// Number of currently valid lines (test/diagnostic helper).
     pub fn resident_lines(&self) -> usize {
-        self.tags.iter().filter(|&&t| t != INVALID_TAG).count()
+        self.tags.iter().filter(|&&t| t != EMPTY_TAG).count()
     }
 }
 
