@@ -1,6 +1,7 @@
-//! Microbenchmarks of the front-end substrates: trace generation, TAGE
-//! prediction, prediction-window generation throughput, and the cost of
-//! building (and tearing down) a simulator before it runs anything.
+//! Microbenchmarks of the front-end substrates: workload synthesis, trace
+//! generation, TAGE prediction, prediction-window generation throughput,
+//! and the cost of building (and tearing down) a simulator before it runs
+//! anything.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use ucsim_bpu::{BpuConfig, SlicePwGen, Tage};
@@ -9,11 +10,19 @@ use ucsim_pipeline::{SimConfig, Simulator};
 use ucsim_trace::{Program, WorkloadProfile};
 use ucsim_uopcache::{CompactionPolicy, UopCacheConfig};
 
+/// Workload synthesis (`Program::generate`, which also validates) for a
+/// small and a large Table II footprint, and the walk over a program.
 fn bench_trace_generation(c: &mut Criterion) {
+    let mut g = c.benchmark_group("trace");
+    for name in ["bm-x64", "bm-pb"] {
+        let profile = WorkloadProfile::by_name(name).expect("profile");
+        g.bench_function(format!("generate_{name}"), |b| {
+            b.iter(|| black_box(Program::generate(black_box(&profile)).blocks.len()))
+        });
+    }
     let profile = WorkloadProfile::by_name("bm-ds").expect("profile");
     let program = Program::generate(&profile);
     let n = 100_000u64;
-    let mut g = c.benchmark_group("trace");
     g.throughput(Throughput::Elements(n));
     g.bench_function("walk_100k_insts", |b| {
         b.iter(|| {
