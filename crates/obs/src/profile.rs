@@ -9,12 +9,15 @@
 //! thread-local flag read; when the `enabled` feature is off they cost
 //! nothing at all.
 //!
-//! Every stage call is counted, but only every [`STAGE_STRIDE`]-th call
-//! of each stage reads the clock: calls `0, STRIDE, 2·STRIDE, …` of the
-//! job, counted from [`profile_begin`], so a job always times the same
-//! calls. Reading the clock twice around a 20–100 ns stage call cost a
-//! third of a served job's simulation time; sampling keeps the call
-//! counts exact and scales the timed calls' sum up to all calls.
+//! Every stage call is counted, but only one call in [`STAGE_STRIDE`] of
+//! each stage reads the clock: the middle call of each stride, calls
+//! `32, 96, 160, …` of the job, counted from [`profile_begin`], so a job
+//! always times the same calls. Reading the clock twice around a
+//! 20–100 ns stage call cost a third of a served job's simulation time;
+//! sampling keeps the call counts exact and scales the timed calls' sum
+//! up to all calls. Sampling mid-stride keeps a job's first call, which
+//! pays for cold caches and freshly built structures, from standing in
+//! for 64 calls (timing it inflated `predict` by about a sixth).
 //!
 //! Profiles observe wall clocks only — never simulated state — so a
 //! profiled run's report is byte-identical to an unprofiled one.
@@ -25,8 +28,8 @@ use ucsim_model::Json;
 /// implicit bucket catches the overflow.
 pub const STAGE_BOUNDS_NS: [u64; 5] = [1_000, 4_000, 16_000, 65_000, 262_000];
 
-/// Stage calls per timed call: each stage reads the clock on its calls
-/// `0, STAGE_STRIDE, 2·STAGE_STRIDE, …` within a job.
+/// Stage calls per timed call: each stage reads the clock on the middle
+/// call of each stride, calls `k·STAGE_STRIDE + STAGE_STRIDE/2` of a job.
 pub const STAGE_STRIDE: u64 = 64;
 
 /// Number of instrumented pipeline stages.
@@ -118,7 +121,8 @@ impl Counter {
 pub struct StageStat {
     /// Calls of the stage, every one counted.
     pub count: u64,
-    /// Calls that read the clock: one in [`STAGE_STRIDE`], from the first.
+    /// Calls that read the clock: one in [`STAGE_STRIDE`], mid-stride, so
+    /// `(count + STAGE_STRIDE/2 − 1) / STAGE_STRIDE` of them.
     pub timed: u64,
     /// Wall time of all `count` calls, nanoseconds: the timed calls' sum
     /// scaled by `count / timed` when the job ends.
@@ -301,7 +305,7 @@ mod imp {
             let calls = &h.calls[stage as usize];
             let n = calls.get();
             calls.set(n + 1);
-            n % STAGE_STRIDE == 0
+            n % STAGE_STRIDE == STAGE_STRIDE / 2
         });
         StageTimer(timed.then(|| (stage, Instant::now())))
     }
@@ -446,7 +450,7 @@ mod tests {
         let p = profile_end().expect("collector active");
         let s = &p.stages[Stage::UcLookup as usize];
         assert_eq!(s.count, 1000);
-        assert_eq!(s.timed, 16, "calls 0, 64, ..., 960");
+        assert_eq!(s.timed, 16, "calls 32, 96, ..., 992");
         assert_eq!(s.buckets.iter().sum::<u64>(), 16);
     }
 
@@ -469,8 +473,8 @@ mod tests {
             idx
         };
         // The first job stops mid-stride; the next starts over at call 0.
-        assert_eq!(job(100), [0, 64]);
-        assert_eq!(job(200), [0, 64, 128, 192]);
+        assert_eq!(job(100), [32, 96]);
+        assert_eq!(job(200), [32, 96, 160]);
         assert_eq!(job(200), job(200));
     }
 
@@ -486,7 +490,11 @@ mod tests {
         let p = profile_end().expect("collector active");
         assert_eq!(p.jobs, 1);
         assert_eq!(p.stages[Stage::Decode as usize].count, 1);
-        assert_eq!(p.stages[Stage::Decode as usize].timed, 1);
+        assert_eq!(
+            p.stages[Stage::Decode as usize].timed,
+            0,
+            "only call 32 on is timed"
+        );
         assert_eq!(p.counters[Counter::OcHits as usize], 11);
         // After harvest the timers go quiet again.
         let t = stage_start(Stage::Decode);

@@ -349,8 +349,8 @@ fn job_profile_reports_stage_timings_and_counters() {
             "stage {stage} never fired"
         );
     }
-    // Every call is counted; the clock is read on a stride of them, the
-    // first call included, and the histogram holds exactly those.
+    // Every call is counted; the clock is read on the middle call of
+    // each stride of 64, and the histogram holds exactly those.
     for stage in ["predict", "uc_lookup", "uc_fill", "decode", "retire"] {
         let s = stages.get(stage).unwrap();
         let count = s.get("count").unwrap().as_u64().unwrap();
@@ -359,7 +359,7 @@ fn job_profile_reports_stage_timings_and_counters() {
             timed <= count,
             "stage {stage}: timed {timed} > count {count}"
         );
-        assert_eq!(timed == 0, count == 0, "stage {stage}: {s}");
+        assert_eq!(timed, (count + 31) / 64, "stage {stage}: {s}");
         let Some(Json::Arr(buckets)) = s.get("buckets") else {
             panic!("stage {stage}: no buckets: {s}");
         };
