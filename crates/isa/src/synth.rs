@@ -22,10 +22,10 @@ use crate::{InstMix, StaticInst};
 /// both of which round monotonically, so each outcome is a monotone step
 /// function of `k`. [`InstSynthesizer::new`] finds every step by binary
 /// search over those same float expressions and stores the integer
-/// thresholds; a sample then counts thresholds `≤ k` without a float
-/// operation or a data-dependent branch. It consumes exactly the draws
-/// the float comparisons would, in the same order, so the instructions
-/// and the generator state after each one are those of the float
+/// thresholds; a sample then counts thresholds `≤ k` with integer
+/// compares and no float operation. It consumes exactly the draws the
+/// float comparisons would, in the same order, so the instructions and
+/// the generator state after each one are those of the float
 /// definitions, bit for bit.
 ///
 /// # Example

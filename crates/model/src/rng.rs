@@ -179,9 +179,10 @@ impl SplitMix64 {
 /// A simple inverse-power transform: adequate statistical quality for
 /// workload skew, cheap, and deterministic. A caller that draws many
 /// indices from one domain (the walker's data addresses and dispatcher)
-/// builds one `Zipf` and pays one `powf` per draw instead of two; the
-/// draw runs the same `f64` operations in the same order as before the
-/// constants were hoisted, so every index is bit-identical.
+/// builds one `Zipf` and pays one `powf` per draw instead of two. The
+/// constants are the transform's own subexpressions, evaluated by the
+/// same `f64` operations in the same order, so a draw is bit-identical
+/// to evaluating the whole transform per draw.
 ///
 /// # Example
 ///

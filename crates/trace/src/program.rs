@@ -386,20 +386,6 @@ impl Program {
         None
     }
 
-    /// The function containing arena block `block_id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no function contains the block.
-    pub fn func_of_block(&self, block_id: usize) -> &Function {
-        // Functions tile the arena in order (checked by `validate`).
-        let i = self.funcs.partition_point(|f| f.end_block <= block_id);
-        self.funcs
-            .get(i)
-            .filter(|f| f.entry_block <= block_id)
-            .expect("block belongs to a function")
-    }
-
     /// Total static instruction count.
     pub fn static_insts(&self) -> usize {
         self.blocks.iter().map(|b| b.inst_count()).sum()
@@ -558,16 +544,6 @@ mod tests {
         // gcc-like footprint must exceed the 64K-uop top of the sweep...
         // divided by reuse; at minimum it must far exceed 2K uops.
         assert!(big.static_uops() > 16_000, "{}", big.static_uops());
-    }
-
-    #[test]
-    fn func_of_block_finds_the_owner() {
-        let prog = Program::generate(&WorkloadProfile::quick_test());
-        for f in &prog.funcs {
-            for b in f.entry_block..f.end_block {
-                assert_eq!(prog.func_of_block(b).id, f.id);
-            }
-        }
     }
 
     #[test]
