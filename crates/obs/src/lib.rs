@@ -15,7 +15,7 @@
 //! 3. **Per-job stage profiles** ([`profile_begin`], [`profile_end`],
 //!    [`stage_start`], [`counter_add`]): a thread-local collector the
 //!    pipeline hot loop feeds with per-stage call counts, wall times
-//!    sampled on one call in [`STAGE_STRIDE`], and counter deltas.
+//!    sampled on one call per [`Stage::stride`], and counter deltas.
 //!    Profiles never touch simulated state — results stay
 //!    byte-identical with or without profiling.
 //!
@@ -36,7 +36,7 @@ mod ring;
 
 pub use profile::{
     counter_add, profile_begin, profile_end, Counter, JobProfile, Stage, StageStat, StageTimer,
-    COUNTER_COUNT, STAGE_BOUNDS_NS, STAGE_COUNT, STAGE_STRIDE,
+    COUNTER_COUNT, STAGE_BOUNDS_NS, STAGE_COUNT,
 };
 pub use ring::{
     current_request, drain_since, emit, now_us, request_scope, span, Event, QueueToken, ScopeGuard,

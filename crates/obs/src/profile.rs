@@ -9,15 +9,16 @@
 //! thread-local flag read; when the `enabled` feature is off they cost
 //! nothing at all.
 //!
-//! Every stage call is counted, but only one call in [`STAGE_STRIDE`] of
-//! each stage reads the clock: the middle call of each stride, calls
-//! `32, 96, 160, …` of the job, counted from [`profile_begin`], so a job
-//! always times the same calls. Reading the clock twice around a
-//! 20–100 ns stage call cost a third of a served job's simulation time;
-//! sampling keeps the call counts exact and scales the timed calls' sum
-//! up to all calls. Sampling mid-stride keeps a job's first call, which
-//! pays for cold caches and freshly built structures, from standing in
-//! for 64 calls (timing it inflated `predict` by about a sixth).
+//! Every stage call is counted, but only one call per [`Stage::stride`]
+//! of each stage reads the clock: the middle call of each stride (calls
+//! `32, 96, 160, …` of the job at stride 64), counted from
+//! [`profile_begin`], so a job always times the same calls. Reading the
+//! clock twice around a 20–100 ns stage call cost a third of a served
+//! job's simulation time; sampling keeps the call counts exact and
+//! scales the timed calls' sum up to all calls. Sampling mid-stride
+//! keeps a job's first call, which pays for cold caches and freshly
+//! built structures, from standing in for a whole stride (timing it
+//! inflated `predict` by about a sixth).
 //!
 //! Profiles observe wall clocks only — never simulated state — so a
 //! profiled run's report is byte-identical to an unprofiled one.
@@ -27,10 +28,6 @@ use ucsim_model::Json;
 /// Per-call duration bucket bounds in nanoseconds (inclusive); a sixth
 /// implicit bucket catches the overflow.
 pub const STAGE_BOUNDS_NS: [u64; 5] = [1_000, 4_000, 16_000, 65_000, 262_000];
-
-/// Stage calls per timed call: each stage reads the clock on the middle
-/// call of each stride, calls `k·STAGE_STRIDE + STAGE_STRIDE/2` of a job.
-pub const STAGE_STRIDE: u64 = 64;
 
 /// Number of instrumented pipeline stages.
 pub const STAGE_COUNT: usize = 5;
@@ -72,6 +69,23 @@ impl Stage {
             Stage::UcFill => "uc_fill",
             Stage::Decode => "decode",
             Stage::Retire => "retire",
+        }
+    }
+
+    /// Calls per timed call: the stage reads the clock on its calls
+    /// `k·stride + stride/2` within a job.
+    ///
+    /// The cheap stages take 20–100 ns a call, about what reading the
+    /// clock twice costs, so they time one call in 64. A decode call walks
+    /// the I-cache and memory hierarchy for a whole window and takes
+    /// 1–16 µs, so timing one in 8 costs under 1% of its time; at one in
+    /// 64 a 4500-instruction job timed only 2–7 of those widely spread
+    /// calls and its decode estimate came out up to twice the unsampled
+    /// value.
+    pub const fn stride(self) -> u64 {
+        match self {
+            Stage::Decode => 8,
+            Stage::Predict | Stage::UcLookup | Stage::UcFill | Stage::Retire => 64,
         }
     }
 }
@@ -121,8 +135,8 @@ impl Counter {
 pub struct StageStat {
     /// Calls of the stage, every one counted.
     pub count: u64,
-    /// Calls that read the clock: one in [`STAGE_STRIDE`], mid-stride, so
-    /// `(count + STAGE_STRIDE/2 − 1) / STAGE_STRIDE` of them.
+    /// Calls that read the clock: one per [`Stage::stride`], mid-stride,
+    /// so `(count + stride/2 − 1) / stride` of them.
     pub timed: u64,
     /// Wall time of all `count` calls, nanoseconds: the timed calls' sum
     /// scaled by `count / timed` when the job ends.
@@ -231,7 +245,7 @@ impl JobProfile {
 
 #[cfg(feature = "enabled")]
 mod imp {
-    use super::{JobProfile, Stage, STAGE_COUNT, STAGE_STRIDE};
+    use super::{JobProfile, Stage, STAGE_COUNT};
     use std::cell::{Cell, RefCell};
     use std::time::Instant;
 
@@ -249,7 +263,7 @@ mod imp {
 
     thread_local! {
         // The hot path reads the flag and bumps a call count; only every
-        // STAGE_STRIDE-th call touches the RefCell or the clock.
+        // stride-th call touches the RefCell or the clock.
         static HOT: Hot = const {
             Hot {
                 profiling: Cell::new(false),
@@ -305,7 +319,7 @@ mod imp {
             let calls = &h.calls[stage as usize];
             let n = calls.get();
             calls.set(n + 1);
-            n % STAGE_STRIDE == STAGE_STRIDE / 2
+            n % stage.stride() == stage.stride() / 2
         });
         StageTimer(timed.then(|| (stage, Instant::now())))
     }
@@ -442,34 +456,37 @@ mod tests {
 
     #[cfg(feature = "enabled")]
     #[test]
-    fn stride_counts_every_call_and_times_one_in_64() {
+    fn stride_counts_every_call_and_times_one_per_stride() {
         profile_begin();
         for _ in 0..1000 {
             stage_start(Stage::UcLookup).stop();
+            stage_start(Stage::Decode).stop();
         }
         let p = profile_end().expect("collector active");
         let s = &p.stages[Stage::UcLookup as usize];
         assert_eq!(s.count, 1000);
         assert_eq!(s.timed, 16, "calls 32, 96, ..., 992");
         assert_eq!(s.buckets.iter().sum::<u64>(), 16);
+        let d = &p.stages[Stage::Decode as usize];
+        assert_eq!((d.count, d.timed), (1000, 125), "calls 4, 12, ..., 996");
     }
 
     #[cfg(feature = "enabled")]
     #[test]
     fn back_to_back_jobs_time_the_same_calls() {
-        // One job of `n` Decode calls: the indices of the calls it timed.
+        // One job of `n` lookups: the indices of the calls it timed.
         let job = |n: usize| -> Vec<usize> {
             profile_begin();
             let idx: Vec<usize> = (0..n)
                 .filter(|_| {
-                    let t = stage_start(Stage::Decode);
+                    let t = stage_start(Stage::UcLookup);
                     let timed = t.is_timed();
                     t.stop();
                     timed
                 })
                 .collect();
             let p = profile_end().expect("collector active");
-            assert_eq!(p.stages[Stage::Decode as usize].timed, idx.len() as u64);
+            assert_eq!(p.stages[Stage::UcLookup as usize].timed, idx.len() as u64);
             idx
         };
         // The first job stops mid-stride; the next starts over at call 0.

@@ -350,8 +350,9 @@ fn job_profile_reports_stage_timings_and_counters() {
         );
     }
     // Every call is counted; the clock is read on the middle call of
-    // each stride of 64, and the histogram holds exactly those.
-    for stage in ["predict", "uc_lookup", "uc_fill", "decode", "retire"] {
+    // each stride, and the histogram holds exactly those.
+    for st in ucsim::obs::Stage::ALL {
+        let (stage, stride) = (st.name(), st.stride());
         let s = stages.get(stage).unwrap();
         let count = s.get("count").unwrap().as_u64().unwrap();
         let timed = s.get("timed").unwrap().as_u64().unwrap();
@@ -359,7 +360,11 @@ fn job_profile_reports_stage_timings_and_counters() {
             timed <= count,
             "stage {stage}: timed {timed} > count {count}"
         );
-        assert_eq!(timed, (count + 31) / 64, "stage {stage}: {s}");
+        assert_eq!(
+            timed,
+            (count + stride / 2 - 1) / stride,
+            "stage {stage}: {s}"
+        );
         let Some(Json::Arr(buckets)) = s.get("buckets") else {
             panic!("stage {stage}: no buckets: {s}");
         };
