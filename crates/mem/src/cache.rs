@@ -94,8 +94,8 @@ impl CacheStats {
 pub struct Cache {
     cfg: CacheConfig,
     /// Flat `sets × ways` tag store of line numbers plus one ([`tag_of`]),
-    /// 0 when empty, so a new cache's store is a zeroed allocation the
-    /// allocator hands over without writing it. One contiguous array
+    /// 0 when empty, so a new cache's store is a zeroed allocation rather
+    /// than a fill with a sentinel. One contiguous array
     /// keeps a whole set's scan inside one or two hardware cache lines;
     /// the nested-`Vec`-of-`Option` layout this replaces cost a pointer
     /// chase plus 16-byte compares per way on the hottest path in the
