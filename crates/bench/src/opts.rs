@@ -43,36 +43,29 @@ impl RunOpts {
     /// Parses an explicit argument list. Binaries with extra flags strip
     /// them first and hand the remainder here.
     pub fn parse(args: &[String]) -> Self {
+        fn number<T: std::str::FromStr>(v: Option<&String>, flag: &str) -> T {
+            v.and_then(|s| s.parse().ok())
+                .unwrap_or_else(|| panic!("{flag} takes a number"))
+        }
         let mut o = RunOpts::default();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
                 "--quick" => {
                     o.warmup = 50_000;
                     o.insts = 400_000;
                 }
-                "--insts" => {
-                    i += 1;
-                    o.insts = args[i].parse().expect("--insts takes a number");
-                }
-                "--warmup" => {
-                    i += 1;
-                    o.warmup = args[i].parse().expect("--warmup takes a number");
-                }
+                "--insts" => o.insts = number(args.next(), "--insts"),
+                "--warmup" => o.warmup = number(args.next(), "--warmup"),
                 "--workloads" => {
-                    i += 1;
-                    o.workload_filter =
-                        args[i].split(',').map(|s| s.trim().to_owned()).collect();
+                    let list = args.next().expect("--workloads takes a,b,c");
+                    o.workload_filter = list.split(',').map(|s| s.trim().to_owned()).collect();
                 }
-                "--threads" => {
-                    i += 1;
-                    o.threads = args[i].parse().expect("--threads takes a number");
-                }
+                "--threads" => o.threads = number(args.next(), "--threads"),
                 other => panic!(
                     "unknown option {other}; expected --quick | --insts N | --warmup N | --workloads a,b | --threads N"
                 ),
             }
-            i += 1;
         }
         o
     }
@@ -96,6 +89,56 @@ mod tests {
         let o = RunOpts::default();
         assert!(o.selects("bm-cc"));
         assert!(o.selects("anything"));
+    }
+
+    fn parse(args: &[&str]) -> RunOpts {
+        RunOpts::parse(&args.iter().map(|&a| a.to_owned()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn value_flags_parse() {
+        let o = parse(&[
+            "--insts",
+            "7",
+            "--warmup",
+            "3",
+            "--workloads",
+            "a, b",
+            "--threads",
+            "2",
+        ]);
+        assert_eq!((o.insts, o.warmup, o.threads), (7, 3, 2));
+        assert_eq!(o.workload_filter, ["a", "b"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "--insts takes a number")]
+    fn trailing_insts_names_the_flag() {
+        parse(&["--insts"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "--warmup takes a number")]
+    fn trailing_warmup_names_the_flag() {
+        parse(&["--quick", "--warmup"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "--workloads takes a,b,c")]
+    fn trailing_workloads_names_the_flag() {
+        parse(&["--workloads"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "--threads takes a number")]
+    fn trailing_threads_names_the_flag() {
+        parse(&["--threads"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "--insts takes a number")]
+    fn non_numeric_insts_names_the_flag() {
+        parse(&["--insts", "many"]);
     }
 
     #[test]
