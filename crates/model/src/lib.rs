@@ -16,7 +16,8 @@
 //! * [`EntryTermination`] / [`PwTermination`] — the termination rules that
 //!   govern uop cache entry and PW construction (paper Section II-B2).
 //! * [`SplitMix64`] — a tiny deterministic RNG used for reproducible
-//!   workload synthesis and stable per-uop hashes.
+//!   workload synthesis and stable per-uop hashes; [`fnv1a`] — the
+//!   content hash behind store checksums and program ids.
 //! * [`Histogram`] / [`RunningStat`] — bookkeeping used by every stats
 //!   module in the workspace.
 //! * [`SetSlots`] — set-major entry storage, backed set by set on first
@@ -67,7 +68,7 @@ pub use hist::{Histogram, RunningStat};
 pub use inst::{BranchExec, DynInst, InstClass};
 pub use json::{FromJson, Json, JsonError, ToJson};
 pub use pw::{PredictionWindow, PwId, PwTermination};
-pub use rng::{mix64, unit_from_bits, SplitMix64, Zipf};
+pub use rng::{fnv1a, mix64, unit_from_bits, SplitMix64, Zipf};
 pub use sets::SetSlots;
 pub use term::EntryTermination;
 pub use ucsim_derive::{FromJson, ToJson};

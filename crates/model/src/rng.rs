@@ -26,6 +26,28 @@ pub const fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// FNV-1a 64-bit hash over raw bytes.
+///
+/// The workspace's one content hash: store record checksums, uploaded
+/// program ids, request-id span tags and fault-injection rule seeds all
+/// go through it, so its output is part of on-disk and wire formats.
+///
+/// # Example
+///
+/// ```
+/// use ucsim_model::fnv1a;
+/// assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+/// assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+/// ```
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 /// The unit float `[0, 1)` of a 64-bit value's top 53 bits: `k · 2⁻⁵³`
 /// with `k = bits >> 11`.
 ///

@@ -46,17 +46,10 @@ pub use ring::{
 /// Whether this build carries live per-job profiling (`enabled` feature).
 pub const ENABLED: bool = cfg!(feature = "enabled");
 
-/// FNV-1a hash of a request-id string — the numeric form spans carry.
-///
-/// Deterministic and dependency-free; the same function the serve layer
-/// uses for content addressing, duplicated here so the crate stays leaf.
+/// The numeric form spans carry for a request-id string: its
+/// [`fnv1a`](ucsim_model::fnv1a) hash.
 pub fn hash_id(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    ucsim_model::fnv1a(s.as_bytes())
 }
 
 /// Entry point used by [`stage_start`] callers; re-exported for docs.

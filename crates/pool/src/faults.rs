@@ -93,7 +93,7 @@ pub struct FaultRule {
 mod armed {
     use super::{FaultAction, FaultRule, FireMode, IoFault};
     use std::sync::{Mutex, OnceLock};
-    use ucsim_model::SplitMix64;
+    use ucsim_model::{fnv1a, SplitMix64};
 
     struct ArmedRule {
         rule: FaultRule,
@@ -128,15 +128,6 @@ mod armed {
         STATE.get_or_init(|| Mutex::new(None))
     }
 
-    fn fnv1a(s: &str) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in s.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    }
-
     /// Installs a rule set, replacing any previous one. Each rule's RNG is
     /// seeded from `seed ^ fnv1a(site)` (targeted rules additionally fold
     /// in `fnv1a(target)`) so distinct rules draw independent
@@ -146,7 +137,8 @@ mod armed {
             .into_iter()
             .map(|rule| ArmedRule {
                 rng: SplitMix64::new(
-                    seed ^ fnv1a(rule.site) ^ rule.target.as_deref().map_or(0, fnv1a),
+                    seed ^ fnv1a(rule.site.as_bytes())
+                        ^ rule.target.as_deref().map_or(0, |t| fnv1a(t.as_bytes())),
                 ),
                 rule,
                 hits: 0,
