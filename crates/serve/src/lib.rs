@@ -10,7 +10,8 @@
 //! own `ucsim_model::json` wire format. Connections are keep-alive with
 //! `Content-Length` framing; every request dispatches through a typed
 //! route table and every non-2xx answer is the uniform error envelope
-//! `{"error":{"code","message","retry_after"?}}`.
+//! `{"error":{"code","message","retry_after"?,"request_id"?}}`, whose
+//! object [`ErrorObject`] alone encodes and decodes.
 //!
 //! ## Architecture
 //!
@@ -94,7 +95,7 @@ mod signal;
 mod store;
 mod sweep;
 
-pub use api::{fnv1a, format_key, ErrorCode, JobSpec, MatrixRequest, SimRequest, SweepMode};
+pub use api::{format_key, ErrorCode, ErrorObject, JobSpec, MatrixRequest, SimRequest, SweepMode};
 pub use cache::{CacheStats, ResultCache};
 pub use client::{request, Client, HttpResponse, RetryPolicy};
 pub use http::{HttpConn, ReadOutcome, Request, Response};
@@ -113,3 +114,4 @@ pub use store::{RecordKind, ResultStore, StoreRecord};
 pub use sweep::{
     expand_request, CellMeta, Frontier, PlanAxes, PlanOptions, Sweep, SweepTable, MAX_SWEEP_CELLS,
 };
+pub use ucsim_model::fnv1a;

@@ -27,10 +27,9 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use ucsim_model::json::Json;
-use ucsim_model::SplitMix64;
+use ucsim_model::{fnv1a, SplitMix64};
 use ucsim_pool::faults;
 
-use crate::api::fnv1a;
 use crate::client::HttpResponse;
 
 /// Consecutive transport failures after which a peer is `down` (circuit

@@ -20,10 +20,10 @@ use std::sync::{Arc, RwLock};
 
 use ucsim_isa::{assemble, AsmProgram};
 use ucsim_model::json::Json;
-use ucsim_model::WorkloadRef;
+use ucsim_model::{fnv1a, WorkloadRef};
 use ucsim_trace::{load_asm, Trace};
 
-use crate::api::{self, fnv1a};
+use crate::api;
 
 /// Upload size ceiling: guards the assembler and the store against
 /// absurd bodies (a 4 MiB ucasm file is ~200k instructions).

@@ -14,12 +14,12 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ucsim_model::json::Json;
-use ucsim_model::{CancelToken, FailureKind, FromJson, WorkloadRef};
+use ucsim_model::{CancelToken, FailureKind, FromJson, ToJson, WorkloadRef};
 use ucsim_pipeline::{Cancelled, KneeBisector, SimReport, Simulator};
 use ucsim_pool::{faults, PoolMonitor, PushError, Scheduler, SupervisedPool, Watchdog};
 use ucsim_trace::{load_asm, Program, TraceStore, WorkloadProfile};
 
-use crate::api::{self, ErrorCode, JobSpec, MatrixRequest, SimRequest, SweepMode};
+use crate::api::{self, ErrorCode, ErrorObject, JobSpec, MatrixRequest, SimRequest, SweepMode};
 use crate::cache::ResultCache;
 use crate::client::HttpResponse;
 use crate::http::{HttpConn, ReadOutcome, Request, Response};
@@ -28,7 +28,7 @@ use crate::metrics::Metrics;
 use crate::peer::PeerSet;
 use crate::programs::{self, ProgramKind, ProgramRegistry, StoredProgram};
 use crate::router::{Params, Route, Router};
-use crate::store::{self, RecordKind, ResultStore, StoreRecord};
+use crate::store::{RecordKind, ResultStore, StoreRecord};
 use crate::sweep::{self, Frontier, PlanAxes, PlanOptions, Sweep, SweepTable};
 use crate::{jobs, signal};
 
@@ -204,7 +204,7 @@ impl Inner {
                 if !failure.kind.is_deterministic() {
                     return false;
                 }
-                let payload = Arc::new(store::failure_payload(&failure));
+                let payload = Arc::new(ErrorObject::of_failure(&failure).to_json_string());
                 self.failed
                     .lock()
                     .expect("failed cache lock")
@@ -255,7 +255,9 @@ impl Record {
     fn decode(kind: RecordKind, payload: String) -> Result<Record, String> {
         match kind {
             RecordKind::Result => Ok(Record::Result(Arc::new(payload))),
-            RecordKind::Failed => store::parse_failure_payload(&payload)
+            RecordKind::Failed => ErrorObject::from_json_str(&payload)
+                .ok()
+                .and_then(ErrorObject::into_failure)
                 .map(Record::Failed)
                 .ok_or_else(|| "undecodable failure".to_owned()),
             RecordKind::Program => {
@@ -978,7 +980,7 @@ fn handle_sim(inner: &Arc<Inner>, req: &Request, _params: &Params) -> Response {
     };
     let cell = match admit(inner, &job) {
         Admission::Hit(payload) => return Response::json(200, api::envelope(hash, true, &payload)),
-        Admission::Known(failure) => return failure_response(&failure),
+        Admission::Known(failure) => return api::failure_response(&failure),
         Admission::Remote(Forwarded::Report { body, .. }) => return Response::json(200, body),
         Admission::Remote(Forwarded::Refusal(resp)) => {
             return Response::json(resp.status, resp.body)
@@ -1013,17 +1015,8 @@ fn handle_sim(inner: &Arc<Inner>, req: &Request, _params: &Params) -> Response {
 
     match cell.wait() {
         Ok(payload) => Response::json(200, api::envelope(hash, false, &payload)),
-        Err(failure) => failure_response(&failure),
+        Err(failure) => api::failure_response(&failure),
     }
-}
-
-/// The error envelope for a failed job.
-fn failure_response(failure: &JobFailure) -> Response {
-    api::error_response(
-        ErrorCode::from_failure(failure.kind),
-        &failure.message,
-        None,
-    )
 }
 
 /// A job on its way in: what [`admit`] needs to answer, forward or queue
@@ -1434,18 +1427,16 @@ fn scatter_cells(
 /// Maps a peer's definitive error response back to a [`JobFailure`],
 /// preserving the stable failure code when the envelope carries one.
 fn peer_error_failure(resp: &HttpResponse, request_id: &str) -> JobFailure {
-    let env = std::str::from_utf8(&resp.body)
-        .ok()
-        .and_then(|b| Json::parse(b).ok());
-    let field = |name| env.as_ref()?.get("error")?.get(name)?.as_str();
-    let kind = field("code")
-        .and_then(FailureKind::parse)
+    let err = ErrorObject::from_envelope(&resp.body);
+    let kind = err
+        .as_ref()
+        .and_then(|e| FailureKind::parse(&e.code))
         .unwrap_or(FailureKind::SimulationFailed);
-    let message = field("message").map_or_else(
+    let message = err.map_or_else(
         || format!("peer answered status {}", resp.status),
-        str::to_owned,
+        |e| e.message,
     );
-    JobFailure::new(kind, &message).with_request_id(request_id)
+    JobFailure::new(kind, message).with_request_id(request_id)
 }
 
 /// The anti-entropy pull loop (peer mode with a store): periodically
@@ -1844,14 +1835,8 @@ fn handle_job_get(inner: &Arc<Inner>, _req: &Request, params: &Params) -> Respon
             Response::json(200, out)
         }
         JobState::Failed(failure) => {
-            let mut err = vec![
-                ("code".to_owned(), Json::Str(failure.kind.to_string())),
-                ("message".to_owned(), Json::Str(failure.message)),
-            ];
-            if let Some(rid) = failure.request_id {
-                err.push(("request_id".to_owned(), Json::Str(rid)));
-            }
-            obj.push(("error".to_owned(), Json::Obj(err)));
+            let err = ErrorObject::of_failure(&failure).to_json();
+            obj.push(("error".to_owned(), err));
             Response::json(200, Json::Obj(obj).to_string().into_bytes())
         }
         _ => Response::json(200, Json::Obj(obj).to_string().into_bytes()),

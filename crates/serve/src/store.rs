@@ -29,7 +29,7 @@
 //! ```
 //!
 //! `kind` is 1 (`RESULT`: payload is the report JSON), 2 (`FAILED`:
-//! payload is `{"code":…,"message":…}`) or 3 (`PROGRAM`: payload is the
+//! payload is the failure's [`ErrorObject`](crate::ErrorObject)) or 3 (`PROGRAM`: payload is the
 //! program resource JSON). `key_hash` is the FNV-1a content address of
 //! the canonical spec (for programs: of the uploaded bytes); `checksum`
 //! is FNV-1a over the concatenated canonical + payload bytes. Replay
@@ -44,12 +44,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-use ucsim_model::json::Json;
-use ucsim_model::FailureKind;
+use ucsim_model::fnv1a;
 use ucsim_pool::faults;
-
-use crate::api::fnv1a;
-use crate::jobs::JobFailure;
 
 const MAGIC: &[u8; 8] = b"UCSTOR03";
 /// Per-record fixed header: kind (1) + key (8) + lengths (4+4) +
@@ -71,7 +67,8 @@ const KIND_PROGRAM: u8 = 3;
 pub enum RecordKind {
     /// A completed simulation; the payload is the report JSON.
     Result,
-    /// A deterministic failure; the payload is `{"code":…,"message":…}`.
+    /// A deterministic failure; the payload is its
+    /// [`ErrorObject`](crate::ErrorObject).
     Failed,
     /// An uploaded user program; the canonical string is the workload ref
     /// and the payload the program resource JSON (DESIGN.md §11).
@@ -116,38 +113,6 @@ impl RecordKind {
             .into_iter()
             .find(|k| k.name() == name)
     }
-}
-
-/// Decodes a `FAILED` record's payload (see [`failure_payload`]); `None`
-/// when it does not parse.
-pub fn parse_failure_payload(payload: &str) -> Option<JobFailure> {
-    let v = Json::parse(payload).ok()?;
-    let kind = FailureKind::parse(v.get("code")?.as_str()?)?;
-    let message = v.get("message")?.as_str()?.to_owned();
-    let request_id = v
-        .get("request_id")
-        .and_then(Json::as_str)
-        .map(str::to_owned);
-    Some(JobFailure {
-        kind,
-        message,
-        request_id,
-    })
-}
-
-/// Encodes a failure as the `FAILED` record payload.
-pub fn failure_payload(failure: &JobFailure) -> String {
-    let mut fields = vec![
-        (
-            "code".to_owned(),
-            Json::Str(failure.kind.as_str().to_owned()),
-        ),
-        ("message".to_owned(), Json::Str(failure.message.clone())),
-    ];
-    if let Some(id) = &failure.request_id {
-        fields.push(("request_id".to_owned(), Json::Str(id.clone())));
-    }
-    Json::Obj(fields).to_string()
 }
 
 /// The append-only result store. All methods take `&self`; a mutex
@@ -238,7 +203,7 @@ impl ResultStore {
     }
 
     /// Appends one record of any kind: `payload` is the report JSON, the
-    /// failure's `{"code","message","request_id"?}` JSON, or the program
+    /// failure's [`ErrorObject`](crate::ErrorObject) JSON, or the program
     /// resource JSON.
     ///
     /// # Errors
@@ -430,6 +395,16 @@ fn read_record(r: &mut impl Read) -> io::Result<Option<(StoreRecord, u64)>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobs::JobFailure;
+    use crate::ErrorObject;
+    use ucsim_model::{FailureKind, FromJson, ToJson};
+
+    /// Decodes a `FAILED` payload the way replay does.
+    fn decode(payload: &str) -> Option<JobFailure> {
+        ErrorObject::from_json_str(payload)
+            .ok()
+            .and_then(ErrorObject::into_failure)
+    }
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -468,14 +443,14 @@ mod tests {
                     RecordKind::Failed,
                     2,
                     "spec-bad",
-                    &failure_payload(&failure),
+                    &ErrorObject::of_failure(&failure).to_json_string(),
                 )
                 .unwrap();
         }
         let (_store, replayed) = ResultStore::open(&dir, false).unwrap();
         assert_eq!(replayed.len(), 2);
         assert_eq!(replayed[1].kind, RecordKind::Failed);
-        assert_eq!(parse_failure_payload(&replayed[1].payload), Some(failure));
+        assert_eq!(decode(&replayed[1].payload), Some(failure));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -608,11 +583,30 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// `FAILED` payload bytes are part of the `UCSTOR03` log format: logs
+    /// written by earlier builds must replay unchanged.
+    #[test]
+    fn failure_payload_bytes_are_pinned() {
+        let f = JobFailure::new(FailureKind::SimulationFailed, "worker panicked: \"boom\"");
+        assert_eq!(
+            ErrorObject::of_failure(&f).to_json_string(),
+            r#"{"code":"simulation_failed","message":"worker panicked: \"boom\""}"#
+        );
+        let f = f.with_request_id("req-12ab");
+        assert_eq!(
+            ErrorObject::of_failure(&f).to_json_string(),
+            r#"{"code":"simulation_failed","message":"worker panicked: \"boom\"","request_id":"req-12ab"}"#
+        );
+    }
+
     #[test]
     fn failure_payload_round_trips_request_id() {
         let f = JobFailure::new(FailureKind::SimulationFailed, "boom").with_request_id("req-12ab");
-        assert_eq!(parse_failure_payload(&failure_payload(&f)), Some(f));
-        assert_eq!(parse_failure_payload("{\"upc\":1.0}"), None);
+        assert_eq!(
+            decode(&ErrorObject::of_failure(&f).to_json_string()),
+            Some(f)
+        );
+        assert_eq!(decode("{\"upc\":1.0}"), None);
         for kind in [RecordKind::Result, RecordKind::Failed, RecordKind::Program] {
             assert_eq!(RecordKind::parse(kind.name()), Some(kind));
         }

@@ -26,7 +26,7 @@ use ucsim_model::json::Json;
 use ucsim_model::{FromJson, ToJson, WorkloadRef};
 use ucsim_pipeline::{LabeledConfig, SimConfig, SimReport, SweepCellReport, SweepReport};
 
-use crate::api::{self, ErrorCode, JobSpec, MatrixRequest};
+use crate::api::{self, ErrorCode, ErrorObject, JobSpec, MatrixRequest};
 use crate::jobs::{JobCell, JobFailure, JobState};
 
 /// Hard ceiling on cells per sweep (guards against a typo'd cross
@@ -386,7 +386,7 @@ impl Sweep {
     /// The terminal state is `"done"` when every cell succeeded,
     /// `"partial"` when some succeeded and some failed, and `"failed"`
     /// when every cell failed. Failed cells carry a nested
-    /// `"error": {"code", "message"}` object with a stable code; a sweep
+    /// `"error"` [`ErrorObject`] with a stable code; a sweep
     /// with failures still completes rather than hanging its pollers.
     pub fn status_body(&self) -> Arc<Vec<u8>> {
         if let Some(body) = self.final_body.lock().expect("sweep lock").clone() {
@@ -425,14 +425,8 @@ impl Sweep {
                     ("state".to_owned(), Json::Str((*state).to_owned())),
                 ];
                 if let Some(failure) = err {
-                    let mut err_obj = vec![
-                        ("code".to_owned(), Json::Str(failure.kind.to_string())),
-                        ("message".to_owned(), Json::Str(failure.message.clone())),
-                    ];
-                    if let Some(rid) = &failure.request_id {
-                        err_obj.push(("request_id".to_owned(), Json::Str(rid.clone())));
-                    }
-                    obj.push(("error".to_owned(), Json::Obj(err_obj)));
+                    let err = ErrorObject::of_failure(failure).to_json();
+                    obj.push(("error".to_owned(), err));
                 }
                 Json::Obj(obj)
             })

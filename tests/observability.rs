@@ -289,6 +289,33 @@ fn request_ids_echo_and_reach_failure_envelopes() {
     server.shutdown();
 }
 
+/// A synchronous `POST /v1/sim` whose job fails answers with the failure
+/// envelope carrying the submitting request's ID, and the negative-cache
+/// replay of that failure names the same request.
+#[test]
+fn synchronous_failure_envelopes_carry_the_request_id() {
+    let server = Server::start(test_config()).unwrap();
+    let addr = server.local_addr().to_string();
+    let body = br#"{"workload":"test-panic","warmup":100,"insts":2000}"#;
+    let mut client = Client::new(&addr);
+    for id in ["probe-sync-1", "probe-sync-2"] {
+        client.set_request_id(Some(id.to_owned()));
+        let r = client.request("POST", "/v1/sim", body).unwrap();
+        assert_eq!(r.status, 500, "body: {}", r.body_str());
+        assert_eq!(r.header("x-request-id"), Some(id));
+        let v = parse_json(&r.body_str());
+        let e = v.get("error").expect("error envelope");
+        assert_eq!(e.get("code").unwrap().as_str(), Some("simulation_failed"));
+        assert_eq!(
+            e.get("request_id").and_then(Json::as_str),
+            Some("probe-sync-1"),
+            "the failure is attributable to the request that ran it: {v}"
+        );
+    }
+    drop(client);
+    server.shutdown();
+}
+
 /// A job that actually executed exposes a per-stage profile; cache hits
 /// and unknown jobs answer honestly.
 #[test]
