@@ -111,6 +111,14 @@ fn die(status: i32, m: &str) -> ! {
     std::process::exit(status)
 }
 
+/// Prints `USAGE` and exits 0 when `word` is `--help` or `-h`.
+fn exit_on_help(word: &str) {
+    if word == "--help" || word == "-h" {
+        println!("{USAGE}");
+        std::process::exit(0);
+    }
+}
+
 /// One mode's argv, read a word at a time. A value flag takes the next
 /// word; its errors read `<flag> <what>`, e.g. `--insts needs a number`.
 struct Flags<'a> {
@@ -137,10 +145,7 @@ impl<'a> Flags<'a> {
     /// The next word; `--help`/`-h` prints `USAGE` and exits 0.
     fn next(&mut self) -> Option<&'a str> {
         let word = self.words.next()?;
-        if word == "--help" || word == "-h" {
-            println!("{USAGE}");
-            std::process::exit(0);
-        }
+        exit_on_help(word);
         self.flag = word;
         Some(word)
     }
@@ -399,6 +404,7 @@ fn client_program(argv: &[String]) {
     let Some((verb, argv)) = argv.split_first() else {
         bail("program needs upload|list|show");
     };
+    exit_on_help(verb);
     let mut addr = DEFAULT_ADDR.to_owned();
     let mut kind: Option<String> = None;
     let mut raw = false;

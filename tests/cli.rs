@@ -101,6 +101,8 @@ fn help_prints_usage_naming_every_flag() {
         &["client", "matrix", "--help"],
         &["client", "job", "--help"],
         &["client", "program", "list", "--help"],
+        &["client", "program", "--help"],
+        &["client", "program", "-h"],
     ] {
         let o = ucsim(args);
         assert_eq!(o.status.code(), Some(0), "{args:?}");
