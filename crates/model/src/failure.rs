@@ -23,9 +23,6 @@ pub enum FailureKind {
     /// The server began draining before the job left the queue; it was
     /// failed rather than silently dropped. Transient by definition.
     ShuttingDown,
-    /// The persistent store rejected an append (disk error). The
-    /// in-memory result is unaffected; durability was lost.
-    StoreIo,
     /// The job was cancelled by an explicit client request
     /// (`DELETE /v1/jobs/:id`, `DELETE /v1/matrix/:id`) before it could
     /// finish. Environmental: resubmitting the same spec may succeed, so
@@ -35,11 +32,10 @@ pub enum FailureKind {
 
 impl FailureKind {
     /// Every kind, in wire order (stable for iteration in docs/tests).
-    pub const ALL: [FailureKind; 5] = [
+    pub const ALL: [FailureKind; 4] = [
         FailureKind::SimulationFailed,
         FailureKind::DeadlineExceeded,
         FailureKind::ShuttingDown,
-        FailureKind::StoreIo,
         FailureKind::Cancelled,
     ];
 
@@ -49,7 +45,6 @@ impl FailureKind {
             FailureKind::SimulationFailed => "simulation_failed",
             FailureKind::DeadlineExceeded => "deadline_exceeded",
             FailureKind::ShuttingDown => "shutting_down",
-            FailureKind::StoreIo => "store_io",
             FailureKind::Cancelled => "cancelled",
         }
     }
@@ -90,7 +85,6 @@ mod tests {
         assert!(FailureKind::SimulationFailed.is_deterministic());
         assert!(!FailureKind::DeadlineExceeded.is_deterministic());
         assert!(!FailureKind::ShuttingDown.is_deterministic());
-        assert!(!FailureKind::StoreIo.is_deterministic());
         assert!(!FailureKind::Cancelled.is_deterministic());
     }
 }

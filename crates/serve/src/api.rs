@@ -418,7 +418,6 @@ impl ErrorCode {
             FailureKind::SimulationFailed => ErrorCode::SimulationFailed,
             FailureKind::DeadlineExceeded => ErrorCode::DeadlineExceeded,
             FailureKind::ShuttingDown => ErrorCode::ShuttingDown,
-            FailureKind::StoreIo => ErrorCode::Internal,
             FailureKind::Cancelled => ErrorCode::Cancelled,
         }
     }
@@ -752,7 +751,6 @@ mod tests {
             (FailureKind::SimulationFailed, "simulation_failed", 500),
             (FailureKind::DeadlineExceeded, "deadline_exceeded", 504),
             (FailureKind::ShuttingDown, "shutting_down", 503),
-            (FailureKind::StoreIo, "internal", 500),
             (FailureKind::Cancelled, "cancelled", 409),
         ];
         for (kind, code, status) in cases {
