@@ -32,8 +32,9 @@
 //!
 //! A window is one `Copy` [`PwBatch`]: the descriptor and its branch
 //! events. Its instructions are `pw.inst_count` entries of the walked
-//! slice from `pw.first_seq` on, which [`PwBatch::insts`] borrows, so a
-//! recorded window stream is a plain `Vec<PwBatch>`.
+//! stream from `pw.first_seq` on, which [`PwBatch::insts`] borrows out of
+//! a slice (and [`SlicePwGen::insts`] out of the generator's
+//! [`InstWindow`]), so a recorded window stream is a plain `Vec<PwBatch>`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,9 +44,11 @@ mod config;
 mod pwgen;
 mod ras;
 mod tage;
+mod window;
 
 pub use btb::{BranchKind, Btb, BtbOutcome, BtbStats};
 pub use config::BpuConfig;
 pub use pwgen::{BpuStats, Mispredict, PwBatch, SlicePwGen};
 pub use ras::ReturnAddressStack;
 pub use tage::{Tage, TageConfig, TageStats};
+pub use window::InstWindow;

@@ -1,9 +1,9 @@
 //! The prediction-window generator: the heart of the decoupled front end.
 //!
-//! Walks the architecturally-correct dynamic instruction stream (a
-//! borrowed slice) and produces [`PwBatch`]es — prediction windows whose
-//! sequence numbers index that slice, plus any branch-prediction events
-//! attached to them. The pipeline (in `ucsim-pipeline`) consumes them;
+//! Walks the architecturally-correct dynamic instruction stream (through
+//! an [`InstWindow`]) and produces [`PwBatch`]es — prediction windows
+//! whose sequence numbers index that stream, plus any branch-prediction
+//! events attached to them. The pipeline (in `ucsim-pipeline`) consumes them;
 //! the uop cache is indexed by PW start addresses exactly as the paper
 //! describes (Section II-B3).
 //!
@@ -20,7 +20,7 @@
 use ucsim_model::{Addr, DynInst, InstClass, PredictionWindow, PwId, PwTermination};
 
 use crate::btb::BtbOutcome;
-use crate::{BpuConfig, BranchKind, Btb, ReturnAddressStack, Tage};
+use crate::{BpuConfig, BranchKind, Btb, InstWindow, ReturnAddressStack, Tage};
 
 /// A misprediction attached to the final branch of a PW.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -185,8 +185,9 @@ impl PredictorCore {
 
 /// One prediction window: the descriptor and the branch events the
 /// pipeline charges for. It borrows nothing: the window's instructions
-/// are `pw.inst_count` entries of the walked slice from `pw.first_seq`
-/// on ([`PwBatch::insts`]), so a recording of batches is just a `Vec`.
+/// are `pw.inst_count` entries of the walked stream from `pw.first_seq`
+/// on ([`PwBatch::insts`], [`SlicePwGen::insts`]), so a recording of
+/// batches is just a `Vec`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PwBatch {
     /// The window descriptor.
@@ -207,10 +208,17 @@ impl PwBatch {
     }
 }
 
-/// The prediction-window generator: walks a borrowed correct-path
-/// `&[DynInst]` through the TAGE/BTB/RAS state machine and emits each
-/// window as a [`PwBatch`] whose sequence numbers index that slice, so no
-/// instruction is ever copied into per-window storage.
+/// The prediction-window generator: walks the correct-path instruction
+/// stream through the TAGE/BTB/RAS state machine and emits each window as
+/// a [`PwBatch`] whose sequence numbers index that stream.
+///
+/// The generator reads its stream through one [`InstWindow`] of at most
+/// [`InstWindow::CAPACITY`] instructions, slid forward before each
+/// prediction window, so it never holds the whole stream:
+/// [`SlicePwGen::new`] walks a borrowed slice, [`SlicePwGen::over`] any
+/// `DynInst` iterator (a trace walker, a packed recording).
+/// [`SlicePwGen::insts`] lends the window's instructions of the batch
+/// just produced.
 ///
 /// # Example
 ///
@@ -229,23 +237,32 @@ impl PwBatch {
 /// let batch = gen.next_batch().unwrap();
 /// assert!(batch.pw.ends_in_taken_branch);
 /// assert_eq!(batch.insts(&insts).len(), 2);
+/// assert_eq!(gen.insts(&batch), batch.insts(&insts));
 /// let batch2 = gen.next_batch().unwrap();
 /// assert_eq!(batch2.pw.start, Addr::new(0x2000));
 /// ```
 #[derive(Debug)]
-pub struct SlicePwGen<'a> {
+pub struct SlicePwGen<I> {
     core: PredictorCore,
-    insts: &'a [DynInst],
-    pos: usize,
+    window: InstWindow<I>,
+    /// Global sequence number of the next instruction.
+    pos: u64,
     next_pw_id: u64,
 }
 
-impl<'a> SlicePwGen<'a> {
-    /// Creates a generator over the given correct-path instruction slice.
+impl<'a> SlicePwGen<std::iter::Copied<std::slice::Iter<'a, DynInst>>> {
+    /// Creates a generator over a borrowed correct-path instruction slice.
     pub fn new(cfg: BpuConfig, insts: &'a [DynInst]) -> Self {
+        SlicePwGen::over(cfg, insts.iter().copied())
+    }
+}
+
+impl<I: Iterator<Item = DynInst>> SlicePwGen<I> {
+    /// Creates a generator over a correct-path instruction stream.
+    pub fn over(cfg: BpuConfig, src: I) -> Self {
         SlicePwGen {
             core: PredictorCore::new(cfg),
-            insts,
+            window: InstWindow::new(src),
             pos: 0,
             next_pw_id: 0,
         }
@@ -261,9 +278,24 @@ impl<'a> SlicePwGen<'a> {
         self.core.reset_stats();
     }
 
-    /// Produces the next prediction window, or `None` at slice end.
+    /// Slides the window to the next prediction window's start (see
+    /// [`InstWindow::slide_to`]). [`Self::next_batch`] does this itself;
+    /// calling it first keeps the refill out of a timed `next_batch`.
+    #[inline]
+    pub fn slide(&mut self) {
+        self.window.slide_to(self.pos);
+    }
+
+    /// The instructions of `batch`, the window [`Self::next_batch`]
+    /// returned last.
+    pub fn insts(&self, batch: &PwBatch) -> &[DynInst] {
+        self.window.span(batch.pw.first_seq, batch.pw.end_seq())
+    }
+
+    /// Produces the next prediction window, or `None` at stream end.
     pub fn next_batch(&mut self) -> Option<PwBatch> {
-        let first = *self.insts.get(self.pos)?;
+        self.window.slide_to(self.pos);
+        let first = self.window.get(self.pos)?;
         self.core.decode_redirect = false;
         self.core.btb_promote = false;
 
@@ -290,8 +322,8 @@ impl<'a> SlicePwGen<'a> {
                     break;
                 }
             }
-            match self.insts.get(self.pos) {
-                Some(&next) => {
+            match self.window.get(self.pos) {
+                Some(next) => {
                     debug_assert_eq!(
                         next.pc,
                         cur.end(),
@@ -310,7 +342,7 @@ impl<'a> SlicePwGen<'a> {
             id: PwId(self.next_pw_id),
             start: first.pc,
             end: cur.end(),
-            first_seq: start as u64,
+            first_seq: start,
             inst_count: (self.pos - start) as u32,
             termination,
             ends_in_taken_branch: ends_taken,
@@ -478,7 +510,7 @@ mod tests {
         )
     }
 
-    fn gen(insts: &[DynInst]) -> SlicePwGen<'_> {
+    fn gen(insts: &[DynInst]) -> SlicePwGen<std::iter::Copied<std::slice::Iter<'_, DynInst>>> {
         SlicePwGen::new(BpuConfig::default(), insts)
     }
 
@@ -739,6 +771,42 @@ mod tests {
             s.direction_mispredicts > 0,
             "alternating branch mispredicts"
         );
+    }
+
+    #[test]
+    fn a_window_that_never_reaches_its_line_end_grows_the_buffer() {
+        // Zero-byte instructions never leave 0x1000's line: one window
+        // covers the whole stream, far past the buffer's capacity.
+        let n = 3 * InstWindow::<std::iter::Empty<DynInst>>::CAPACITY;
+        let insts = vec![alu(0x1000, 0); n];
+        let mut g = SlicePwGen::over(BpuConfig::default(), insts.iter().copied());
+        let b = g.next_batch().unwrap();
+        assert_eq!(b.pw.termination, PwTermination::Redirect);
+        assert_eq!(b.pw.inst_count as usize, n);
+        assert_eq!(g.insts(&b), &insts[..]);
+        assert!(g.next_batch().is_none());
+    }
+
+    #[test]
+    fn slides_keep_batches_and_their_insts_exact() {
+        let mut insts = Vec::new();
+        for round in 0..900u64 {
+            insts.extend((0..5).map(|i| alu(0x1000 + i * 4, 4)));
+            insts.push(jcc(0x1014, round % 4 == 0, 0x1000));
+            if round % 4 != 0 {
+                insts.push(jmp(0x1016, 0x1000));
+            }
+        }
+        let mut windowed = SlicePwGen::over(BpuConfig::default(), insts.iter().copied());
+        let mut sliced = gen(&insts);
+        while let Some(b) = sliced.next_batch() {
+            windowed.slide();
+            let w = windowed.next_batch().unwrap();
+            assert_eq!(w, b);
+            assert_eq!(windowed.insts(&w), b.insts(&insts));
+        }
+        assert!(windowed.next_batch().is_none());
+        assert!(insts.len() > 2 * InstWindow::<std::iter::Empty<DynInst>>::CAPACITY);
     }
 
     #[test]

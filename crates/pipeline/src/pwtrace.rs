@@ -18,7 +18,7 @@
 //! configuration whose front end [`PwTrace::matches`] the recording;
 //! mismatched configurations must fall back to a full run.
 
-use ucsim_bpu::{BpuStats, PwBatch, SlicePwGen};
+use ucsim_bpu::{BpuStats, InstWindow, PwBatch, SlicePwGen};
 use ucsim_isa::UopKindTable;
 use ucsim_model::{mix64, DynInst, ToJson};
 use ucsim_trace::SharedTrace;
@@ -48,11 +48,9 @@ impl PwTrace {
     /// statistics.
     pub fn record(trace: &SharedTrace, cfg: &SimConfig) -> PwTrace {
         let total = cfg.warmup_insts + cfg.measure_insts;
-        let insts = trace.insts();
-        let insts = &insts[..(total as usize).min(insts.len())];
         let mut batches = Vec::new();
-        let gen = SlicePwGen::new(cfg.bpu.clone(), insts);
-        let bpu = drive(cfg, &mut [(gen, insts)], &mut batches, None).expect("never cancelled");
+        let gen = SlicePwGen::over(cfg.bpu.clone(), trace.iter().take(total as usize));
+        let bpu = drive(cfg, &mut [gen], &mut batches, None).expect("never cancelled");
         PwTrace {
             trace: SharedTrace::clone(trace),
             batches,
@@ -130,11 +128,9 @@ impl PwTrace {
         if threads <= 1 || n_chunks < 2 {
             return self.replay(name, cfg);
         }
-        let insts = self.trace.insts();
-
         // Batch-aligned chunk bounds as instruction indices: chunk `k`
-        // covers `insts[bounds[k]..bounds[k + 1]]`. Batch ends strictly
-        // increase, so the bounds do too.
+        // covers instructions `bounds[k]..bounds[k + 1]`. Batch ends
+        // strictly increase, so the bounds do too.
         let mut bounds = Vec::with_capacity(n_chunks + 1);
         bounds.push(0usize);
         for k in 1..=n_chunks {
@@ -145,9 +141,14 @@ impl PwTrace {
         let kinds = UopKindTable::get();
         // Pass 1: per-chunk uop counts, prefix-summed into per-chunk
         // `uop_seq` bases.
-        let counts = ucsim_pool::run_indexed(n_chunks, threads, |k| {
-            insts[bounds[k]..bounds[k + 1]]
+        let chunk = |k: usize| {
+            self.trace
                 .iter()
+                .skip(bounds[k])
+                .take(bounds[k + 1] - bounds[k])
+        };
+        let counts = ucsim_pool::run_indexed(n_chunks, threads, |k| {
+            chunk(k)
                 .map(|i| kinds.template(i.class, i.uops).len as u64)
                 .sum::<u64>()
         });
@@ -161,7 +162,7 @@ impl PwTrace {
         let mut chunks = ucsim_pool::run_indexed(n_chunks, threads, |k| {
             let mut seq = bases[k];
             let mut v = Vec::with_capacity(counts[k] as usize);
-            for inst in &insts[bounds[k]..bounds[k + 1]] {
+            for inst in chunk(k) {
                 let tpl = kinds.template(inst.class, inst.uops);
                 for slot in 0..tpl.len as u64 {
                     v.push(mix64(seq ^ inst.pc.get().rotate_left(23) ^ (slot << 57)));
@@ -193,23 +194,41 @@ impl PwTrace {
         );
         let windows = Playback {
             batches: self.batches.iter(),
+            window: InstWindow::new(self.trace.iter().take(self.total as usize)),
             bpu: self.bpu,
         };
-        run(cfg, name, &mut [(windows, self.trace.insts())], None, sink).expect("never cancelled")
+        run(cfg, name, &mut [windows], None, sink).expect("never cancelled")
     }
 }
 
-/// A recorded window stream played back as one hardware thread.
+/// A recorded window stream played back as one hardware thread, its
+/// instructions expanded from the packed trace into a reused window.
 struct Playback<'a> {
     batches: std::slice::Iter<'a, PwBatch>,
+    window: InstWindow<std::iter::Take<ucsim_trace::Iter<'a>>>,
     /// The recording's counters, which already cover the measurement
     /// window.
     bpu: BpuStats,
 }
 
 impl Windows for Playback<'_> {
+    fn slide(&mut self) {
+        if let Some(next) = self.batches.as_slice().first() {
+            self.window.slide_to(next.pw.first_seq);
+        }
+    }
+
     fn next_batch(&mut self) -> Option<PwBatch> {
-        self.batches.next().copied()
+        let batch = *self.batches.next()?;
+        self.window.slide_to(batch.pw.first_seq);
+        // Load through the window's last instruction: a window longer
+        // than what is left in the buffer grows it.
+        self.window.get(batch.pw.end_seq() - 1);
+        Some(batch)
+    }
+
+    fn insts(&self, batch: &PwBatch) -> &[DynInst] {
+        self.window.span(batch.pw.first_seq, batch.pw.end_seq())
     }
 
     fn begin_measurement(&mut self) {}

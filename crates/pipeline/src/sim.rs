@@ -1,12 +1,14 @@
 //! The front-end simulator: PW stream → uop supply (uop cache / decoder /
 //! loop cache) → back end, with all the paper's metrics.
 
+use std::borrow::Borrow;
+
 use ucsim_bpu::{BpuStats, PwBatch, SlicePwGen};
 use ucsim_isa::UopKindTable;
 use ucsim_mem::{AccessKind, FetchDirectedPrefetcher, MemoryHierarchy};
 use ucsim_model::{mix64, Addr, CancelToken, DynInst};
 use ucsim_obs::Stage;
-use ucsim_trace::{record_workload, Program, WorkloadProfile};
+use ucsim_trace::{Program, Trace, WorkloadProfile};
 use ucsim_uopcache::{AccumulationBuffer, UopCache, UopCacheEntry};
 
 use crate::{Backend, BackendConfig, FrontEndEnergy, LoopCache, SimConfig, SimReport, UopSource};
@@ -85,13 +87,16 @@ impl Simulator {
     }
 
     /// Runs `warmup + measure` instructions of the workload and reports
-    /// metrics over the measurement window. The walk is recorded first
-    /// (one `DynInst` per instruction of the budget) and then run through
-    /// [`Simulator::run_slice`].
+    /// metrics over the measurement window. The walker feeds the
+    /// simulator's instruction window directly: nothing is recorded.
     pub fn run(&self, profile: &WorkloadProfile, program: &Program) -> SimReport {
         let total = self.cfg.warmup_insts + self.cfg.measure_insts;
-        let trace = record_workload(profile, program, total);
-        self.run_slice(profile.name, trace.insts())
+        self.run_stream(
+            profile.name,
+            program.walk(profile).take(total as usize),
+            None,
+        )
+        .expect("never cancelled")
     }
 
     /// Replays a recorded trace: byte-identical to [`Simulator::run`] on
@@ -104,18 +109,15 @@ impl Simulator {
     /// Only the first `warmup + measure` instructions are simulated. A
     /// shorter trace simulates what is there (the measurement window
     /// degrades exactly as a short walk would).
-    pub fn run_trace(&self, name: &str, trace: &ucsim_trace::Trace) -> SimReport {
+    pub fn run_trace(&self, name: &str, trace: &Trace) -> SimReport {
         let total = (self.cfg.warmup_insts + self.cfg.measure_insts) as usize;
-        let insts = trace.insts();
-        self.run_slice(name, &insts[..total.min(insts.len())])
+        self.run_stream(name, trace.iter().take(total), None)
+            .expect("never cancelled")
     }
 
     /// Runs every instruction of a borrowed, control-flow consistent
     /// slice (each instruction starts at the previous one's `next_pc`):
     /// the paper's own methodology, trace-driven simulation.
-    /// [`SlicePwGen`] walks the slice by index and the pipeline consumes
-    /// index-range batches, so no instruction is ever copied into
-    /// per-window storage.
     pub fn run_slice(&self, name: &str, insts: &[DynInst]) -> SimReport {
         let never = CancelToken::new();
         match self.run_slice_cancellable(name, insts, &never) {
@@ -124,30 +126,47 @@ impl Simulator {
         }
     }
 
-    /// [`Simulator::run_slice`] with cooperative cancellation. The token
-    /// is polled every `CANCEL_CHECK_BATCHES` prediction-window batches
-    /// — a PW boundary is the only safe stopping point in the decoupled
-    /// front end, and checking every batch would tax the hot loop. When
-    /// the token fires the run stops promptly and returns
-    /// `Err(Cancelled)`; an un-cancelled run is byte-identical to
-    /// [`Simulator::run_slice`].
-    pub fn run_slice_cancellable(
+    /// Runs every instruction of a recorded stream — a borrowed slice as
+    /// [`Simulator::run_slice`] does, or a packed [`Trace`] as a served
+    /// job does — with cooperative cancellation. The token is polled
+    /// every `CANCEL_CHECK_BATCHES` prediction-window batches — a PW
+    /// boundary is the only safe stopping point in the decoupled front
+    /// end, and checking every batch would tax the hot loop. When the
+    /// token fires the run stops promptly and returns `Err(Cancelled)`;
+    /// an un-cancelled run is byte-identical to [`Simulator::run_slice`].
+    pub fn run_slice_cancellable<R>(
         &self,
         name: &str,
-        insts: &[DynInst],
+        insts: R,
         cancel: &CancelToken,
+    ) -> Result<SimReport, Cancelled>
+    where
+        R: IntoIterator,
+        R::Item: Borrow<DynInst>,
+    {
+        let stream = insts.into_iter().map(|i| *i.borrow());
+        self.run_stream(name, stream, Some(cancel))
+    }
+
+    /// The one single-thread run: `src` refills the instruction window
+    /// that [`SlicePwGen`] walks.
+    fn run_stream<I: Iterator<Item = DynInst>>(
+        &self,
+        name: &str,
+        src: I,
+        cancel: Option<&CancelToken>,
     ) -> Result<SimReport, Cancelled> {
-        let gen = SlicePwGen::new(self.cfg.bpu.clone(), insts);
-        run(&self.cfg, name, &mut [(gen, insts)], Some(cancel), |st| st)
+        let gen = SlicePwGen::over(self.cfg.bpu.clone(), src);
+        run(&self.cfg, name, &mut [gen], cancel, |st| st)
     }
 }
 
 /// The one run path behind every report: [`Simulator`], [`crate::SmtSimulator`]
 /// and [`crate::PwTrace`] replay all end here. It checks `cfg`, builds
 /// the pipeline for `threads.len()` hardware threads, drives each
-/// thread's windows over its instructions into it, and builds the
-/// report. `sink` may wrap the pipeline for the run (identity for every
-/// caller but `PwTrace::replay_parallel`).
+/// thread's windows into it, and builds the report. `sink` may wrap the
+/// pipeline for the run (identity for every caller but
+/// `PwTrace::replay_parallel`).
 ///
 /// # Panics
 ///
@@ -155,7 +174,7 @@ impl Simulator {
 pub(crate) fn run<W: Windows, S: PwSink + Into<RunState>>(
     cfg: &SimConfig,
     name: &str,
-    threads: &mut [(W, &[DynInst])],
+    threads: &mut [W],
     cancel: Option<&CancelToken>,
     sink: impl FnOnce(RunState) -> S,
 ) -> Result<SimReport, Cancelled> {
@@ -168,10 +187,16 @@ pub(crate) fn run<W: Windows, S: PwSink + Into<RunState>>(
 }
 
 /// Where one hardware thread's prediction windows come from: the live
-/// generator, or a recording of it ([`crate::PwTrace`]).
+/// generator, or a recording of it ([`crate::PwTrace`]). Either reads its
+/// instructions through one reused [`ucsim_bpu::InstWindow`].
 pub(crate) trait Windows {
+    /// Slides the instruction window to the next prediction window's
+    /// start, refilling it from the run's source when little is left.
+    fn slide(&mut self);
     /// The next window, or `None` once the stream is exhausted.
     fn next_batch(&mut self) -> Option<PwBatch>;
+    /// The instructions of `batch`, the window returned last.
+    fn insts(&self, batch: &PwBatch) -> &[DynInst];
     /// The measurement window opens: branch counters restart.
     fn begin_measurement(&mut self);
     /// Branch counters since the measurement window opened (since the
@@ -179,9 +204,17 @@ pub(crate) trait Windows {
     fn stats(&self) -> BpuStats;
 }
 
-impl Windows for SlicePwGen<'_> {
+impl<I: Iterator<Item = DynInst>> Windows for SlicePwGen<I> {
+    fn slide(&mut self) {
+        SlicePwGen::slide(self);
+    }
+
     fn next_batch(&mut self) -> Option<PwBatch> {
         SlicePwGen::next_batch(self)
+    }
+
+    fn insts(&self, batch: &PwBatch) -> &[DynInst] {
+        SlicePwGen::insts(self, batch)
     }
 
     fn begin_measurement(&mut self) {
@@ -205,9 +238,12 @@ pub(crate) trait PwSink {
 
 /// The simulation loop: fetches one prediction window from each hardware
 /// thread in turn into `sink` (round-robin SMT; a single-thread run is
-/// the one-thread case). Each thread pairs its windows with the
-/// instructions their sequence numbers index. Returns the summed branch
-/// statistics of every thread.
+/// the one-thread case), with the instructions it covers out of the
+/// thread's instruction window. Before each fetch the thread's window
+/// slides forward when fewer than one line's worth of instructions
+/// remain, so a run holds at most `InstWindow::CAPACITY` instructions
+/// per thread however long it is. Returns the summed branch statistics
+/// of every thread.
 ///
 /// The measurement window opens at the first PW boundary after
 /// `threads.len() × warmup_insts` instructions, where the sink and every
@@ -216,7 +252,7 @@ pub(crate) trait PwSink {
 /// `CANCEL_CHECK_BATCHES` rounds.
 pub(crate) fn drive<W: Windows, S: PwSink>(
     cfg: &SimConfig,
-    threads: &mut [(W, &[DynInst])],
+    threads: &mut [W],
     sink: &mut S,
     cancel: Option<&CancelToken>,
 ) -> Result<BpuStats, Cancelled> {
@@ -234,13 +270,16 @@ pub(crate) fn drive<W: Windows, S: PwSink>(
         check_in -= 1;
         if !measured && insts_done >= warmup_total {
             sink.begin_measurement();
-            threads.iter_mut().for_each(|(w, _)| w.begin_measurement());
+            threads.iter_mut().for_each(Windows::begin_measurement);
             measured = true;
         }
         // An exhausted stream keeps returning `None`; the run ends when a
         // whole round produces no window.
         let mut progressed = false;
-        for (tid, (windows, insts)) in threads.iter_mut().enumerate() {
+        for (tid, windows) in threads.iter_mut().enumerate() {
+            // The refill is the source's work (walking, expanding), not
+            // prediction: it stays outside the predict timer.
+            windows.slide();
             // Stage timers feed the thread-local job profile (when one is
             // active); they read wall clocks only and never touch
             // simulated state, so reports stay byte-identical.
@@ -249,7 +288,7 @@ pub(crate) fn drive<W: Windows, S: PwSink>(
             timer.stop();
             let Some(batch) = advanced else { continue };
             insts_done += u64::from(batch.pw.inst_count);
-            sink.window(&batch, batch.insts(insts), tid);
+            sink.window(&batch, windows.insts(&batch), tid);
             progressed = true;
         }
         if !progressed {
@@ -257,7 +296,7 @@ pub(crate) fn drive<W: Windows, S: PwSink>(
         }
     }
     let mut bpu = BpuStats::default();
-    for (windows, _) in threads.iter() {
+    for windows in threads.iter() {
         bpu += windows.stats();
     }
     Ok(bpu)
@@ -897,7 +936,7 @@ mod tests {
         let trace =
             ucsim_trace::record_workload(&profile, &program, cfg.warmup_insts + cfg.measure_insts);
         let cancellable = sim
-            .run_slice_cancellable(profile.name, trace.insts(), &CancelToken::new())
+            .run_slice_cancellable(profile.name, &*trace, &CancelToken::new())
             .expect("un-cancelled run completes");
         assert_eq!(
             plain.to_json_string(),
@@ -916,7 +955,7 @@ mod tests {
         token.cancel();
         let total = cfg.warmup_insts + cfg.measure_insts;
         let trace = ucsim_trace::record_workload(&profile, &program, total);
-        let r = Simulator::new(cfg).run_slice_cancellable(profile.name, trace.insts(), &token);
+        let r = Simulator::new(cfg).run_slice_cancellable(profile.name, &*trace, &token);
         assert_eq!(r.err(), Some(Cancelled));
     }
 

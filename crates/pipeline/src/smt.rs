@@ -10,7 +10,8 @@
 //! prediction windows round-robin.
 
 use ucsim_bpu::SlicePwGen;
-use ucsim_trace::{record_workload, Program, SharedTrace, WorkloadProfile};
+use ucsim_model::DynInst;
+use ucsim_trace::{Program, SharedTrace, WorkloadProfile};
 
 use crate::sim::run;
 use crate::{SimConfig, SimReport};
@@ -44,22 +45,20 @@ impl SmtSimulator {
     }
 
     /// Runs two workloads on the shared front end, alternating prediction
-    /// windows round-robin, and reports combined metrics.
-    ///
-    /// Records each workload's stream once and replays it — callers
-    /// sweeping several configurations over the same pair should record
-    /// with [`ucsim_trace::record_workload`] themselves and call
-    /// [`SmtSimulator::run_traces`] so the recording is shared across
-    /// the whole sweep, not just across the two threads of one run.
+    /// windows round-robin, and reports combined metrics. Each thread's
+    /// walker feeds its instruction window directly: nothing is
+    /// recorded. Callers sweeping several configurations over the same
+    /// pair can record once with [`ucsim_trace::record_workload`] and call
+    /// [`SmtSimulator::run_traces`] instead.
     pub fn run(
         &self,
         a: (&WorkloadProfile, &Program),
         b: (&WorkloadProfile, &Program),
     ) -> SimReport {
-        let per_thread = self.cfg.warmup_insts + self.cfg.measure_insts;
-        let ta = record_workload(a.0, a.1, per_thread);
-        let tb = record_workload(b.0, b.1, per_thread);
-        self.run_traces((a.0.name, &ta), (b.0.name, &tb))
+        let per_thread = (self.cfg.warmup_insts + self.cfg.measure_insts) as usize;
+        let mut threads = [a, b]
+            .map(|(p, prog)| SlicePwGen::over(self.cfg.bpu.clone(), prog.walk(p).take(per_thread)));
+        self.run_threads(a.0.name, b.0.name, &mut threads)
     }
 
     /// Runs two recorded workload traces on the shared front end —
@@ -68,12 +67,19 @@ impl SmtSimulator {
     /// `warmup + measure` instructions of its trace.
     pub fn run_traces(&self, a: (&str, &SharedTrace), b: (&str, &SharedTrace)) -> SimReport {
         let per_thread = (self.cfg.warmup_insts + self.cfg.measure_insts) as usize;
-        let mut threads = [a.1.insts(), b.1.insts()].map(|insts| {
-            let insts = &insts[..per_thread.min(insts.len())];
-            (SlicePwGen::new(self.cfg.bpu.clone(), insts), insts)
-        });
-        let name = format!("smt:{}+{}", a.0, b.0);
-        run(&self.cfg, &name, &mut threads, None, |st| st).expect("never cancelled")
+        let mut threads =
+            [a.1, b.1].map(|t| SlicePwGen::over(self.cfg.bpu.clone(), t.iter().take(per_thread)));
+        self.run_threads(a.0, b.0, &mut threads)
+    }
+
+    fn run_threads<I: Iterator<Item = DynInst>>(
+        &self,
+        a: &str,
+        b: &str,
+        threads: &mut [SlicePwGen<I>; 2],
+    ) -> SimReport {
+        let name = format!("smt:{a}+{b}");
+        run(&self.cfg, &name, threads, None, |st| st).expect("never cancelled")
     }
 }
 

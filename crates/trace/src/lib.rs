@@ -47,7 +47,7 @@ mod walker;
 pub use loader::load_asm;
 pub use profile::WorkloadProfile;
 pub use program::{BasicBlock, Function, Program, TermInst, TermKind};
-pub use share::{record_workload, SharedTrace, TraceHandle, TraceKey, TraceStore};
+pub use share::{record_workload, SharedTrace, TraceKey, TraceStore};
 pub use stats::TraceStats;
-pub use tracefile::Trace;
+pub use tracefile::{Iter, Trace};
 pub use walker::TraceWalker;

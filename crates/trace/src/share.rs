@@ -12,17 +12,15 @@
 //! Two pieces:
 //!
 //! - [`SharedTrace`]: an `Arc<Trace>` alias — the unit handed to sweep
-//!   cells, SMT threads and serve workers, which run its instruction
-//!   slice through the slice-driven prediction-window generator.
+//!   cells, SMT threads and serve workers, which expand its packed stream
+//!   into the simulator's instruction window as they go.
 //! - [`TraceStore`]: a keyed record-once cache. The first caller for a
 //!   [`TraceKey`] records; concurrent callers for the same key block on
-//!   the same [`TraceHandle`] and share the recorded `Arc` — no
-//!   duplicate recording, no duplicate memory.
+//!   the same slot and share the recorded `Arc` — no duplicate
+//!   recording, no duplicate memory.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, OnceLock};
-
-use ucsim_model::DynInst;
 
 use crate::{Program, Trace, WorkloadProfile};
 
@@ -52,45 +50,35 @@ pub struct TraceKey {
     pub insts: u64,
 }
 
-/// One record-once slot: resolved at most once, then shared.
-#[derive(Debug, Default)]
-pub struct TraceHandle {
-    slot: OnceLock<SharedTrace>,
-}
-
-impl TraceHandle {
-    /// Returns the recorded trace, recording it via `record` if this is
-    /// the first caller. Concurrent callers block until the first
-    /// recording finishes and then share its `Arc`.
-    pub fn get_or_record<I, F>(&self, record: F) -> SharedTrace
-    where
-        I: Iterator<Item = DynInst>,
-        F: FnOnce() -> I,
-    {
-        Arc::clone(self.slot.get_or_init(|| Arc::new(Trace::record(record()))))
-    }
-
-    /// The recorded trace, if recording already happened.
-    pub fn get(&self) -> Option<SharedTrace> {
-        self.slot.get().map(Arc::clone)
-    }
+/// A resident key: its record-once cell (set at most once, then
+/// shared) and the instructions it adds to the store's resident total
+/// (0 until its recording is charged).
+struct Slot {
+    cell: Arc<OnceLock<SharedTrace>>,
+    charged: u64,
 }
 
 struct StoreInner {
-    slots: HashMap<TraceKey, Arc<TraceHandle>>,
+    slots: HashMap<TraceKey, Slot>,
     /// Insertion order for budget eviction (oldest first).
-    order: Vec<TraceKey>,
+    order: VecDeque<TraceKey>,
+    /// Sum of `charged` over `slots`: the recorded instructions resident.
+    resident: u64,
 }
 
 /// A keyed record-once trace cache with an instruction budget.
 ///
-/// `handle(key)` is cheap and lock-scoped: it never records. Recording
-/// happens outside the map lock through [`TraceHandle::get_or_record`],
-/// so a slow recording never blocks lookups of other keys.
+/// [`TraceStore::get_or_record`] resolves a key's slot under the map
+/// lock, but records outside it, so a slow recording never blocks
+/// lookups of other keys; concurrent callers for the same key block on
+/// that one recording and share its `Arc`.
 ///
 /// The budget bounds *resident recorded instructions*; when exceeded the
 /// oldest keys are dropped (in-flight replays keep their `Arc`s alive —
-/// eviction only stops new sharing).
+/// eviction only stops new sharing). A recording counts against it from
+/// when it finishes, by its actual length, so the bookkeeping is a
+/// running total and a queue of keys: O(1) per key, however many are
+/// resident.
 pub struct TraceStore {
     inner: Mutex<StoreInner>,
     budget_insts: u64,
@@ -98,9 +86,11 @@ pub struct TraceStore {
 
 impl std::fmt::Debug for TraceStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let inner = self.inner.lock().expect("trace store");
         f.debug_struct("TraceStore")
             .field("budget_insts", &self.budget_insts)
-            .field("keys", &self.inner.lock().expect("trace store").order.len())
+            .field("keys", &inner.order.len())
+            .field("resident_insts", &inner.resident)
             .finish()
     }
 }
@@ -112,33 +102,59 @@ impl TraceStore {
         TraceStore {
             inner: Mutex::new(StoreInner {
                 slots: HashMap::new(),
-                order: Vec::new(),
+                order: VecDeque::new(),
+                resident: 0,
             }),
             budget_insts: budget_insts.max(1),
         }
     }
 
-    /// The record-once handle for `key`. All callers for the same key
-    /// receive the same handle until it is evicted.
-    pub fn handle(&self, key: &TraceKey) -> Arc<TraceHandle> {
+    /// The record-once cell for `key`. All callers for the same key
+    /// receive the same cell until it is evicted.
+    fn cell(&self, key: &TraceKey) -> Arc<OnceLock<SharedTrace>> {
         let mut inner = self.inner.lock().expect("trace store");
-        if let Some(h) = inner.slots.get(key) {
-            return Arc::clone(h);
+        if let Some(s) = inner.slots.get(key) {
+            return Arc::clone(&s.cell);
         }
         self.evict_for(&mut inner, key.insts);
-        let h = Arc::new(TraceHandle::default());
-        inner.slots.insert(key.clone(), Arc::clone(&h));
-        inner.order.push(key.clone());
-        h
+        let cell = Arc::new(OnceLock::new());
+        inner.slots.insert(
+            key.clone(),
+            Slot {
+                cell: Arc::clone(&cell),
+                charged: 0,
+            },
+        );
+        inner.order.push_back(key.clone());
+        cell
     }
 
-    /// Convenience: resolve the handle and record/replay in one call.
-    pub fn get_or_record<I, F>(&self, key: &TraceKey, record: F) -> SharedTrace
-    where
-        I: Iterator<Item = DynInst>,
-        F: FnOnce() -> I,
-    {
-        self.handle(key).get_or_record(record)
+    /// Returns the trace recorded for `key`, calling `record` if this is
+    /// the first caller. Concurrent callers block until the first
+    /// recording finishes and then share its `Arc`.
+    pub fn get_or_record(&self, key: &TraceKey, record: impl FnOnce() -> Trace) -> SharedTrace {
+        let cell = self.cell(key);
+        let mut recorded = false;
+        let trace = Arc::clone(cell.get_or_init(|| {
+            recorded = true;
+            Arc::new(record())
+        }));
+        if recorded {
+            self.charge(key, &cell, trace.len() as u64);
+        }
+        trace
+    }
+
+    /// Adds a finished recording to the resident total, unless its key
+    /// was evicted (or replaced) while it recorded.
+    fn charge(&self, key: &TraceKey, cell: &Arc<OnceLock<SharedTrace>>, insts: u64) {
+        let mut inner = self.inner.lock().expect("trace store");
+        if let Some(s) = inner.slots.get_mut(key) {
+            if Arc::ptr_eq(&s.cell, cell) {
+                s.charged = insts;
+                inner.resident += insts;
+            }
+        }
     }
 
     /// Number of resident keys.
@@ -152,19 +168,15 @@ impl TraceStore {
     }
 
     /// Drops oldest keys until `incoming` more instructions fit the
-    /// budget. Keys whose recording never happened count as empty.
+    /// budget.
     fn evict_for(&self, inner: &mut StoreInner, incoming: u64) {
-        let resident = |inner: &StoreInner| -> u64 {
-            inner
-                .slots
-                .values()
-                .filter_map(|h| h.get())
-                .map(|t| t.len() as u64)
-                .sum()
-        };
-        while !inner.order.is_empty() && resident(inner) + incoming > self.budget_insts {
-            let old = inner.order.remove(0);
-            inner.slots.remove(&old);
+        while inner.resident + incoming > self.budget_insts {
+            let Some(old) = inner.order.pop_front() else {
+                break;
+            };
+            if let Some(s) = inner.slots.remove(&old) {
+                inner.resident -= s.charged;
+            }
         }
     }
 }
@@ -173,6 +185,7 @@ impl TraceStore {
 mod tests {
     use super::*;
     use crate::{Program, WorkloadProfile};
+    use ucsim_model::DynInst;
 
     fn key(name: &str, insts: u64) -> TraceKey {
         TraceKey {
@@ -194,17 +207,17 @@ mod tests {
         let mut recordings = 0;
         let a = store.get_or_record(&key("q", 100), || {
             recordings += 1;
-            quick_stream(100).into_iter()
+            Trace::record(quick_stream(100))
         });
         let b = store.get_or_record(&key("q", 100), || {
             recordings += 1;
-            quick_stream(100).into_iter()
+            Trace::record(quick_stream(100))
         });
         assert_eq!(recordings, 1, "second call must replay, not record");
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(store.len(), 1);
         // A different length is a different stream.
-        let c = store.get_or_record(&key("q", 50), || quick_stream(50).into_iter());
+        let c = store.get_or_record(&key("q", 50), || Trace::record(quick_stream(50)));
         assert_eq!(c.len(), 50);
         assert_eq!(store.len(), 2);
     }
@@ -212,12 +225,51 @@ mod tests {
     #[test]
     fn budget_evicts_oldest() {
         let store = TraceStore::new(150);
-        store.get_or_record(&key("a", 100), || quick_stream(100).into_iter());
-        store.get_or_record(&key("b", 100), || quick_stream(100).into_iter());
+        store.get_or_record(&key("a", 100), || Trace::record(quick_stream(100)));
+        store.get_or_record(&key("b", 100), || Trace::record(quick_stream(100)));
         assert_eq!(store.len(), 1, "a must have been evicted for b");
         // `a` records again after eviction (correctness unaffected).
-        let a2 = store.get_or_record(&key("a", 100), || quick_stream(100).into_iter());
+        let a2 = store.get_or_record(&key("a", 100), || Trace::record(quick_stream(100)));
         assert_eq!(a2.len(), 100);
+    }
+
+    /// The running total is the sum of the resident recordings' lengths
+    /// through any mix of inserts, repeats and evictions.
+    #[test]
+    fn resident_total_tracks_inserts_and_evictions() {
+        let store = TraceStore::new(1_000);
+        let stream = quick_stream(400);
+        let check = |store: &TraceStore| {
+            let inner = store.inner.lock().unwrap();
+            let sum: u64 = inner
+                .slots
+                .values()
+                .filter_map(|s| s.cell.get())
+                .map(|t| t.len() as u64)
+                .sum();
+            assert_eq!(inner.resident, sum);
+            assert!(inner.resident <= 1_000);
+            assert_eq!(inner.order.len(), inner.slots.len());
+        };
+        let mut x = 7u64;
+        for _ in 0..300 {
+            x = ucsim_model::mix64(x);
+            let name = ["a", "b", "c", "d", "e", "f"][(x % 6) as usize];
+            let insts = [10, 150, 400, 999, 1_000][(x >> 8) as usize % 5];
+            // Some keys record fewer instructions than they ask for (a
+            // short upload), some exactly as many.
+            let short = (x >> 16).is_multiple_of(3);
+            let n = if short {
+                insts.min(400) / 2
+            } else {
+                insts.min(400)
+            };
+            let t = store.get_or_record(&key(name, insts), || {
+                Trace::record(stream[..n as usize].iter().copied())
+            });
+            assert!(t.len() as u64 <= insts);
+            check(&store);
+        }
     }
 
     #[test]
@@ -232,7 +284,7 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 store.get_or_record(&key("q", 500), || {
                     recordings.fetch_add(1, Ordering::SeqCst);
-                    quick_stream(500).into_iter()
+                    Trace::record(quick_stream(500))
                 })
             }));
         }

@@ -22,6 +22,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use ucsim::mem::CacheConfig;
 use ucsim::pipeline::{PwTrace, SimConfig, Simulator};
@@ -29,28 +30,45 @@ use ucsim::trace::{record_workload, Program, WorkloadProfile};
 use ucsim::uopcache::{CompactionPolicy, UopCacheConfig};
 
 /// System allocator wrapper counting allocation events (frees are not
-/// counted: the assertion is about acquiring memory in the hot loop).
+/// counted: the assertion is about acquiring memory in the hot loop) and
+/// tracking live heap bytes and their high-water mark.
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static LIVE: AtomicU64 = AtomicU64::new(0);
+static PEAK: AtomicU64 = AtomicU64::new(0);
+
+fn grew(bytes: usize) {
+    let live = LIVE.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+fn shrank(bytes: usize) {
+    LIVE.fetch_sub(bytes as u64, Ordering::Relaxed);
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        grew(layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        shrank(layout.size());
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        grew(new_size);
+        shrank(layout.size());
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        grew(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 }
@@ -58,11 +76,23 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// The tests of this binary count process-wide allocator events, so they
+/// take turns.
+static SERIAL: Mutex<()> = Mutex::new(());
+
 /// Allocation events during `f`.
 fn allocs_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let before = ALLOCS.load(Ordering::Relaxed);
     let r = f();
     (ALLOCS.load(Ordering::Relaxed) - before, r)
+}
+
+/// Peak live heap bytes during `f`, above what was live when it began.
+fn peak_heap_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let base = LIVE.load(Ordering::Relaxed);
+    PEAK.store(base, Ordering::Relaxed);
+    let r = f();
+    (PEAK.load(Ordering::Relaxed) - base, r)
 }
 
 /// Allocation events of a short and a long run of `run`, and their
@@ -109,10 +139,9 @@ fn largest_config() -> SimConfig {
     cfg
 }
 
-/// One test, so no other test in this binary allocates concurrently
-/// with the counted sections.
 #[test]
 fn measured_batches_allocate_nothing() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     const WARMUP: u64 = 5_000;
     const SHORT: u64 = 20_000;
     const LONG: u64 = 80_000;
@@ -174,4 +203,26 @@ fn measured_batches_allocate_nothing() {
             "an empty {what} run made {allocs} allocations (at most {SETUP_ALLOCS})"
         );
     }
+}
+
+/// A live run holds one instruction window, not the walk: its peak heap
+/// is the simulator's structures plus a 24 KiB window, whatever the
+/// instruction budget. Recording the walk first (48 B per instruction)
+/// would add 5 MB here.
+#[test]
+fn a_live_run_does_not_hold_its_walk() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    const BUDGET: u64 = 4 << 20;
+    let profile = WorkloadProfile::by_name("redis").expect("known workload");
+    let program = Program::generate(&profile);
+    let cfg = SimConfig::table1().with_insts(5_000, 100_000);
+    // Lazy globals first, as above.
+    Simulator::new(cfg.clone().with_insts(0, 1_000)).run(&profile, &program);
+    let (peak, report) = peak_heap_during(|| Simulator::new(cfg).run(&profile, &program));
+    assert!(report.insts.abs_diff(100_000) < 100);
+    println!("live run: peak heap {peak} B");
+    assert!(
+        peak <= BUDGET,
+        "a 105K-instruction run peaked at {peak} B of live heap (at most {BUDGET})"
+    );
 }

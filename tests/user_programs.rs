@@ -227,6 +227,19 @@ fn malformed_uploads_and_unknown_refs_get_stable_envelopes() {
     assert_eq!(r.status, 422, "body: {}", r.body_str());
     assert_eq!(envelope_code(&r.body_str()), "invalid_program");
 
+    // A UCT1 trace with a 0-byte instruction (its prediction window
+    // would never reach a line end): rejected like any malformed trace.
+    let mut zero_len = bytes.clone();
+    zero_len[12 + 16] = 0;
+    let r = request(&addr, "POST", "/v1/programs", &zero_len).unwrap();
+    assert_eq!(r.status, 422, "body: {}", r.body_str());
+    assert_eq!(envelope_code(&r.body_str()), "invalid_program");
+    assert!(
+        r.body_str().contains("instruction length outside 1..=15"),
+        "{}",
+        r.body_str()
+    );
+
     // A well-formed ref to a program nobody uploaded.
     let r = request(
         &addr,
