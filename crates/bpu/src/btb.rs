@@ -23,33 +23,88 @@ pub enum BranchKind {
     Ret,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One branch on its way into an entry.
+#[derive(Debug, Clone, Copy)]
 struct BtbBranch {
-    pc: Addr,
+    /// Byte offset of the branch inside its 32-byte block.
+    offset: u8,
     kind: BranchKind,
     target: Addr,
 }
 
+/// One block's branches, stored field by field: each branch is its
+/// offset inside the block, its kind and its target, since its pc is
+/// `block << 5 | offset`. That packs an entry into 40 bytes.
 #[derive(Debug, Clone, Copy)]
 struct BtbEntry {
     /// 32-byte block number this entry covers.
     block: u64,
-    /// Up to two branches, kept in program order; only the first
-    /// `n_branches` slots are live. Inline storage: entries are created
-    /// and evicted continuously in steady state, so they must not own
-    /// heap memory.
-    branches: [BtbBranch; BRANCHES_PER_ENTRY],
-    n_branches: u8,
     lru: u64,
+    /// Up to two branches, kept in offset (that is, pc) order; only the
+    /// first `n_branches` slots are live. Inline storage: entries are
+    /// created and evicted continuously in steady state, so they must
+    /// not own heap memory.
+    targets: [Addr; BRANCHES_PER_ENTRY],
+    offsets: [u8; BRANCHES_PER_ENTRY],
+    kinds: [BranchKind; BRANCHES_PER_ENTRY],
+    n_branches: u8,
 }
 
 impl BtbEntry {
-    fn branches(&self) -> &[BtbBranch] {
-        &self.branches[..self.n_branches as usize]
+    /// An entry holding `b` alone.
+    const fn new(block: u64, b: BtbBranch, lru: u64) -> Self {
+        BtbEntry {
+            block,
+            lru,
+            targets: [b.target; BRANCHES_PER_ENTRY],
+            offsets: [b.offset; BRANCHES_PER_ENTRY],
+            kinds: [b.kind; BRANCHES_PER_ENTRY],
+            n_branches: 1,
+        }
     }
 
-    fn branches_mut(&mut self) -> &mut [BtbBranch] {
-        &mut self.branches[..self.n_branches as usize]
+    /// The live slot of the branch at `offset`, if any.
+    fn find(&self, offset: u8) -> Option<usize> {
+        self.offsets[..self.n_branches as usize]
+            .iter()
+            .position(|&o| o == offset)
+    }
+
+    /// The branch in slot `i`.
+    fn branch(&self, i: usize) -> BtbBranch {
+        BtbBranch {
+            offset: self.offsets[i],
+            kind: self.kinds[i],
+            target: self.targets[i],
+        }
+    }
+
+    /// Trains the branch `b`: updates it in place if resident, else adds
+    /// it, displacing the later branch of a full entry (two branches per
+    /// entry, Table I); the live branches stay in offset order.
+    fn train(&mut self, b: BtbBranch) {
+        if let Some(i) = self.find(b.offset) {
+            self.kinds[i] = b.kind;
+            self.targets[i] = b.target;
+            return;
+        }
+        let n = self.n_branches as usize;
+        if n < BRANCHES_PER_ENTRY {
+            self.n_branches += 1;
+        }
+        let last = n.min(BRANCHES_PER_ENTRY - 1);
+        self.offsets[last] = b.offset;
+        self.kinds[last] = b.kind;
+        self.targets[last] = b.target;
+        // The only slot out of order is the one just written.
+        for i in (1..=last).rev() {
+            if self.offsets[i - 1] < self.offsets[i] {
+                break;
+            }
+            self.offsets.swap(i - 1, i);
+            self.kinds.swap(i - 1, i);
+            self.targets.swap(i - 1, i);
+        }
     }
 }
 
@@ -83,24 +138,24 @@ const BLOCK_SHIFT: u32 = 5; // 32-byte blocks
 const BRANCHES_PER_ENTRY: usize = 2;
 
 /// A placeholder for slots past a set's live prefix; never read.
-const EMPTY_ENTRY: BtbEntry = BtbEntry {
-    block: 0,
-    branches: [BtbBranch {
-        pc: Addr::new(0),
+const EMPTY_ENTRY: BtbEntry = BtbEntry::new(
+    0,
+    BtbBranch {
+        offset: 0,
         kind: BranchKind::Conditional,
         target: Addr::new(0),
-    }; BRANCHES_PER_ENTRY],
-    n_branches: 0,
-    lru: 0,
-};
+    },
+    0,
+);
 
 /// One BTB level: every set's entries in one set-major [`SetSlots`].
 ///
 /// Each set has `ways` slots; its first `lens[set]` are live, in
-/// insertion order, and the rest are unused. The storage is reserved for
-/// a full level up front, so entries churn continuously once the
-/// predictor warms without a steady-state allocation, and building a
-/// level costs a fixed three allocations however many sets it has.
+/// insertion order, and the rest are unused. The storage grows with the
+/// sets a run trains, up to a full level, so entries churn continuously
+/// once the predictor warms without a steady-state allocation, and
+/// building a level costs a fixed three allocations however many sets it
+/// has.
 #[derive(Debug, Clone)]
 struct BtbLevel {
     entries: SetSlots<BtbEntry>,
@@ -140,26 +195,10 @@ impl BtbLevel {
     fn insert(&mut self, b: BtbBranch, block: u64, clock: u64) {
         if let Some(e) = self.entry_mut(block) {
             e.lru = clock;
-            if let Some(slot) = e.branches_mut().iter_mut().find(|x| x.pc == b.pc) {
-                slot.target = b.target;
-                slot.kind = b.kind;
-            } else if (e.n_branches as usize) < BRANCHES_PER_ENTRY {
-                e.branches[e.n_branches as usize] = b;
-                e.n_branches += 1;
-                e.branches_mut().sort_by_key(|x| x.pc);
-            } else {
-                // Two branches per entry (Table I): displace the later one.
-                e.branches[BRANCHES_PER_ENTRY - 1] = b;
-                e.branches_mut().sort_by_key(|x| x.pc);
-            }
+            e.train(b);
             return;
         }
-        let entry = BtbEntry {
-            block,
-            branches: [b; BRANCHES_PER_ENTRY],
-            n_branches: 1,
-            lru: clock,
-        };
+        let entry = BtbEntry::new(block, b, clock);
         let set = self.set_of(block);
         let len = self.lens[set] as usize;
         let slots = self.entries.set_mut(set);
@@ -227,6 +266,10 @@ impl Btb {
         pc.get() >> BLOCK_SHIFT
     }
 
+    fn offset_of(pc: Addr) -> u8 {
+        (pc.get() & ((1 << BLOCK_SHIFT) - 1)) as u8
+    }
+
     /// Looks up the branch at `pc`, promoting L2 hits into L1.
     /// Returns the level outcome and the stored target, if any.
     pub fn lookup(&mut self, pc: Addr) -> (BtbOutcome, Option<Addr>) {
@@ -235,17 +278,19 @@ impl Btb {
         let block = Self::block_of(pc);
         let clock = self.clock;
 
+        let offset = Self::offset_of(pc);
+
         if let Some(e) = self.l1.entry_mut(block) {
             e.lru = clock;
-            if let Some(b) = e.branches().iter().find(|b| b.pc == pc) {
+            if let Some(i) = e.find(offset) {
                 self.stats.l1_hits += 1;
-                return (BtbOutcome::L1Hit, Some(b.target));
+                return (BtbOutcome::L1Hit, Some(e.targets[i]));
             }
         }
 
         let found = self.l2.entry_mut(block).and_then(|e| {
             e.lru = clock;
-            e.branches().iter().find(|b| b.pc == pc).copied()
+            e.find(offset).map(|i| e.branch(i))
         });
         if let Some(b) = found {
             self.stats.l2_hits += 1;
@@ -260,14 +305,10 @@ impl Btb {
 
     /// Predicted target without updating stats or recency (peek).
     pub fn predict_target(&self, pc: Addr) -> Option<Addr> {
-        let block = Self::block_of(pc);
+        let (block, offset) = (Self::block_of(pc), Self::offset_of(pc));
         [&self.l1, &self.l2].into_iter().find_map(|level| {
-            level
-                .live(block)
-                .iter()
-                .find(|e| e.block == block)
-                .and_then(|e| e.branches().iter().find(|b| b.pc == pc))
-                .map(|b| b.target)
+            let e = level.live(block).iter().find(|e| e.block == block)?;
+            e.find(offset).map(|i| e.targets[i])
         })
     }
 
@@ -275,7 +316,11 @@ impl Btb {
     /// levels (write-through training on every executed branch).
     pub fn update(&mut self, pc: Addr, kind: BranchKind, target: Addr) {
         self.clock += 1;
-        let b = BtbBranch { pc, kind, target };
+        let b = BtbBranch {
+            offset: Self::offset_of(pc),
+            kind,
+            target,
+        };
         let block = Self::block_of(pc);
         self.l1.insert(b, block, self.clock);
         self.l2.insert(b, block, self.clock);
@@ -290,6 +335,11 @@ impl Btb {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn an_entry_packs_into_40_bytes() {
+        assert_eq!(std::mem::size_of::<BtbEntry>(), 40);
+    }
 
     #[test]
     fn miss_then_train_then_l1_hit() {

@@ -82,7 +82,11 @@ struct TaggedEntry {
 pub struct Tage {
     cfg: TageConfig,
     bimodal: Vec<i8>, // 2-bit: -2..=1, taken when >= 0
-    tables: Vec<Vec<TaggedEntry>>,
+    /// Every tagged table in one array, table by table: entry `i` of
+    /// table `t` is at `t << table_bits | i` (see [`Self::slot`]).
+    tables: Vec<TaggedEntry>,
+    /// Number of tagged tables (`cfg.history_lengths.len()`).
+    n_tables: usize,
     /// Global history as a shift register (bit 0 = most recent).
     ghr: u128,
     alloc_rng: SplitMix64,
@@ -98,8 +102,10 @@ pub struct Tage {
 /// Which component provided a prediction (fed back into `update`).
 #[derive(Debug, Clone, Copy)]
 struct Provider {
-    /// Table index (tables.len() == bimodal).
+    /// Table index (`n_tables` == bimodal).
     table: usize,
+    /// The entry's position: in `tables` for a tagged provider, in
+    /// `bimodal` for the bimodal one.
     index: usize,
     /// Alternate prediction (used for the `useful` heuristic).
     alt_taken: bool,
@@ -120,17 +126,15 @@ impl Tage {
             *cfg.history_lengths.last().unwrap() <= 128,
             "history capped at 128 bits"
         );
-        let tables = cfg
-            .history_lengths
-            .iter()
-            .map(|_| vec![TaggedEntry::default(); 1 << cfg.table_bits])
-            .collect();
+        let n_tables = cfg.history_lengths.len();
+        let tables = vec![TaggedEntry::default(); n_tables << cfg.table_bits];
         Tage {
             // Cold branches predict weakly not-taken (the conventional
             // static default; also what Figure 2(a)-style sequential PWs
             // assume for unseen branches).
             bimodal: vec![-1; 1 << cfg.bimodal_bits],
             tables,
+            n_tables,
             ghr: 0,
             alloc_rng: SplitMix64::new(0x7a6e_1dea),
             cfg,
@@ -147,6 +151,11 @@ impl Tage {
     /// Resets counters (not predictor state).
     pub fn reset_stats(&mut self) {
         self.stats = TageStats::default();
+    }
+
+    /// The position of entry `index` of table `t` in `tables`.
+    fn slot(&self, t: usize, index: usize) -> usize {
+        t << self.cfg.table_bits | index
     }
 
     fn folded_history(&self, len: u32, out_bits: u32) -> u64 {
@@ -186,12 +195,12 @@ impl Tage {
         let mut provider: Option<(usize, usize)> = None;
         let mut alt: Option<bool> = None;
         // Scan longest → shortest.
-        for t in (0..self.tables.len()).rev() {
-            let idx = self.index_of(pc, t);
-            let e = &self.tables[t][idx];
+        for t in (0..self.n_tables).rev() {
+            let slot = self.slot(t, self.index_of(pc, t));
+            let e = &self.tables[slot];
             if e.tag == self.tag_of(pc, t) {
                 if provider.is_none() {
-                    provider = Some((t, idx));
+                    provider = Some((t, slot));
                 } else if alt.is_none() {
                     alt = Some(e.ctr >= 0);
                     break;
@@ -200,13 +209,13 @@ impl Tage {
         }
         let bim_taken = self.bimodal[self.bimodal_index(pc)] >= 0;
         match provider {
-            Some((t, idx)) => {
-                let taken = self.tables[t][idx].ctr >= 0;
+            Some((t, slot)) => {
+                let taken = self.tables[slot].ctr >= 0;
                 (
                     taken,
                     Provider {
                         table: t,
-                        index: idx,
+                        index: slot,
                         alt_taken: alt.unwrap_or(bim_taken),
                     },
                 )
@@ -214,7 +223,7 @@ impl Tage {
             None => (
                 bim_taken,
                 Provider {
-                    table: self.tables.len(),
+                    table: self.n_tables,
                     index: self.bimodal_index(pc),
                     alt_taken: bim_taken,
                 },
@@ -226,7 +235,7 @@ impl Tage {
     pub fn predict(&mut self, pc: Addr) -> bool {
         self.stats.predictions += 1;
         let (taken, provider) = self.lookup(pc);
-        if provider.table < self.tables.len() {
+        if provider.table < self.n_tables {
             self.stats.tagged_provided += 1;
         }
         self.last_lookup = Some((pc.get(), provider));
@@ -247,8 +256,8 @@ impl Tage {
         }
 
         // Update the provider's counter.
-        if provider.table < self.tables.len() {
-            let e = &mut self.tables[provider.table][provider.index];
+        if provider.table < self.n_tables {
+            let e = &mut self.tables[provider.index];
             e.ctr = if taken {
                 (e.ctr + 1).min(3)
             } else {
@@ -274,32 +283,33 @@ impl Tage {
 
         // On a misprediction, allocate in a table with *longer* history
         // than the provider (bimodal provider ⇒ any tagged table).
-        let start = if provider.table >= self.tables.len() {
+        let start = if provider.table >= self.n_tables {
             0
         } else {
             provider.table + 1
         };
-        if mispredicted && start < self.tables.len() {
+        if mispredicted && start < self.n_tables {
             // Prefer a candidate with useful == 0; decay a random one
             // otherwise.
-            let pick = (start..self.tables.len()).find(|&t| {
+            let pick = (start..self.n_tables).find(|&t| {
                 let idx = self.index_of(pc, t);
-                self.tables[t][idx].useful == 0
+                self.tables[self.slot(t, idx)].useful == 0
             });
             match pick {
                 Some(t) => {
                     let idx = self.index_of(pc, t);
                     let tag = self.tag_of(pc, t);
-                    self.tables[t][idx] = TaggedEntry {
+                    let slot = self.slot(t, idx);
+                    self.tables[slot] = TaggedEntry {
                         tag,
                         ctr: if taken { 0 } else { -1 },
                         useful: 0,
                     };
                 }
                 None => {
-                    let t = start + self.alloc_rng.index(self.tables.len() - start);
-                    let idx = self.index_of(pc, t);
-                    self.tables[t][idx].useful = self.tables[t][idx].useful.saturating_sub(1);
+                    let t = start + self.alloc_rng.index(self.n_tables - start);
+                    let slot = self.slot(t, self.index_of(pc, t));
+                    self.tables[slot].useful = self.tables[slot].useful.saturating_sub(1);
                 }
             }
         }

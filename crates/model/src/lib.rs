@@ -21,7 +21,8 @@
 //! * [`Histogram`] / [`RunningStat`] — bookkeeping used by every stats
 //!   module in the workspace.
 //! * [`SetSlots`] — set-major entry storage, backed set by set on first
-//!   write, used by the BTB and the uop cache.
+//!   write and grown with the sets written, used by the BTB and the uop
+//!   cache.
 //! * [`CancelToken`] / [`FailureKind`] — cooperative cancellation and the
 //!   stable failure vocabulary shared by the worker pool, the pipeline,
 //!   and the serving layer.

@@ -111,21 +111,6 @@ impl BasicBlock {
     pub fn inst_count(&self) -> usize {
         self.body.len() + usize::from(self.terminator.is_some())
     }
-
-    /// Address of the terminator instruction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block has no terminator.
-    pub fn terminator_pc(&self) -> Addr {
-        assert!(
-            self.terminator.is_some(),
-            "block {} has no terminator",
-            self.id
-        );
-        let body: u64 = self.body.iter().map(|i| i.len as u64).sum();
-        self.start.offset(body)
-    }
 }
 
 /// A function: a contiguous range of arena blocks.

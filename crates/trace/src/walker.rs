@@ -37,6 +37,8 @@ pub struct TraceWalker<'p> {
     stack: Vec<usize>,
     cur_block: usize,
     inst_idx: usize,
+    /// Address of instruction `inst_idx` of `cur_block`.
+    pc: Addr,
     /// Per-block dynamic state, indexed by arena block id.
     blocks: Vec<BlockState>,
     mem_count: u64,
@@ -69,6 +71,7 @@ impl Program {
             stack: Vec::with_capacity(64),
             cur_block: self.funcs[0].entry_block,
             inst_idx: 0,
+            pc: self.blocks[self.funcs[0].entry_block].start,
             blocks: vec![BlockState::default(); self.blocks.len()],
             mem_count: 0,
             emitted: 0,
@@ -123,12 +126,9 @@ impl TraceWalker<'_> {
             let block = &self.prog.blocks[self.cur_block];
             if self.inst_idx < block.body.len() {
                 // Body instruction.
-                let offset: u64 = block.body[..self.inst_idx]
-                    .iter()
-                    .map(|i| i.len as u64)
-                    .sum();
                 let s = block.body[self.inst_idx];
-                let pc = block.start.offset(offset);
+                let pc = self.pc;
+                self.pc = pc.offset(s.len as u64);
                 let mem = s
                     .class
                     .is_mem()
@@ -143,10 +143,11 @@ impl TraceWalker<'_> {
                     // Pure fall-through: next arena block.
                     self.cur_block += 1;
                     self.inst_idx = 0;
+                    self.pc = self.prog.blocks[self.cur_block].start;
                     continue;
                 }
                 Some(term) => {
-                    let pc = block.terminator_pc();
+                    let pc = self.pc;
                     let fallthrough = block.id + 1;
                     let state = &mut self.blocks[block.id];
                     state.exec += 1;
@@ -258,6 +259,7 @@ impl TraceWalker<'_> {
                     );
                     self.cur_block = if taken { target_block } else { fallthrough };
                     self.inst_idx = 0;
+                    self.pc = self.prog.blocks[self.cur_block].start;
                     self.emitted += 1;
                     return inst;
                 }

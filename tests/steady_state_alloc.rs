@@ -18,7 +18,9 @@
 //! Setup itself is bounded too: every set-associative structure keeps its
 //! sets in a fixed number of flat arrays, so an empty run makes the same
 //! small number of allocations at every capacity, up to the largest
-//! configuration `SimConfig::check` accepts.
+//! configuration `SimConfig::check` accepts; and the BTB and uop-cache
+//! slots are allocated as sets are written, so an empty run's peak heap
+//! holds none of them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -97,9 +99,9 @@ fn peak_heap_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
 
 /// Allocation events of a short and a long run of `run`, and their
 /// difference: 60k extra measured instructions must add none, save a
-/// handful of amortized high-water grows of reused buffers (a larger
-/// window late in the run). Anything per batch would show up as
-/// thousands.
+/// handful of amortized high-water grows (a larger window late in the
+/// run; a BTB or uop-cache slot array doubling for sets only the long run
+/// writes). Anything per batch would show up as thousands.
 fn assert_steady<R>(what: &str, mut run: impl FnMut(bool) -> R) -> (R, R) {
     let (short_allocs, short) = allocs_during(|| run(false));
     let (long_allocs, long) = allocs_during(|| run(true));
@@ -201,6 +203,32 @@ fn measured_batches_allocate_nothing() {
         assert!(
             allocs <= SETUP_ALLOCS,
             "an empty {what} run made {allocs} allocations (at most {SETUP_ALLOCS})"
+        );
+    }
+}
+
+/// An empty run's heap grows with the sets it writes, not with the
+/// configured capacity: the BTB levels and the uop-cache entry slots are
+/// backed on demand, so what remains is the structures every lookup
+/// reads (the memory caches' tags and replacement state, the uop cache's
+/// start index, TAGE). Reserving every BTB and uop-cache set up front
+/// took 1.82 MB for Table I and 112 MB for the largest configuration.
+#[test]
+fn an_empty_run_reserves_no_unwritten_sets() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let profile = WorkloadProfile::by_name("redis").expect("known workload");
+    // Lazy globals first, as above.
+    Simulator::new(SimConfig::table1()).run_slice(profile.name, &[]);
+    for (what, cfg, budget) in [
+        ("Table I", SimConfig::table1(), 768 << 10),
+        ("largest accepted", largest_config(), 72 << 20),
+    ] {
+        let (peak, report) = peak_heap_during(|| Simulator::new(cfg).run_slice(profile.name, &[]));
+        assert_eq!(report.insts, 0);
+        println!("empty {what} run: peak heap {peak} B");
+        assert!(
+            peak <= budget,
+            "an empty {what} run peaked at {peak} B of live heap (at most {budget})"
         );
     }
 }
