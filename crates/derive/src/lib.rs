@@ -9,7 +9,11 @@
 //!
 //! * structs with named fields — encoded as a JSON object, one member per
 //!   field, in declaration order (this makes encodings canonical, which the
-//!   serve layer relies on for content-addressed cache keys);
+//!   serve layer relies on for content-addressed cache keys). A member
+//!   whose value is absent (`ToJson::is_absent`: an `Option` that is
+//!   `None`) is left out, and decoding reads an absent member as `None`.
+//!   A raw identifier names its member without the `r#` (`r#ref` is the
+//!   member `"ref"`);
 //! * single-field tuple structs (newtypes) — encoded as the inner value;
 //! * enums whose variants all carry no data — encoded as the variant name
 //!   string.
@@ -24,18 +28,25 @@ use proc_macro::{Delimiter, TokenStream, TokenTree};
 /// The parsed shape of a deriving type.
 enum Shape {
     /// `struct Name { a: A, b: B }`
-    Named { name: String, fields: Vec<String> },
+    Named { name: String, fields: Vec<Field> },
     /// `struct Name(Inner);`
     Newtype { name: String },
     /// `enum Name { A, B, C }`
     UnitEnum { name: String, variants: Vec<String> },
 }
 
+/// One named field: the identifier as written (`r#ref`) and its member
+/// name (`ref`).
+struct Field {
+    ident: String,
+    member: String,
+}
+
 /// Derives `ucsim_model::json::ToJson`.
 ///
-/// Named structs serialize to an object with fields in declaration order;
-/// newtypes serialize as their inner value; fieldless enums serialize as
-/// the variant-name string.
+/// Named structs serialize to an object with fields in declaration order,
+/// leaving out absent members (`None`); newtypes serialize as their inner
+/// value; fieldless enums serialize as the variant-name string.
 #[proc_macro_derive(ToJson)]
 pub fn derive_to_json(input: TokenStream) -> TokenStream {
     expand(input, gen_to_json)
@@ -125,7 +136,7 @@ fn skip_attrs_and_vis(toks: &mut std::iter::Peekable<impl Iterator<Item = TokenT
 
 /// Extracts field names from the body of a braced struct. Splits on
 /// commas outside `<...>` so generic field types don't confuse the scan.
-fn parse_named_fields(body: TokenStream) -> Result<Vec<String>, String> {
+fn parse_named_fields(body: TokenStream) -> Result<Vec<Field>, String> {
     let mut fields = Vec::new();
     let mut toks = body.into_iter().peekable();
     loop {
@@ -138,7 +149,9 @@ fn parse_named_fields(body: TokenStream) -> Result<Vec<String>, String> {
             Some(TokenTree::Punct(p)) if p.as_char() == ':' => {}
             other => return Err(format!("expected `:` after `{field}`, found {other:?}")),
         }
-        fields.push(field.to_string());
+        let ident = field.to_string();
+        let member = ident.strip_prefix("r#").unwrap_or(&ident).to_owned();
+        fields.push(Field { ident, member });
         // Skip the type: consume until a comma at angle-bracket depth 0.
         let mut angle = 0i32;
         for tt in toks.by_ref() {
@@ -219,17 +232,20 @@ fn gen_to_json(shape: &Shape) -> String {
         Shape::Named { name, fields } => {
             let pushes: String = fields
                 .iter()
-                .map(|f| {
+                .map(|Field { ident, member }| {
                     format!(
-                        "obj.push((::std::string::String::from({f:?}), \
-                         ucsim_model::json::ToJson::to_json(&self.{f})));\n"
+                        "if !ucsim_model::json::ToJson::is_absent(&self.{ident}) {{\n\
+                             obj.push((::std::string::String::from({member:?}), \
+                             ucsim_model::json::ToJson::to_json(&self.{ident})));\n\
+                         }}\n"
                     )
                 })
                 .collect();
+            let n = fields.len();
             format!(
                 "impl ucsim_model::json::ToJson for {name} {{\n\
                      fn to_json(&self) -> ucsim_model::json::Json {{\n\
-                         let mut obj = ::std::vec::Vec::new();\n\
+                         let mut obj = ::std::vec::Vec::with_capacity({n});\n\
                          {pushes}\
                          ucsim_model::json::Json::Obj(obj)\n\
                      }}\n\
@@ -265,7 +281,9 @@ fn gen_from_json(shape: &Shape) -> String {
         Shape::Named { name, fields } => {
             let inits: String = fields
                 .iter()
-                .map(|f| format!("{f}: ucsim_model::json::obj_field(v, {f:?})?,\n"))
+                .map(|Field { ident, member }| {
+                    format!("{ident}: ucsim_model::json::obj_field(v, {member:?})?,\n")
+                })
                 .collect();
             format!(
                 "impl ucsim_model::json::FromJson for {name} {{\n\

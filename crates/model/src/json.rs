@@ -13,7 +13,9 @@
 //!
 //! # Canonical encodings
 //!
-//! Derived `ToJson` emits object members in field-declaration order and
+//! Derived `ToJson` emits object members in field-declaration order,
+//! leaves out a member whose value is absent ([`ToJson::is_absent`]: a
+//! `None` option; derived `FromJson` reads it back as `None`), and
 //! formats floats with Rust's shortest-round-trip `Display`. Encoding is
 //! therefore a *canonical function of the value*: equal values produce
 //! byte-identical strings. The serve layer's content-addressed result
@@ -538,6 +540,13 @@ pub trait ToJson {
     /// Converts the value to its JSON representation.
     fn to_json(&self) -> Json;
 
+    /// True when the value, as an object member, is left out of a
+    /// derived encoding rather than written. `Option<T>` is absent when
+    /// `None`; every other value is always written.
+    fn is_absent(&self) -> bool {
+        false
+    }
+
     /// Canonical compact encoding (see the module docs).
     fn to_json_string(&self) -> String {
         self.to_json().to_string()
@@ -747,6 +756,10 @@ impl<T: ToJson> ToJson for Option<T> {
             None => Json::Null,
         }
     }
+
+    fn is_absent(&self) -> bool {
+        self.is_none()
+    }
 }
 
 impl<T: FromJson> FromJson for Option<T> {
@@ -861,6 +874,32 @@ mod tests {
             let back = f64::from_json(&Json::parse(&text).unwrap()).unwrap();
             assert_eq!(back.to_bits(), f.to_bits(), "{text}");
         }
+    }
+
+    #[test]
+    fn derived_members_unraw_names_and_omit_absent_options() {
+        #[derive(Debug, PartialEq, crate::ToJson, crate::FromJson)]
+        struct Tagged {
+            r#ref: String,
+            note: Option<u32>,
+            list: Vec<Option<u32>>,
+        }
+        let none = Tagged {
+            r#ref: "program:ab".to_owned(),
+            note: None,
+            list: vec![None, Some(1)],
+        };
+        let text = none.to_json_string();
+        // Only a member is left out; a `None` inside an array stays null.
+        assert_eq!(text, r#"{"ref":"program:ab","list":[null,1]}"#);
+        assert_eq!(Tagged::from_json_str(&text).unwrap(), none);
+        let some = Tagged {
+            note: Some(7),
+            ..none
+        };
+        let text = some.to_json_string();
+        assert_eq!(text, r#"{"ref":"program:ab","note":7,"list":[null,1]}"#);
+        assert_eq!(Tagged::from_json_str(&text).unwrap(), some);
     }
 
     #[test]

@@ -425,11 +425,11 @@ impl ErrorCode {
 
 /// The error object, wherever a failure is written: the `error` member
 /// of every non-2xx envelope, of a failed job and of a failed sweep cell,
-/// and the payload of a store `FAILED` record. Its [`ToJson`] impl is the
-/// one encoder of `{"code","message","retry_after"?,"request_id"?}` — it
-/// omits an absent optional member where a derived encoder would write
-/// `null` — and its derived [`FromJson`] impl the one decoder.
-#[derive(Debug, Clone, PartialEq, Eq, FromJson)]
+/// and the payload of a store `FAILED` record. Its derived [`ToJson`] and
+/// [`FromJson`] impls are the one encoder and decoder of
+/// `{"code","message","retry_after"?,"request_id"?}`; an absent optional
+/// member is left out.
+#[derive(Debug, Clone, PartialEq, Eq, ToJson, FromJson)]
 pub struct ErrorObject {
     /// The stable code: an [`ErrorCode`] or [`FailureKind`] wire string.
     pub code: String,
@@ -439,22 +439,6 @@ pub struct ErrorObject {
     pub retry_after: Option<u32>,
     /// Correlation id of the request the failure is attributable to.
     pub request_id: Option<String>,
-}
-
-impl ToJson for ErrorObject {
-    fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("code".to_owned(), Json::Str(self.code.clone())),
-            ("message".to_owned(), Json::Str(self.message.clone())),
-        ];
-        if let Some(secs) = self.retry_after {
-            fields.push(("retry_after".to_owned(), Json::Uint(u64::from(secs))));
-        }
-        if let Some(id) = &self.request_id {
-            fields.push(("request_id".to_owned(), Json::Str(id.clone())));
-        }
-        Json::Obj(fields)
-    }
 }
 
 impl ErrorObject {
