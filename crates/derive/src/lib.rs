@@ -27,19 +27,16 @@ use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 /// The parsed shape of a deriving type.
 enum Shape {
-    /// `struct Name { a: A, b: B }`
-    Named { name: String, fields: Vec<Field> },
+    /// `struct Name { a: A, b: B }`, each field as its identifier as
+    /// written (`r#ref`) and its member name (`ref`).
+    Named {
+        name: String,
+        fields: Vec<(String, String)>,
+    },
     /// `struct Name(Inner);`
     Newtype { name: String },
     /// `enum Name { A, B, C }`
     UnitEnum { name: String, variants: Vec<String> },
-}
-
-/// One named field: the identifier as written (`r#ref`) and its member
-/// name (`ref`).
-struct Field {
-    ident: String,
-    member: String,
 }
 
 /// Derives `ucsim_model::json::ToJson`.
@@ -136,7 +133,7 @@ fn skip_attrs_and_vis(toks: &mut std::iter::Peekable<impl Iterator<Item = TokenT
 
 /// Extracts field names from the body of a braced struct. Splits on
 /// commas outside `<...>` so generic field types don't confuse the scan.
-fn parse_named_fields(body: TokenStream) -> Result<Vec<Field>, String> {
+fn parse_named_fields(body: TokenStream) -> Result<Vec<(String, String)>, String> {
     let mut fields = Vec::new();
     let mut toks = body.into_iter().peekable();
     loop {
@@ -151,7 +148,7 @@ fn parse_named_fields(body: TokenStream) -> Result<Vec<Field>, String> {
         }
         let ident = field.to_string();
         let member = ident.strip_prefix("r#").unwrap_or(&ident).to_owned();
-        fields.push(Field { ident, member });
+        fields.push((ident, member));
         // Skip the type: consume until a comma at angle-bracket depth 0.
         let mut angle = 0i32;
         for tt in toks.by_ref() {
@@ -228,11 +225,11 @@ fn parse_unit_variants(name: &str, body: TokenStream) -> Result<Vec<String>, Str
 }
 
 fn gen_to_json(shape: &Shape) -> String {
-    match shape {
+    let (name, body) = match shape {
         Shape::Named { name, fields } => {
             let pushes: String = fields
                 .iter()
-                .map(|Field { ident, member }| {
+                .map(|(ident, member)| {
                     format!(
                         "if !ucsim_model::json::ToJson::is_absent(&self.{ident}) {{\n\
                              obj.push((::std::string::String::from({member:?}), \
@@ -242,84 +239,75 @@ fn gen_to_json(shape: &Shape) -> String {
                 })
                 .collect();
             let n = fields.len();
-            format!(
-                "impl ucsim_model::json::ToJson for {name} {{\n\
-                     fn to_json(&self) -> ucsim_model::json::Json {{\n\
-                         let mut obj = ::std::vec::Vec::with_capacity({n});\n\
-                         {pushes}\
-                         ucsim_model::json::Json::Obj(obj)\n\
-                     }}\n\
-                 }}"
-            )
+            let body = format!(
+                "let mut obj = ::std::vec::Vec::with_capacity({n});\n\
+                 {pushes}\
+                 ucsim_model::json::Json::Obj(obj)"
+            );
+            (name, body)
         }
-        Shape::Newtype { name } => format!(
-            "impl ucsim_model::json::ToJson for {name} {{\n\
-                 fn to_json(&self) -> ucsim_model::json::Json {{\n\
-                     ucsim_model::json::ToJson::to_json(&self.0)\n\
-                 }}\n\
-             }}"
+        Shape::Newtype { name } => (
+            name,
+            "ucsim_model::json::ToJson::to_json(&self.0)".to_owned(),
         ),
         Shape::UnitEnum { name, variants } => {
             let arms: String = variants
                 .iter()
                 .map(|v| format!("{name}::{v} => {v:?},\n"))
                 .collect();
-            format!(
-                "impl ucsim_model::json::ToJson for {name} {{\n\
-                     fn to_json(&self) -> ucsim_model::json::Json {{\n\
-                         ucsim_model::json::Json::Str(::std::string::String::from(\
-                             match self {{ {arms} }}))\n\
-                     }}\n\
-                 }}"
-            )
+            let body = format!(
+                "ucsim_model::json::Json::Str(::std::string::String::from(match self {{ {arms} }}))"
+            );
+            (name, body)
         }
-    }
+    };
+    format!(
+        "impl ucsim_model::json::ToJson for {name} {{\n\
+             fn to_json(&self) -> ucsim_model::json::Json {{\n{body}\n}}\n\
+         }}"
+    )
 }
 
 fn gen_from_json(shape: &Shape) -> String {
-    match shape {
+    let (name, body) = match shape {
         Shape::Named { name, fields } => {
             let inits: String = fields
                 .iter()
-                .map(|Field { ident, member }| {
+                .map(|(ident, member)| {
                     format!("{ident}: ucsim_model::json::obj_field(v, {member:?})?,\n")
                 })
                 .collect();
-            format!(
-                "impl ucsim_model::json::FromJson for {name} {{\n\
-                     fn from_json(v: &ucsim_model::json::Json) \
-                         -> ::std::result::Result<Self, ucsim_model::json::JsonError> {{\n\
-                         ::std::result::Result::Ok({name} {{ {inits} }})\n\
-                     }}\n\
-                 }}"
+            (
+                name,
+                format!("::std::result::Result::Ok({name} {{ {inits} }})"),
             )
         }
-        Shape::Newtype { name } => format!(
-            "impl ucsim_model::json::FromJson for {name} {{\n\
-                 fn from_json(v: &ucsim_model::json::Json) \
-                     -> ::std::result::Result<Self, ucsim_model::json::JsonError> {{\n\
-                     ::std::result::Result::Ok({name}(ucsim_model::json::FromJson::from_json(v)?))\n\
-                 }}\n\
-             }}"
+        Shape::Newtype { name } => (
+            name,
+            format!(
+                "::std::result::Result::Ok({name}(ucsim_model::json::FromJson::from_json(v)?))"
+            ),
         ),
         Shape::UnitEnum { name, variants } => {
             let arms: String = variants
                 .iter()
                 .map(|v| format!("{v:?} => ::std::result::Result::Ok({name}::{v}),\n"))
                 .collect();
-            format!(
-                "impl ucsim_model::json::FromJson for {name} {{\n\
-                     fn from_json(v: &ucsim_model::json::Json) \
-                         -> ::std::result::Result<Self, ucsim_model::json::JsonError> {{\n\
-                         match ucsim_model::json::expect_str(v, {name:?})? {{\n\
-                             {arms}\
-                             other => ::std::result::Result::Err(\
-                                 ucsim_model::json::JsonError::new(::std::format!(\
-                                     \"unknown {name} variant: {{other}}\"))),\n\
-                         }}\n\
-                     }}\n\
+            let body = format!(
+                "match ucsim_model::json::expect_str(v, {name:?})? {{\n\
+                     {arms}\
+                     other => ::std::result::Result::Err(\
+                         ucsim_model::json::JsonError::new(::std::format!(\
+                             \"unknown {name} variant: {{other}}\"))),\n\
                  }}"
-            )
+            );
+            (name, body)
         }
-    }
+    };
+    format!(
+        "impl ucsim_model::json::FromJson for {name} {{\n\
+             fn from_json(v: &ucsim_model::json::Json) \
+                 -> ::std::result::Result<Self, ucsim_model::json::JsonError> {{\n{body}\n}}\n\
+         }}"
+    )
 }

@@ -13,13 +13,13 @@ use ucsim_pipeline::{SimConfig, SimReport};
 use ucsim_trace::{TraceKey, WorkloadProfile};
 
 use crate::http::Response;
-use crate::jobs::JobFailure;
+use crate::jobs::{JobCell, JobFailure};
 
 /// A `POST /v1/sim` request body.
 ///
 /// Everything except `workload` is optional; omitted fields fall back to
 /// the paper's Table I configuration and the workload's default seed.
-#[derive(Debug, Clone, ToJson, FromJson)]
+#[derive(Debug, Clone, Default, ToJson, FromJson)]
 pub struct SimRequest {
     /// Workload reference, normalized at parse: a Table II profile name
     /// (e.g. `"redis"`), an uploaded-program ref (`program:<id>` /
@@ -59,12 +59,30 @@ pub struct JobSpec {
     pub config: SimConfig,
 }
 
-/// Normalizes one wire `workload` member — a ref string or the v1.2
-/// tagged object — into the canonical ref-string spelling, so both
-/// spellings produce the same [`JobSpec::canonical`] content address.
-fn normalize_workload_member(v: &Json) -> Result<Json, JsonError> {
-    let wref = WorkloadRef::from_json(v).map_err(JsonError::new)?;
-    Ok(Json::Str(wref.to_ref_string()))
+/// Parses a request body as a `T` after rewriting its `name` member — a
+/// workload ref, or an array of them — from either wire spelling (a ref
+/// string or the v1.2 tagged object) to the canonical ref string, so
+/// both spellings produce the same [`JobSpec::canonical`] content
+/// address.
+fn parse_with_refs<T: FromJson>(body: &str, name: &str) -> Result<T, JsonError> {
+    let normalize = |v: &mut Json| -> Result<(), JsonError> {
+        *v = Json::Str(
+            WorkloadRef::from_json(v)
+                .map_err(JsonError::new)?
+                .to_ref_string(),
+        );
+        Ok(())
+    };
+    let mut doc = Json::parse(body)?;
+    if let Json::Obj(members) = &mut doc {
+        for (_, v) in members.iter_mut().filter(|(k, _)| k == name) {
+            match v {
+                Json::Arr(items) => items.iter_mut().try_for_each(normalize)?,
+                v => normalize(v)?,
+            }
+        }
+    }
+    T::from_json(&doc)
 }
 
 impl SimRequest {
@@ -75,15 +93,7 @@ impl SimRequest {
     ///
     /// Returns the JSON parse/decode error for malformed bodies.
     pub fn parse(body: &str) -> Result<Self, JsonError> {
-        let mut doc = Json::parse(body)?;
-        if let Json::Obj(members) = &mut doc {
-            for (k, v) in members.iter_mut() {
-                if k == "workload" {
-                    *v = normalize_workload_member(v)?;
-                }
-            }
-        }
-        SimRequest::from_json(&doc)
+        parse_with_refs(body, "workload")
     }
 
     /// Resolves defaults into the canonical [`JobSpec`].
@@ -128,7 +138,7 @@ impl JobSpec {
 ///
 /// Omitted axes fall back to the paper's defaults: the full Table I
 /// capacity sweep and the baseline policy.
-#[derive(Debug, Clone, ToJson, FromJson)]
+#[derive(Debug, Clone, Default, ToJson, FromJson)]
 pub struct MatrixRequest {
     /// Workload refs (profile names, `program:<id>` / `trace:<id>`, or
     /// v1.2 tagged objects — normalized at parse); each cell simulates
@@ -167,20 +177,7 @@ impl MatrixRequest {
     ///
     /// Returns the JSON parse/decode error for malformed bodies.
     pub fn parse(body: &str) -> Result<Self, JsonError> {
-        let mut doc = Json::parse(body)?;
-        if let Json::Obj(members) = &mut doc {
-            for (k, v) in members.iter_mut() {
-                if k != "workloads" {
-                    continue;
-                }
-                if let Json::Arr(items) = v {
-                    for item in items.iter_mut() {
-                        *item = normalize_workload_member(item)?;
-                    }
-                }
-            }
-        }
-        MatrixRequest::from_json(&doc)
+        parse_with_refs(body, "workloads")
     }
 }
 
@@ -216,40 +213,38 @@ impl SweepMode {
         let Some(mode) = mode else {
             return Ok(SweepMode::Full);
         };
-        if mode.as_str() == Some("full") {
-            return Ok(SweepMode::Full);
-        }
-        if let Some(adaptive) = mode.get("adaptive") {
-            let axis = match adaptive.get("axis") {
-                None => "capacity".to_owned(),
-                Some(a) => a
-                    .as_str()
-                    .ok_or("mode.adaptive.axis must be a string")?
-                    .to_owned(),
-            };
-            if axis != "capacity" {
-                return Err(format!(
-                    "mode.adaptive.axis {axis:?} unsupported; only \"capacity\" can be refined"
-                ));
+        let Some(adaptive) = mode.get("adaptive") else {
+            if mode.as_str() == Some("full") || mode.get("full").is_some() {
+                return Ok(SweepMode::Full);
             }
-            let tolerance = match adaptive.get("tolerance") {
-                None => Self::DEFAULT_TOLERANCE,
-                Some(t) => t
-                    .as_f64()
-                    .ok_or("mode.adaptive.tolerance must be a number")?,
-            };
-            if !(0.0..1.0).contains(&tolerance) {
-                return Err(format!(
-                    "mode.adaptive.tolerance {tolerance} out of range [0, 1)"
-                ));
-            }
-            return Ok(SweepMode::Adaptive { axis, tolerance });
+            return Err("mode must be \"full\" or {\"adaptive\":{…}}".to_owned());
+        };
+        let AdaptiveMode { axis, tolerance } =
+            AdaptiveMode::from_json(adaptive).map_err(|e| format!("mode.adaptive: {e}"))?;
+        let axis = axis.unwrap_or_else(|| "capacity".to_owned());
+        if axis != "capacity" {
+            return Err(format!(
+                "mode.adaptive.axis {axis:?} unsupported; only \"capacity\" can be refined"
+            ));
         }
-        if mode.get("full").is_some() {
-            return Ok(SweepMode::Full);
+        let tolerance = tolerance.unwrap_or(Self::DEFAULT_TOLERANCE);
+        if !(0.0..1.0).contains(&tolerance) {
+            return Err(format!(
+                "mode.adaptive.tolerance {tolerance} out of range [0, 1)"
+            ));
         }
-        Err("mode must be \"full\" or {\"adaptive\":{…}}".to_owned())
+        Ok(SweepMode::Adaptive { axis, tolerance })
     }
+}
+
+/// The object of a `{"adaptive":{…}}` sweep mode; absent members take
+/// their defaults.
+#[derive(Debug, Clone, ToJson, FromJson)]
+pub struct AdaptiveMode {
+    /// The refined axis; only `"capacity"` (the default) is supported.
+    pub axis: Option<String>,
+    /// Relative knee tolerance in `[0, 1)`; default 0.05.
+    pub tolerance: Option<f64>,
 }
 
 /// Budget (in recorded instructions) of the shared trace store: jobs with
@@ -441,12 +436,18 @@ pub struct ErrorObject {
     pub request_id: Option<String>,
 }
 
+/// The body of every non-2xx response: `{"error":{…}}`.
+#[derive(ToJson, FromJson)]
+struct ErrorEnvelope {
+    error: ErrorObject,
+}
+
 impl ErrorObject {
     /// Decodes the object of an envelope body `{"error":{…}}`; `None`
     /// when the body is not one.
     pub fn from_envelope(body: &[u8]) -> Option<ErrorObject> {
-        let doc = Json::parse(std::str::from_utf8(body).ok()?).ok()?;
-        ErrorObject::from_json(doc.get("error")?).ok()
+        let text = std::str::from_utf8(body).ok()?;
+        ErrorEnvelope::from_json_str(text).ok().map(|e| e.error)
     }
 
     /// A failed job's object: its [`FailureKind`] code, message and
@@ -481,7 +482,7 @@ pub fn error_response(code: ErrorCode, message: &str, retry_after: Option<u32>) 
         retry_after,
         request_id: None,
     };
-    respond(code, &err)
+    respond(code, err)
 }
 
 /// The error [`Response`] for a failed job: the status and code its
@@ -490,17 +491,75 @@ pub fn failure_response(failure: &JobFailure) -> Response {
     let code = ErrorCode::from_failure(failure.kind);
     let mut err = ErrorObject::of_failure(failure);
     err.code = code.as_str().to_owned();
-    respond(code, &err)
+    respond(code, err)
 }
 
 /// The envelope `{"error":{…}}` under `code`'s status.
-fn respond(code: ErrorCode, err: &ErrorObject) -> Response {
-    let body = Json::Obj(vec![("error".to_owned(), err.to_json())]);
-    let resp = Response::json(code.status(), body.to_string().into_bytes());
-    match err.retry_after {
+fn respond(code: ErrorCode, err: ErrorObject) -> Response {
+    let retry_after = err.retry_after;
+    let resp = Response::encode(code.status(), &ErrorEnvelope { error: err });
+    match retry_after {
         Some(secs) => resp.with_header("retry-after", secs.to_string()),
         None => resp,
     }
+}
+
+/// A `POST /v1/sim` response when the report is read back, not written:
+/// the `{"key","cached","report"}` that [`envelope`] splices. Forwarding
+/// peers decode an owner's answer through it.
+#[derive(FromJson)]
+pub(crate) struct ReportEnvelope {
+    /// Whether the owner answered from its cache.
+    pub(crate) cached: bool,
+    /// The report, as sent.
+    pub(crate) report: Json,
+}
+
+/// The 202 of a background `POST /v1/sim`.
+#[derive(ToJson)]
+pub(crate) struct JobAccepted {
+    pub(crate) id: u64,
+    pub(crate) key: String,
+    pub(crate) poll: String,
+}
+
+/// One job: a `GET /v1/jobs` row and the `GET /v1/jobs/:id` body. A
+/// failed job's body carries its `error`; a done job's body has its
+/// response envelope spliced in as a last `result` member.
+#[derive(ToJson)]
+pub(crate) struct JobRow {
+    pub(crate) id: u64,
+    pub(crate) key: String,
+    pub(crate) state: &'static str,
+    pub(crate) created_at: u64,
+    pub(crate) error: Option<ErrorObject>,
+}
+
+impl JobRow {
+    /// `cell`'s row in `state`, without an error.
+    pub(crate) fn new(cell: &JobCell, state: &'static str) -> JobRow {
+        JobRow {
+            id: cell.id,
+            key: format_key(cell.key_hash),
+            state,
+            created_at: cell.created_at,
+            error: None,
+        }
+    }
+}
+
+/// `GET /v1/jobs`.
+#[derive(ToJson)]
+pub(crate) struct JobList {
+    pub(crate) jobs: Vec<JobRow>,
+}
+
+/// `GET /v1/jobs/:id/profile`; `profile` is `null` until the job ran.
+#[derive(ToJson)]
+pub(crate) struct JobProfileBody {
+    pub(crate) id: u64,
+    pub(crate) state: &'static str,
+    pub(crate) profile: Json,
 }
 
 #[cfg(test)]

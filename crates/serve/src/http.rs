@@ -11,6 +11,8 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+use ucsim_model::ToJson;
+
 /// Upper bound on the request head (request line + headers).
 const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Upper bound on a request body.
@@ -103,6 +105,11 @@ impl Response {
             body,
             content_type: "application/json",
         }
+    }
+
+    /// A JSON response whose body is `body`'s encoding.
+    pub fn encode(status: u16, body: &impl ToJson) -> Response {
+        Response::json(status, body.to_json_string().into_bytes())
     }
 
     /// A plain-text response (Prometheus exposition format).

@@ -95,7 +95,9 @@ mod signal;
 mod store;
 mod sweep;
 
-pub use api::{format_key, ErrorCode, ErrorObject, JobSpec, MatrixRequest, SimRequest, SweepMode};
+pub use api::{
+    format_key, AdaptiveMode, ErrorCode, ErrorObject, JobSpec, MatrixRequest, SimRequest, SweepMode,
+};
 pub use cache::{CacheStats, ResultCache};
 pub use client::{request, Client, HttpResponse, RetryPolicy};
 pub use http::{HttpConn, ReadOutcome, Request, Response};
@@ -103,8 +105,8 @@ pub use jobs::{JobCell, JobFailure, JobId, JobState, JobTable, Submit};
 pub use metrics::Metrics;
 pub use peer::{Peer, PeerSet, PeerState, DOWN_AFTER_FAILURES};
 pub use programs::{
-    decode_program_payload, validate_program_bytes, ProgramKind, ProgramRegistry, StoredProgram,
-    MAX_PROGRAM_BYTES,
+    decode_program_payload, validate_program_bytes, ProgramKind, ProgramMeta, ProgramRegistry,
+    StoredProgram, MAX_PROGRAM_BYTES,
 };
 pub use prom::render_prometheus;
 pub use router::{LabelId, Params, Route, Router};
@@ -112,6 +114,7 @@ pub use server::{Server, ServerConfig};
 pub use signal::{install_signal_handlers, request_shutdown, signalled};
 pub use store::{RecordKind, ResultStore, StoreRecord};
 pub use sweep::{
-    expand_request, CellMeta, Frontier, PlanAxes, PlanOptions, Sweep, SweepTable, MAX_SWEEP_CELLS,
+    expand_request, CellMeta, CellStatus, Frontier, PlanAxes, PlanOptions, Sweep, SweepAccepted,
+    SweepStatus, SweepTable, MAX_SWEEP_CELLS,
 };
 pub use ucsim_model::fnv1a;

@@ -11,10 +11,11 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use ucsim_model::json::Json;
-use ucsim_model::Histogram;
+use ucsim_model::{FromJson, Histogram, ToJson};
 use ucsim_pool::SchedStats;
 
 use crate::cache::CacheStats;
+use crate::peer::PeerCounters;
 use crate::router::LabelId;
 
 /// Histogram bucket upper bounds, in microseconds.
@@ -156,38 +157,28 @@ impl Metrics {
     /// pool and scheduler own those counters; metrics only reports them).
     /// `peers` is the peer-mode counter section ([`crate::PeerSet`]
     /// owns those counters); `None` on a standalone node omits it.
-    pub fn to_json(
+    pub(crate) fn to_json(
         &self,
         sched: &SchedStats,
         queue_capacity: usize,
         cache: &CacheStats,
         workers_alive: usize,
         workers_respawned: u64,
-        peers: Option<Json>,
+        peers: Option<PeerCounters>,
     ) -> Json {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
         let uptime_us = self.started.elapsed().as_micros() as u64;
-        let busy_us = self.busy_us.load(Ordering::Relaxed);
         let utilization = if uptime_us == 0 {
             0.0
         } else {
-            busy_us as f64 / (uptime_us as f64 * self.workers as f64)
+            load(&self.busy_us) as f64 / (uptime_us as f64 * self.workers as f64)
         };
-        let hits = cache.hits;
-        let lookups = hits + cache.misses;
+        let lookups = cache.hits + cache.misses;
         let hit_rate = if lookups == 0 {
             0.0
         } else {
-            hits as f64 / lookups as f64
+            cache.hits as f64 / lookups as f64
         };
-
-        let queue = Json::Obj(vec![
-            ("depth".to_owned(), Json::Uint(sched.depth as u64)),
-            ("capacity".to_owned(), Json::Uint(queue_capacity as u64)),
-            (
-                "rejected_429".to_owned(),
-                Json::Uint(self.rejected_429.load(Ordering::Relaxed)),
-            ),
-        ]);
         // Scalar scheduler counters plus a *bounded* queue-wait breakdown:
         // the Prometheus exposition renders every numeric leaf generically,
         // so per-tenant breakdowns (unbounded label cardinality) stay out
@@ -197,117 +188,160 @@ impl Metrics {
         waits.sort_by_key(|&(_, pops, _)| std::cmp::Reverse(pops));
         waits.truncate(8);
         waits.sort_by_key(|&(priority, ..)| priority);
-        let wait_by_priority = Json::Obj(
-            waits
-                .into_iter()
-                .map(|(priority, pops, wait_us)| {
-                    (
-                        format!("p{priority}"),
-                        Json::Obj(vec![
-                            ("pops".to_owned(), Json::Uint(pops)),
-                            ("wait_us".to_owned(), Json::Uint(wait_us)),
-                        ]),
-                    )
-                })
-                .collect(),
-        );
-        let scheduler = Json::Obj(vec![
-            ("served".to_owned(), Json::Uint(sched.served)),
-            ("preempted".to_owned(), Json::Uint(sched.preempted)),
-            (
-                "tenants_active".to_owned(),
-                Json::Uint(sched.tenants.len() as u64),
-            ),
-            (
-                "jobs_cancelled".to_owned(),
-                Json::Uint(self.jobs_cancelled.load(Ordering::Relaxed)),
-            ),
-            ("wait_by_priority".to_owned(), wait_by_priority),
-        ]);
-        let workers = Json::Obj(vec![
-            ("count".to_owned(), Json::Uint(self.workers as u64)),
-            ("alive".to_owned(), Json::Uint(workers_alive as u64)),
-            (
-                "busy".to_owned(),
-                Json::Uint(self.busy_workers.load(Ordering::Relaxed) as u64),
-            ),
-            ("utilization".to_owned(), Json::Float(utilization)),
-            (
-                "jobs_executed".to_owned(),
-                Json::Uint(self.jobs_executed.load(Ordering::Relaxed)),
-            ),
-            (
-                "jobs_failed".to_owned(),
-                Json::Uint(self.jobs_failed.load(Ordering::Relaxed)),
-            ),
-            (
-                "jobs_deadline_exceeded".to_owned(),
-                Json::Uint(self.jobs_deadline_exceeded.load(Ordering::Relaxed)),
-            ),
-            (
-                "workers_respawned".to_owned(),
-                Json::Uint(workers_respawned),
-            ),
-        ]);
-        let store = Json::Obj(vec![(
-            "write_errors".to_owned(),
-            Json::Uint(self.store_write_errors.load(Ordering::Relaxed)),
-        )]);
-        let cache_json = Json::Obj(vec![
-            ("entries".to_owned(), Json::Uint(cache.entries as u64)),
-            ("bytes".to_owned(), Json::Uint(cache.bytes as u64)),
-            ("budget_bytes".to_owned(), Json::Uint(cache.budget as u64)),
-            ("hits".to_owned(), Json::Uint(cache.hits)),
-            ("coalesced".to_owned(), Json::Uint(cache.coalesced)),
-            ("misses".to_owned(), Json::Uint(cache.misses)),
-            ("insertions".to_owned(), Json::Uint(cache.insertions)),
-            ("evictions".to_owned(), Json::Uint(cache.evictions)),
-            ("hit_rate".to_owned(), Json::Float(hit_rate)),
-        ]);
-        let latency = {
+        let wait_by_priority = waits
+            .into_iter()
+            .map(|(priority, pops, wait_us)| {
+                (
+                    format!("p{priority}"),
+                    PriorityWait { pops, wait_us }.to_json(),
+                )
+            })
+            .collect();
+        let latency_us = {
             let hists = self.latency.lock().expect("latency lock");
-            Json::Obj(
-                self.labels
-                    .iter()
-                    .zip(hists.iter())
-                    .map(|(name, h)| ((*name).to_owned(), histogram_json(h)))
-                    .collect(),
-            )
+            self.labels
+                .iter()
+                .zip(hists.iter())
+                .map(|(name, h)| ((*name).to_owned(), HistogramBody::of(h).to_json()))
+                .collect()
         };
-        let mut fields = vec![
-            ("uptime_us".to_owned(), Json::Uint(uptime_us)),
-            (
-                "requests".to_owned(),
-                Json::Uint(self.requests.load(Ordering::Relaxed)),
-            ),
-            ("queue".to_owned(), queue),
-            ("scheduler".to_owned(), scheduler),
-            ("workers".to_owned(), workers),
-            ("store".to_owned(), store),
-            ("cache".to_owned(), cache_json),
-            ("latency_us".to_owned(), latency),
-        ];
-        if let Some(peers) = peers {
-            fields.push(("peers".to_owned(), peers));
+        MetricsBody {
+            uptime_us,
+            requests: load(&self.requests),
+            queue: QueueStats {
+                depth: sched.depth,
+                capacity: queue_capacity,
+                rejected_429: Some(load(&self.rejected_429)),
+            },
+            scheduler: SchedulerStats {
+                served: sched.served,
+                preempted: sched.preempted,
+                tenants_active: sched.tenants.len(),
+                jobs_cancelled: load(&self.jobs_cancelled),
+                wait_by_priority: Json::Obj(wait_by_priority),
+            },
+            workers: WorkerStats {
+                count: self.workers,
+                alive: workers_alive,
+                busy: self.busy_workers.load(Ordering::Relaxed),
+                utilization,
+                jobs_executed: load(&self.jobs_executed),
+                jobs_failed: load(&self.jobs_failed),
+                jobs_deadline_exceeded: load(&self.jobs_deadline_exceeded),
+                workers_respawned,
+            },
+            store: StoreStats {
+                write_errors: load(&self.store_write_errors),
+            },
+            cache: CacheBody {
+                entries: cache.entries,
+                bytes: cache.bytes,
+                budget_bytes: cache.budget,
+                hits: cache.hits,
+                coalesced: cache.coalesced,
+                misses: cache.misses,
+                insertions: cache.insertions,
+                evictions: cache.evictions,
+                hit_rate,
+            },
+            latency_us: Json::Obj(latency_us),
+            peers,
         }
-        Json::Obj(fields)
+        .to_json()
     }
 }
 
-fn histogram_json(h: &Histogram) -> Json {
-    Json::Obj(vec![
-        (
-            "bounds".to_owned(),
-            Json::Arr(h.bounds().iter().map(|&b| Json::Uint(b)).collect()),
-        ),
-        (
-            "counts".to_owned(),
-            Json::Arr(h.counts().iter().map(|&c| Json::Uint(c)).collect()),
-        ),
-        ("total".to_owned(), Json::Uint(h.total())),
-        ("sum".to_owned(), Json::Uint(h.sum() as u64)),
-        ("mean".to_owned(), Json::Float(h.mean())),
-    ])
+/// The `GET /v1/metrics` document. `wait_by_priority` (keyed `p<n>`)
+/// and `latency_us` (keyed by endpoint label) are maps whose member
+/// names are data.
+#[derive(ToJson)]
+struct MetricsBody {
+    uptime_us: u64,
+    requests: u64,
+    queue: QueueStats,
+    scheduler: SchedulerStats,
+    workers: WorkerStats,
+    store: StoreStats,
+    cache: CacheBody,
+    latency_us: Json,
+    peers: Option<PeerCounters>,
+}
+
+/// The `queue` member of `/v1/metrics`, and — without `rejected_429` —
+/// of `/v1/healthz`.
+#[derive(ToJson)]
+pub(crate) struct QueueStats {
+    pub(crate) depth: usize,
+    pub(crate) capacity: usize,
+    pub(crate) rejected_429: Option<u64>,
+}
+
+#[derive(ToJson)]
+struct SchedulerStats {
+    served: u64,
+    preempted: u64,
+    tenants_active: usize,
+    jobs_cancelled: u64,
+    wait_by_priority: Json,
+}
+
+#[derive(ToJson)]
+struct PriorityWait {
+    pops: u64,
+    wait_us: u64,
+}
+
+#[derive(ToJson)]
+struct WorkerStats {
+    count: usize,
+    alive: usize,
+    busy: usize,
+    utilization: f64,
+    jobs_executed: u64,
+    jobs_failed: u64,
+    jobs_deadline_exceeded: u64,
+    workers_respawned: u64,
+}
+
+#[derive(ToJson)]
+struct StoreStats {
+    write_errors: u64,
+}
+
+#[derive(ToJson)]
+struct CacheBody {
+    entries: usize,
+    bytes: usize,
+    budget_bytes: usize,
+    hits: u64,
+    coalesced: u64,
+    misses: u64,
+    insertions: u64,
+    evictions: u64,
+    hit_rate: f64,
+}
+
+/// One endpoint's latency histogram, as the Prometheus exposition
+/// reads it back.
+#[derive(ToJson, FromJson)]
+pub(crate) struct HistogramBody {
+    pub(crate) bounds: Vec<u64>,
+    pub(crate) counts: Vec<u64>,
+    pub(crate) total: u64,
+    pub(crate) sum: u64,
+    pub(crate) mean: f64,
+}
+
+impl HistogramBody {
+    fn of(h: &Histogram) -> HistogramBody {
+        HistogramBody {
+            bounds: h.bounds().to_vec(),
+            counts: h.counts().to_vec(),
+            total: h.total(),
+            sum: h.sum() as u64,
+            mean: h.mean(),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -26,8 +26,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use ucsim_model::json::Json;
-use ucsim_model::{fnv1a, SplitMix64};
+use ucsim_model::{fnv1a, SplitMix64, ToJson};
 use ucsim_pool::faults;
 
 use crate::client::HttpResponse;
@@ -369,83 +368,86 @@ impl PeerSet {
 
     /// The `peers` member for `/v1/healthz`: per-peer state, last-probe
     /// age, and forward/failover counters, plus the cluster summary.
-    pub fn healthz_json(&self) -> Json {
+    pub(crate) fn health(&self) -> ClusterHealth {
         let now = Instant::now();
-        let peers = self
+        let members = self
             .peers
             .iter()
             .map(|p| {
                 let h = p.health.lock().expect("peer health lock");
-                let mut fields = vec![
-                    ("addr".to_owned(), Json::Str(p.addr.clone())),
-                    ("state".to_owned(), Json::Str(h.state.as_str().to_owned())),
-                ];
-                if let Some(at) = h.last_probe {
-                    let age = now.saturating_duration_since(at).as_micros();
-                    fields.push((
-                        "last_probe_age_us".to_owned(),
-                        Json::Uint(u64::try_from(age).unwrap_or(u64::MAX)),
-                    ));
+                MemberHealth {
+                    addr: p.addr.clone(),
+                    state: h.state.as_str(),
+                    last_probe_age_us: h.last_probe.map(|at| {
+                        let age = now.saturating_duration_since(at).as_micros();
+                        u64::try_from(age).unwrap_or(u64::MAX)
+                    }),
+                    forwarded: p.forwarded.load(Ordering::Relaxed),
+                    failed_over: p.failed_over.load(Ordering::Relaxed),
                 }
-                fields.push((
-                    "forwarded".to_owned(),
-                    Json::Uint(p.forwarded.load(Ordering::Relaxed)),
-                ));
-                fields.push((
-                    "failed_over".to_owned(),
-                    Json::Uint(p.failed_over.load(Ordering::Relaxed)),
-                ));
-                Json::Obj(fields)
             })
             .collect();
-        Json::Obj(vec![
-            ("advertise".to_owned(), Json::Str(self.self_addr.clone())),
-            (
-                "state".to_owned(),
-                Json::Str(if self.degraded() { "degraded" } else { "ok" }.to_owned()),
-            ),
-            ("members".to_owned(), Json::Arr(peers)),
-        ])
+        ClusterHealth {
+            advertise: self.self_addr.clone(),
+            state: if self.degraded() { "degraded" } else { "ok" },
+            members,
+        }
     }
 
     /// The `peers` section for `/v1/metrics`: aggregate numeric leaves
     /// only, so the mechanical Prometheus flattening picks every one up
     /// (peer addresses contain `:` and can't be series names).
-    pub fn metrics_json(&self) -> Json {
-        let mut up = 0u64;
-        let mut degraded = 0u64;
-        let mut down = 0u64;
-        let mut forwarded = 0u64;
-        let mut failed_over = 0u64;
-        let mut probes = 0u64;
+    pub(crate) fn counters(&self) -> PeerCounters {
+        let mut c = PeerCounters {
+            configured: self.peers.len() as u64,
+            pull_rounds: self.pull_rounds.load(Ordering::Relaxed),
+            pull_records: self.pull_records.load(Ordering::Relaxed),
+            ..PeerCounters::default()
+        };
         for p in &self.peers {
             match p.state() {
-                PeerState::Up => up += 1,
-                PeerState::Degraded => degraded += 1,
-                PeerState::Down => down += 1,
+                PeerState::Up => c.up += 1,
+                PeerState::Degraded => c.degraded += 1,
+                PeerState::Down => c.down += 1,
             }
-            forwarded += p.forwarded.load(Ordering::Relaxed);
-            failed_over += p.failed_over.load(Ordering::Relaxed);
-            probes += p.probes.load(Ordering::Relaxed);
+            c.forwarded += p.forwarded.load(Ordering::Relaxed);
+            c.failed_over += p.failed_over.load(Ordering::Relaxed);
+            c.probes += p.probes.load(Ordering::Relaxed);
         }
-        Json::Obj(vec![
-            ("configured".to_owned(), Json::Uint(self.peers.len() as u64)),
-            ("up".to_owned(), Json::Uint(up)),
-            ("degraded".to_owned(), Json::Uint(degraded)),
-            ("down".to_owned(), Json::Uint(down)),
-            ("forwarded".to_owned(), Json::Uint(forwarded)),
-            ("failed_over".to_owned(), Json::Uint(failed_over)),
-            ("probes".to_owned(), Json::Uint(probes)),
-            (
-                "pull_rounds".to_owned(),
-                Json::Uint(self.pull_rounds.load(Ordering::Relaxed)),
-            ),
-            (
-                "pull_records".to_owned(),
-                Json::Uint(self.pull_records.load(Ordering::Relaxed)),
-            ),
-        ])
+        c
     }
+}
+
+/// The `peers` member of `/v1/healthz`.
+#[derive(ToJson)]
+pub(crate) struct ClusterHealth {
+    advertise: String,
+    state: &'static str,
+    members: Vec<MemberHealth>,
+}
+
+/// One peer of a [`ClusterHealth`].
+#[derive(ToJson)]
+pub(crate) struct MemberHealth {
+    addr: String,
+    state: &'static str,
+    last_probe_age_us: Option<u64>,
+    forwarded: u64,
+    failed_over: u64,
+}
+
+/// The `peers` section of `/v1/metrics`.
+#[derive(Default, ToJson)]
+pub(crate) struct PeerCounters {
+    configured: u64,
+    up: u64,
+    degraded: u64,
+    down: u64,
+    forwarded: u64,
+    failed_over: u64,
+    probes: u64,
+    pull_rounds: u64,
+    pull_records: u64,
 }
 
 /// The rendezvous score of `member` for `key`: a splitmix draw seeded by
@@ -509,6 +511,7 @@ fn http_once(
 mod tests {
     use super::*;
     use std::io::{Read, Write};
+    use ucsim_model::Json;
 
     fn set(self_addr: &str, peers: &[&str]) -> PeerSet {
         PeerSet::new(
@@ -598,7 +601,7 @@ mod tests {
     fn healthz_and_metrics_shapes() {
         let ps = set("h:1", &["h:2"]);
         ps.peers()[0].note_failure();
-        let h = ps.healthz_json();
+        let h = ps.health().to_json();
         assert_eq!(h.get("state").and_then(Json::as_str), Some("degraded"));
         let members = h.get("members").and_then(Json::as_arr).unwrap();
         assert_eq!(members.len(), 1);
@@ -606,7 +609,7 @@ mod tests {
             members[0].get("state").and_then(Json::as_str),
             Some("degraded")
         );
-        let m = ps.metrics_json();
+        let m = ps.counters().to_json();
         assert_eq!(m.get("configured").and_then(Json::as_u64), Some(1));
         assert_eq!(m.get("degraded").and_then(Json::as_u64), Some(1));
         assert_eq!(m.get("up").and_then(Json::as_u64), Some(0));

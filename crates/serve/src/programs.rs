@@ -16,11 +16,11 @@
 //! never enter the registry, so every ref that resolves is runnable.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::sync::{Arc, RwLock};
 
 use ucsim_isa::{assemble, AsmProgram};
-use ucsim_model::json::Json;
-use ucsim_model::{fnv1a, WorkloadRef};
+use ucsim_model::{fnv1a, FromJson, ToJson, WorkloadRef};
 use ucsim_trace::{load_asm, Trace};
 
 use crate::api;
@@ -58,6 +58,42 @@ impl ProgramKind {
             _ => None,
         }
     }
+}
+
+/// A program resource as `/v1/programs` serves it.
+#[derive(Debug, Clone, ToJson, FromJson)]
+pub struct ProgramMeta {
+    /// The content address, 16 hex digits.
+    pub id: String,
+    /// The workload ref that runs the program (`program:<id>` /
+    /// `trace:<id>`).
+    pub r#ref: String,
+    /// `asm` or `trace`.
+    pub kind: String,
+    /// Static instructions for ucasm, recorded instructions for a trace.
+    pub insts: u64,
+    /// Size of the upload.
+    pub bytes: u64,
+    /// On `POST /v1/programs` only: whether the upload created the
+    /// resource.
+    pub created: Option<bool>,
+}
+
+/// `GET /v1/programs`.
+#[derive(ToJson)]
+pub(crate) struct ProgramList {
+    pub(crate) programs: Vec<ProgramMeta>,
+}
+
+/// A program's store and replication payload: `{"kind":"asm","source"}`
+/// or `{"kind":"trace","hex"}` — trace bytes ride hex-encoded because
+/// store payloads are UTF-8 strings. `POST /v1/programs` accepts the same
+/// JSON.
+#[derive(ToJson, FromJson)]
+struct ProgramPayload {
+    kind: String,
+    source: Option<String>,
+    hex: Option<String>,
 }
 
 /// The validated, parsed form of an upload.
@@ -150,37 +186,26 @@ impl StoredProgram {
     }
 
     /// The `GET /v1/programs[/:id]` resource document.
-    pub fn meta_json(&self) -> Json {
-        Json::Obj(vec![
-            ("id".to_owned(), Json::Str(self.id())),
-            ("ref".to_owned(), Json::Str(self.ref_string())),
-            (
-                "kind".to_owned(),
-                Json::Str(self.kind().as_str().to_owned()),
-            ),
-            ("insts".to_owned(), Json::Uint(self.insts())),
-            ("bytes".to_owned(), Json::Uint(self.raw.len() as u64)),
-        ])
+    pub fn meta(&self) -> ProgramMeta {
+        ProgramMeta {
+            id: self.id(),
+            r#ref: self.ref_string(),
+            kind: self.kind().as_str().to_owned(),
+            insts: self.insts(),
+            bytes: self.raw.len() as u64,
+            created: None,
+        }
     }
 
-    /// The store/replication payload: a JSON envelope that
-    /// [`decode_program_payload`] turns back into this exact resource.
-    /// Trace bytes ride hex-encoded — store payloads are UTF-8 strings.
+    /// The store/replication payload, which [`decode_program_payload`]
+    /// turns back into this exact resource.
     pub fn payload_json(&self) -> String {
-        let fields = match &self.body {
-            ProgramBody::Asm(_) => vec![
-                ("kind".to_owned(), Json::Str("asm".to_owned())),
-                (
-                    "source".to_owned(),
-                    Json::Str(String::from_utf8_lossy(&self.raw).into_owned()),
-                ),
-            ],
-            ProgramBody::Trace(_) => vec![
-                ("kind".to_owned(), Json::Str("trace".to_owned())),
-                ("hex".to_owned(), Json::Str(encode_hex(&self.raw))),
-            ],
+        let (source, hex) = match &self.body {
+            ProgramBody::Asm(_) => (Some(String::from_utf8_lossy(&self.raw).into_owned()), None),
+            ProgramBody::Trace(_) => (None, Some(encode_hex(&self.raw))),
         };
-        Json::Obj(fields).to_string()
+        let kind = self.kind().as_str().to_owned();
+        ProgramPayload { kind, source, hex }.to_json_string()
     }
 }
 
@@ -235,27 +260,16 @@ pub fn validate_program_bytes(bytes: &[u8]) -> Result<StoredProgram, String> {
 ///
 /// A human-readable message; replay callers drop undecodable records.
 pub fn decode_program_payload(payload: &str) -> Result<StoredProgram, String> {
-    let doc = Json::parse(payload).map_err(|e| format!("program payload: {e}"))?;
-    let kind = doc
-        .get("kind")
-        .and_then(Json::as_str)
-        .ok_or("program payload lacks kind")?;
-    match ProgramKind::parse(kind) {
+    let doc =
+        ProgramPayload::from_json_str(payload).map_err(|e| format!("program payload: {e}"))?;
+    match ProgramKind::parse(&doc.kind) {
         Some(ProgramKind::Asm) => {
-            let source = doc
-                .get("source")
-                .and_then(Json::as_str)
-                .ok_or("asm payload lacks source")?;
-            validate_program_bytes(source.as_bytes())
+            validate_program_bytes(doc.source.ok_or("asm payload lacks source")?.as_bytes())
         }
         Some(ProgramKind::Trace) => {
-            let hex = doc
-                .get("hex")
-                .and_then(Json::as_str)
-                .ok_or("trace payload lacks hex")?;
-            validate_program_bytes(&decode_hex(hex)?)
+            validate_program_bytes(&decode_hex(&doc.hex.ok_or("trace payload lacks hex")?)?)
         }
-        None => Err(format!("unknown program kind {kind:?}")),
+        None => Err(format!("unknown program kind {:?}", doc.kind)),
     }
 }
 
@@ -263,7 +277,7 @@ pub fn decode_program_payload(payload: &str) -> Result<StoredProgram, String> {
 pub fn encode_hex(bytes: &[u8]) -> String {
     let mut out = String::with_capacity(bytes.len() * 2);
     for b in bytes {
-        out.push_str(&format!("{b:02x}"));
+        let _ = write!(out, "{b:02x}");
     }
     out
 }
@@ -372,12 +386,9 @@ mod tests {
         assert_eq!(p.ref_string(), format!("program:{}", p.id()));
         assert_eq!(p.insts(), 3);
         assert!(p.asm().is_some() && p.trace().is_none());
-        let meta = p.meta_json();
-        assert_eq!(meta.get("kind").unwrap().as_str(), Some("asm"));
-        assert_eq!(
-            meta.get("bytes").unwrap().as_u64(),
-            Some(LOOP_ASM.len() as u64)
-        );
+        let meta = p.meta();
+        assert_eq!(meta.kind, "asm");
+        assert_eq!(meta.bytes, LOOP_ASM.len() as u64);
     }
 
     #[test]

@@ -12,6 +12,9 @@
 use std::fmt::Write as _;
 
 use ucsim_model::json::Json;
+use ucsim_model::FromJson;
+
+use crate::metrics::HistogramBody;
 
 /// Metric name prefix for every exported series.
 const PREFIX: &str = "ucsim";
@@ -104,17 +107,17 @@ fn render_latency(subtree: &Json, out: &mut String) {
     let name = format!("{PREFIX}_request_latency_us");
     let _ = writeln!(out, "# TYPE {name} histogram");
     for (endpoint, hist) in endpoints {
+        let Ok(HistogramBody {
+            bounds,
+            counts,
+            total,
+            sum,
+            ..
+        }) = HistogramBody::from_json(hist)
+        else {
+            continue;
+        };
         let label = escape_label_value(endpoint);
-        let bounds: Vec<u64> = match hist.get("bounds") {
-            Some(Json::Arr(items)) => items.iter().filter_map(Json::as_u64).collect(),
-            _ => continue,
-        };
-        let counts: Vec<u64> = match hist.get("counts") {
-            Some(Json::Arr(items)) => items.iter().filter_map(Json::as_u64).collect(),
-            _ => continue,
-        };
-        let total = hist.get("total").and_then(Json::as_u64).unwrap_or(0);
-        let sum = hist.get("sum").and_then(Json::as_u64).unwrap_or(0);
         let mut cumulative = 0u64;
         for (bound, count) in bounds.iter().zip(&counts) {
             cumulative += count;

@@ -19,17 +19,22 @@ use ucsim_pipeline::{Cancelled, KneeBisector, SimReport, Simulator};
 use ucsim_pool::{faults, PoolMonitor, PushError, Scheduler, SupervisedPool, Watchdog};
 use ucsim_trace::{load_asm, Program, Trace, TraceStore, WorkloadProfile};
 
-use crate::api::{self, ErrorCode, ErrorObject, JobSpec, MatrixRequest, SimRequest, SweepMode};
+use crate::api::{
+    self, ErrorCode, ErrorObject, JobAccepted, JobList, JobProfileBody, JobRow, JobSpec,
+    MatrixRequest, ReportEnvelope, SimRequest, SweepMode,
+};
 use crate::cache::ResultCache;
 use crate::client::HttpResponse;
 use crate::http::{HttpConn, ReadOutcome, Request, Response};
 use crate::jobs::{JobCell, JobFailure, JobState, JobTable, Submit};
-use crate::metrics::Metrics;
-use crate::peer::PeerSet;
-use crate::programs::{self, ProgramKind, ProgramRegistry, StoredProgram};
+use crate::metrics::{Metrics, QueueStats};
+use crate::peer::{ClusterHealth, PeerSet};
+use crate::programs::{self, ProgramKind, ProgramList, ProgramRegistry, StoredProgram};
 use crate::router::{Params, Route, Router};
 use crate::store::{RecordKind, ResultStore, StoreRecord};
-use crate::sweep::{self, Frontier, PlanAxes, PlanOptions, Sweep, SweepTable};
+use crate::sweep::{
+    self, Frontier, PlanAxes, PlanOptions, Sweep, SweepAccepted, SweepList, SweepTable,
+};
 use crate::{jobs, signal};
 
 /// Poll interval of [`Server::run_until_shutdown`]'s wait for the
@@ -46,6 +51,16 @@ const KEEP_ALIVE_IDLE: Duration = Duration::from_secs(30);
 
 /// Max records per anti-entropy pull request.
 const ANTI_ENTROPY_BATCH: usize = 256;
+
+/// The persistent store's log format, as `/v1/store` and `/v1/version`
+/// name it.
+const STORE_FORMAT: &str = "UCSTOR03";
+
+/// The wire states a job can be in, for `GET /v1/jobs?state=`.
+const JOB_STATES: [&str; 4] = ["queued", "running", "done", "failed"];
+
+/// The wire states a sweep can be in, for `GET /v1/matrix?state=`.
+const SWEEP_STATES: [&str; 4] = ["running", "done", "partial", "failed"];
 
 /// Tunables for [`Server::start`].
 #[derive(Debug, Clone)]
@@ -993,17 +1008,12 @@ fn handle_sim(inner: &Arc<Inner>, req: &Request, _params: &Params) -> Response {
     };
 
     if background {
-        let body = Json::Obj(vec![
-            ("id".to_owned(), Json::Uint(cell.id)),
-            ("key".to_owned(), Json::Str(api::format_key(hash))),
-            (
-                "poll".to_owned(),
-                Json::Str(format!("/v1/jobs/{}", cell.id)),
-            ),
-        ])
-        .to_string()
-        .into_bytes();
-        return Response::json(202, body);
+        let accepted = JobAccepted {
+            id: cell.id,
+            key: api::format_key(hash),
+            poll: format!("/v1/jobs/{}", cell.id),
+        };
+        return Response::encode(202, &accepted);
     }
 
     match cell.wait() {
@@ -1124,16 +1134,14 @@ fn forward(inner: &Inner, ps: &PeerSet, job: &Admit<'_>) -> Option<Forwarded> {
                 Ok(resp) if resp.status == 200 => {
                     let env = std::str::from_utf8(&resp.body)
                         .ok()
-                        .and_then(|b| Json::parse(b).ok());
-                    let field = |name| env.as_ref()?.get(name);
-                    if let Some(report) = field("report") {
-                        let payload = Arc::new(report.to_string());
-                        let cached = field("cached").and_then(Json::as_bool).unwrap_or(false);
+                        .and_then(|b| ReportEnvelope::from_json_str(b).ok());
+                    if let Some(env) = env {
+                        let payload = Arc::new(env.report.to_string());
                         let canonical = job.canonical.to_owned();
                         inner.cache.put(job.hash, canonical, Arc::clone(&payload));
                         return Some(Forwarded::Report {
                             payload,
-                            cached,
+                            cached: env.cached,
                             body: resp.body,
                         });
                     }
@@ -1305,14 +1313,12 @@ fn handle_matrix_post(inner: &Arc<Inner>, req: &Request, _params: &Params) -> Re
         }
     }
 
-    let body = Json::Obj(vec![
-        ("id".to_owned(), Json::Uint(id)),
-        ("planned".to_owned(), Json::Uint(sweep.total() as u64)),
-        ("poll".to_owned(), Json::Str(format!("/v1/matrix/{id}"))),
-    ])
-    .to_string()
-    .into_bytes();
-    Response::json(202, body)
+    let accepted = SweepAccepted {
+        id,
+        planned: sweep.total() as u64,
+        poll: format!("/v1/matrix/{id}"),
+    };
+    Response::encode(202, &accepted)
 }
 
 /// Resolves one plan cell through [`admit`]: a store/cache hit fulfills
@@ -1460,25 +1466,25 @@ fn anti_entropy_loop(inner: &Arc<Inner>) {
                     peer.pull_cursor(),
                     ANTI_ENTROPY_BATCH
                 );
-                let page = ps.fetch(peer, &path).ok().filter(|r| r.status == 200);
-                let body = page
+                let resp = ps.fetch(peer, &path).ok().filter(|r| r.status == 200);
+                let Some(page) = resp
                     .as_ref()
-                    .and_then(|r| std::str::from_utf8(&r.body).ok());
-                let Some(doc) = body.and_then(|b| Json::parse(b).ok()) else {
+                    .and_then(|r| std::str::from_utf8(&r.body).ok())
+                    .and_then(|b| StorePage::from_json_str(b).ok())
+                else {
                     break;
                 };
-                let records = doc.get("records").and_then(Json::as_arr).unwrap_or(&[]);
-                for rec in records {
+                let (pulled_any, next, eof) = (!page.records.is_empty(), page.next, page.eof);
+                pulled += page.records.len() as u64;
+                for rec in page.records {
                     apply_pull_record(inner, store, rec);
                 }
-                pulled += records.len() as u64;
-                let next = doc.get("next").and_then(Json::as_u64).unwrap_or(0);
                 if next > peer.pull_cursor() {
                     peer.set_pull_cursor(next);
-                } else if !records.is_empty() {
+                } else if pulled_any {
                     break; // no cursor progress despite records: bail out
                 }
-                if doc.get("eof").and_then(Json::as_bool).unwrap_or(true) {
+                if eof {
                     break;
                 }
             }
@@ -1497,21 +1503,18 @@ fn anti_entropy_loop(inner: &Arc<Inner>) {
 /// repeated pulls and overlapping peers stay idempotent; malformed
 /// records are dropped (the source log is checksummed, so these only
 /// arise from a peer speaking a different wire version).
-fn apply_pull_record(inner: &Inner, store: &ResultStore, rec: &Json) {
-    let field = |name| rec.get(name).and_then(Json::as_str);
-    let (Some(kind), Some(key), Some(canonical), Some(payload)) = (
-        field("kind").and_then(RecordKind::parse),
-        field("key").and_then(|k| u64::from_str_radix(k, 16).ok()),
-        field("canonical"),
-        field("payload"),
+fn apply_pull_record(inner: &Inner, store: &ResultStore, rec: StoreRow) {
+    let (Some(kind), Ok(key)) = (
+        RecordKind::parse(&rec.kind),
+        u64::from_str_radix(&rec.key, 16),
     ) else {
         return;
     };
     if store.contains(key) {
         return;
     }
-    if let Ok(record) = Record::decode(kind, payload.to_owned()) {
-        inner.record(key, canonical, record, || true);
+    if let Ok(record) = Record::decode(kind, rec.payload) {
+        inner.record(key, &rec.canonical, record, || true);
     }
 }
 
@@ -1584,33 +1587,34 @@ fn drive_adaptive(
     publish(&bisector);
 }
 
+/// The `?state=` filter of a listing: `Ok(None)` when absent, a 400
+/// naming the accepted values when it is none of `states`.
+fn state_filter<'a>(req: &'a Request, states: &[&str]) -> Result<Option<&'a str>, Response> {
+    match req.query("state") {
+        Some(f) if !states.contains(&f) => Err(api::error_response(
+            ErrorCode::BadRequest,
+            &format!("unknown state filter {f:?} (want {})", states.join(", ")),
+            None,
+        )),
+        filter => Ok(filter),
+    }
+}
+
 fn handle_matrix_list(inner: &Arc<Inner>, req: &Request, _params: &Params) -> Response {
-    let filter = req.query("state");
-    let sweeps: Vec<Json> = inner
+    let filter = match state_filter(req, &SWEEP_STATES) {
+        Ok(f) => f,
+        Err(resp) => return resp,
+    };
+    let sweeps = inner
         .sweeps
         .list()
         .into_iter()
         .filter_map(|s| {
             let state = s.state_name();
-            if filter.is_some_and(|f| f != state) {
-                return None;
-            }
-            Some(Json::Obj(vec![
-                ("id".to_owned(), Json::Uint(s.id)),
-                ("state".to_owned(), Json::Str(state.to_owned())),
-                ("created_at".to_owned(), Json::Uint(s.created_at)),
-                ("tenant".to_owned(), Json::Str(s.tenant.clone())),
-                ("priority".to_owned(), Json::Uint(s.priority)),
-                (
-                    "mode".to_owned(),
-                    Json::Str(if s.adaptive { "adaptive" } else { "full" }.to_owned()),
-                ),
-                ("planned".to_owned(), Json::Uint(s.total() as u64)),
-            ]))
+            filter.is_none_or(|f| f == state).then(|| s.row(state))
         })
         .collect();
-    let body = Json::Obj(vec![("sweeps".to_owned(), Json::Arr(sweeps))]);
-    Response::json(200, body.to_string().into_bytes())
+    Response::encode(200, &SweepList { sweeps })
 }
 
 fn handle_matrix_delete(inner: &Arc<Inner>, _req: &Request, params: &Params) -> Response {
@@ -1669,14 +1673,9 @@ fn handle_program_post(inner: &Arc<Inner>, req: &Request, _params: &Params) -> R
         Err(msg) => return api::error_response(ErrorCode::InvalidProgram, &msg, None),
     };
     let (entry, created) = register_program(inner, program);
-    let Json::Obj(mut fields) = entry.meta_json() else {
-        unreachable!("meta_json is an object")
-    };
-    fields.push(("created".to_owned(), Json::Bool(created)));
-    Response::json(
-        if created { 201 } else { 200 },
-        Json::Obj(fields).to_string().into_bytes(),
-    )
+    let mut meta = entry.meta();
+    meta.created = Some(created);
+    Response::encode(if created { 201 } else { 200 }, &meta)
 }
 
 /// Resolves the `:id` route param (the 16-hex content address) against
@@ -1711,19 +1710,13 @@ fn handle_program_list(inner: &Arc<Inner>, req: &Request, _params: &Params) -> R
             )
         }
     };
-    let listed: Vec<Json> = inner
-        .programs
-        .list(kind)
-        .iter()
-        .map(|p| p.meta_json())
-        .collect();
-    let body = Json::Obj(vec![("programs".to_owned(), Json::Arr(listed))]);
-    Response::json(200, body.to_string().into_bytes())
+    let programs = inner.programs.list(kind).iter().map(|p| p.meta()).collect();
+    Response::encode(200, &ProgramList { programs })
 }
 
 fn handle_program_get(inner: &Arc<Inner>, _req: &Request, params: &Params) -> Response {
     match lookup_program(inner, params) {
-        Ok(p) => Response::json(200, p.meta_json().to_string().into_bytes()),
+        Ok(p) => Response::encode(200, &p.meta()),
         Err(resp) => resp,
     }
 }
@@ -1747,26 +1740,22 @@ fn handle_program_raw(inner: &Arc<Inner>, _req: &Request, params: &Params) -> Re
 }
 
 fn handle_jobs_list(inner: &Arc<Inner>, req: &Request, _params: &Params) -> Response {
-    let filter = req.query("state");
-    let jobs: Vec<Json> = inner
+    let filter = match state_filter(req, &JOB_STATES) {
+        Ok(f) => f,
+        Err(resp) => return resp,
+    };
+    let jobs = inner
         .jobs
         .snapshot()
         .into_iter()
         .filter_map(|cell| {
-            let state = cell.state();
-            if filter.is_some_and(|f| f != state.name()) {
-                return None;
-            }
-            Some(Json::Obj(vec![
-                ("id".to_owned(), Json::Uint(cell.id)),
-                ("key".to_owned(), Json::Str(api::format_key(cell.key_hash))),
-                ("state".to_owned(), Json::Str(state.name().to_owned())),
-                ("created_at".to_owned(), Json::Uint(cell.created_at)),
-            ]))
+            let state = cell.state().name();
+            filter
+                .is_none_or(|f| f == state)
+                .then(|| JobRow::new(&cell, state))
         })
         .collect();
-    let body = Json::Obj(vec![("jobs".to_owned(), Json::Arr(jobs))]);
-    Response::json(200, body.to_string().into_bytes())
+    Response::encode(200, &JobList { jobs })
 }
 
 fn handle_job_delete(inner: &Arc<Inner>, req: &Request, params: &Params) -> Response {
@@ -1811,16 +1800,11 @@ fn handle_job_get(inner: &Arc<Inner>, _req: &Request, params: &Params) -> Respon
     let state = cell.state();
     // Unified v1.1 envelope (DESIGN.md §4.1): `state` and `result` are
     // canonical; the one-release `status`/`response` aliases are gone.
-    let mut obj = vec![
-        ("id".to_owned(), Json::Uint(id)),
-        ("key".to_owned(), Json::Str(api::format_key(cell.key_hash))),
-        ("state".to_owned(), Json::Str(state.name().to_owned())),
-        ("created_at".to_owned(), Json::Uint(cell.created_at)),
-    ];
+    let mut row = JobRow::new(&cell, state.name());
     match state {
         JobState::Done(payload) => {
             // Splice the finished job's response envelope in verbatim.
-            let mut out = Json::Obj(obj).to_string().into_bytes();
+            let mut out = row.to_json_string().into_bytes();
             out.pop(); // trailing '}'
             out.extend_from_slice(b",\"result\":");
             out.extend(api::envelope(cell.key_hash, false, &payload));
@@ -1828,11 +1812,10 @@ fn handle_job_get(inner: &Arc<Inner>, _req: &Request, params: &Params) -> Respon
             Response::json(200, out)
         }
         JobState::Failed(failure) => {
-            let err = ErrorObject::of_failure(&failure).to_json();
-            obj.push(("error".to_owned(), err));
-            Response::json(200, Json::Obj(obj).to_string().into_bytes())
+            row.error = Some(ErrorObject::of_failure(&failure));
+            Response::encode(200, &row)
         }
-        _ => Response::json(200, Json::Obj(obj).to_string().into_bytes()),
+        _ => Response::encode(200, &row),
     }
 }
 
@@ -1843,14 +1826,12 @@ fn handle_job_profile(inner: &Arc<Inner>, _req: &Request, params: &Params) -> Re
     let Some(cell) = inner.jobs.get(id) else {
         return api::error_response(ErrorCode::NotFound, "no such job", None);
     };
-    let state = cell.state();
-    let profile = cell.profile().map_or(Json::Null, |p| p.to_json());
-    let body = Json::Obj(vec![
-        ("id".to_owned(), Json::Uint(id)),
-        ("state".to_owned(), Json::Str(state.name().to_owned())),
-        ("profile".to_owned(), profile),
-    ]);
-    Response::json(200, body.to_string().into_bytes())
+    let body = JobProfileBody {
+        id,
+        state: cell.state().name(),
+        profile: cell.profile().map_or(Json::Null, |p| p.to_json()),
+    };
+    Response::encode(200, &body)
 }
 
 fn handle_metrics(inner: &Arc<Inner>, req: &Request, _params: &Params) -> Response {
@@ -1865,7 +1846,7 @@ fn handle_metrics(inner: &Arc<Inner>, req: &Request, _params: &Params) -> Respon
         &stats,
         alive,
         respawned,
-        inner.peers.as_ref().map(PeerSet::metrics_json),
+        inner.peers.as_ref().map(PeerSet::counters),
     );
     // Content negotiation: Prometheus scrapers ask for text/plain; the
     // exposition covers the same counters as the JSON document by
@@ -1889,26 +1870,62 @@ fn handle_trace(_inner: &Arc<Inner>, req: &Request, _params: &Params) -> Respons
     let (events, next_since) = ucsim_obs::drain_since(since, max);
     let events = events
         .iter()
-        .map(|e| {
-            Json::Obj(vec![
-                ("seq".to_owned(), Json::Uint(e.seq)),
-                ("kind".to_owned(), Json::Str(e.kind.name().to_owned())),
-                ("start_us".to_owned(), Json::Uint(e.start_us)),
-                ("dur_us".to_owned(), Json::Uint(e.dur_us)),
-                (
-                    "request_id".to_owned(),
-                    Json::Str(format!("{:016x}", e.request_id)),
-                ),
-                ("detail".to_owned(), Json::Uint(u64::from(e.detail))),
-            ])
+        .map(|e| TraceEvent {
+            seq: e.seq,
+            kind: e.kind.name(),
+            start_us: e.start_us,
+            dur_us: e.dur_us,
+            request_id: format!("{:016x}", e.request_id),
+            detail: e.detail,
         })
         .collect();
-    let body = Json::Obj(vec![
-        ("enabled".to_owned(), Json::Bool(ucsim_obs::ENABLED)),
-        ("events".to_owned(), Json::Arr(events)),
-        ("next_since".to_owned(), Json::Uint(next_since)),
-    ]);
-    Response::json(200, body.to_string().into_bytes())
+    let page = TracePage {
+        enabled: ucsim_obs::ENABLED,
+        events,
+        next_since,
+    };
+    Response::encode(200, &page)
+}
+
+/// `GET /v1/trace`: span events after a cursor.
+#[derive(ToJson)]
+struct TracePage {
+    enabled: bool,
+    events: Vec<TraceEvent>,
+    next_since: u64,
+}
+
+/// One span event of a [`TracePage`].
+#[derive(ToJson)]
+struct TraceEvent {
+    seq: u64,
+    kind: &'static str,
+    start_us: u64,
+    dur_us: u64,
+    request_id: String,
+    detail: u32,
+}
+
+/// `GET /v1/store`: a page of store records, and what anti-entropy
+/// decodes from a peer.
+#[derive(ToJson, FromJson)]
+struct StorePage {
+    format: String,
+    since: u64,
+    /// The cursor of the following page.
+    next: u64,
+    /// True when the page reaches the end of the verified log.
+    eof: bool,
+    records: Vec<StoreRow>,
+}
+
+/// One record of a [`StorePage`].
+#[derive(ToJson, FromJson)]
+struct StoreRow {
+    kind: String,
+    key: String,
+    canonical: String,
+    payload: String,
 }
 
 /// Largest `GET /v1/store` page, in bytes of log (record headers
@@ -1945,23 +1962,21 @@ fn handle_store(inner: &Arc<Inner>, req: &Request, _params: &Params) -> Response
         Ok((records, next, eof)) => {
             let records = records
                 .into_iter()
-                .map(|r| {
-                    Json::Obj(vec![
-                        ("kind".to_owned(), Json::Str(r.kind.name().to_owned())),
-                        ("key".to_owned(), Json::Str(api::format_key(r.key_hash))),
-                        ("canonical".to_owned(), Json::Str(r.canonical)),
-                        ("payload".to_owned(), Json::Str(r.payload)),
-                    ])
+                .map(|r| StoreRow {
+                    kind: r.kind.name().to_owned(),
+                    key: api::format_key(r.key_hash),
+                    canonical: r.canonical,
+                    payload: r.payload,
                 })
                 .collect();
-            let body = Json::Obj(vec![
-                ("format".to_owned(), Json::Str("UCSTOR03".to_owned())),
-                ("since".to_owned(), Json::Uint(since)),
-                ("next".to_owned(), Json::Uint(next)),
-                ("eof".to_owned(), Json::Bool(eof)),
-                ("records".to_owned(), Json::Arr(records)),
-            ]);
-            Response::json(200, body.to_string().into_bytes())
+            let page = StorePage {
+                format: STORE_FORMAT.to_owned(),
+                since,
+                next,
+                eof,
+                records,
+            };
+            Response::encode(200, &page)
         }
         Err(e) => api::error_response(
             ErrorCode::Internal,
@@ -1981,76 +1996,88 @@ fn handle_healthz(inner: &Arc<Inner>, _req: &Request, _params: &Params) -> Respo
         None => (false, true),
     };
     let ok = alive > 0 && store_writable && !inner.stopping.load(Ordering::SeqCst);
-    let mut fields = vec![
-        ("ok".to_owned(), Json::Bool(ok)),
-        (
-            "queue".to_owned(),
-            Json::Obj(vec![
-                ("depth".to_owned(), Json::Uint(inner.queue.len() as u64)),
-                (
-                    "capacity".to_owned(),
-                    Json::Uint(inner.queue.capacity() as u64),
-                ),
-            ]),
-        ),
-        (
-            "workers".to_owned(),
-            Json::Obj(vec![
-                ("alive".to_owned(), Json::Uint(alive as u64)),
-                ("count".to_owned(), Json::Uint(inner.cfg.workers as u64)),
-            ]),
-        ),
-        (
-            "store".to_owned(),
-            Json::Obj(vec![
-                ("present".to_owned(), Json::Bool(store_present)),
-                ("writable".to_owned(), Json::Bool(store_writable)),
-            ]),
-        ),
-    ];
-    // Peer mode: per-member breaker state plus the cluster-level
-    // "ok"/"degraded" signal. Local `ok` is deliberately unaffected — a
-    // node that can serve what it owns stays healthy even when the
-    // cluster around it is partitioned.
-    if let Some(ps) = &inner.peers {
-        fields.push(("peers".to_owned(), ps.healthz_json()));
-    }
-    let body = Json::Obj(fields);
-    Response::json(if ok { 200 } else { 503 }, body.to_string().into_bytes())
+    let health = Health {
+        ok,
+        queue: QueueStats {
+            depth: inner.queue.len(),
+            capacity: inner.queue.capacity(),
+            rejected_429: None,
+        },
+        workers: WorkersAlive {
+            alive,
+            count: inner.cfg.workers,
+        },
+        store: StoreHealth {
+            present: store_present,
+            writable: store_writable,
+        },
+        // Peer mode: per-member breaker state plus the cluster-level
+        // "ok"/"degraded" signal. Local `ok` is deliberately unaffected —
+        // a node that can serve what it owns stays healthy even when the
+        // cluster around it is partitioned.
+        peers: inner.peers.as_ref().map(PeerSet::health),
+    };
+    Response::encode(if ok { 200 } else { 503 }, &health)
+}
+
+/// `GET /v1/healthz`.
+#[derive(ToJson)]
+struct Health {
+    ok: bool,
+    queue: QueueStats,
+    workers: WorkersAlive,
+    store: StoreHealth,
+    peers: Option<ClusterHealth>,
+}
+
+#[derive(ToJson)]
+struct WorkersAlive {
+    alive: usize,
+    count: usize,
+}
+
+#[derive(ToJson)]
+struct StoreHealth {
+    present: bool,
+    writable: bool,
 }
 
 fn handle_version(inner: &Arc<Inner>, _req: &Request, _params: &Params) -> Response {
-    let body = Json::Obj(vec![
-        (
-            "version".to_owned(),
-            Json::Str(env!("CARGO_PKG_VERSION").to_owned()),
-        ),
+    let version = Version {
+        version: env!("CARGO_PKG_VERSION"),
         // Wire-contract version: v1.2 added user programs (`/v1/programs`,
         // the tagged workload-ref object in sim/matrix requests beside the
         // plain ref string, which stays a supported spelling) on top of
         // the v1.1 plans/cancellation/listing surface.
-        ("api".to_owned(), Json::Str("v1.2".to_owned())),
-        ("store_format".to_owned(), Json::Str("UCSTOR03".to_owned())),
-        (
-            "features".to_owned(),
-            Json::Obj(vec![
-                ("observability".to_owned(), Json::Bool(ucsim_obs::ENABLED)),
-                (
-                    "fault_injection".to_owned(),
-                    Json::Bool(cfg!(feature = "fault-injection")),
-                ),
-                (
-                    "test_workloads".to_owned(),
-                    Json::Bool(inner.cfg.enable_test_workloads),
-                ),
-                (
-                    "durable_store".to_owned(),
-                    Json::Bool(inner.cfg.durable_store),
-                ),
-                ("cluster".to_owned(), Json::Bool(inner.peers.is_some())),
-                ("programs".to_owned(), Json::Bool(true)),
-            ]),
-        ),
-    ]);
-    Response::json(200, body.to_string().into_bytes())
+        api: "v1.2",
+        store_format: STORE_FORMAT,
+        features: Features {
+            observability: ucsim_obs::ENABLED,
+            fault_injection: cfg!(feature = "fault-injection"),
+            test_workloads: inner.cfg.enable_test_workloads,
+            durable_store: inner.cfg.durable_store,
+            cluster: inner.peers.is_some(),
+            programs: true,
+        },
+    };
+    Response::encode(200, &version)
+}
+
+/// `GET /v1/version`.
+#[derive(ToJson)]
+struct Version {
+    version: &'static str,
+    api: &'static str,
+    store_format: &'static str,
+    features: Features,
+}
+
+#[derive(ToJson)]
+struct Features {
+    observability: bool,
+    fault_injection: bool,
+    test_workloads: bool,
+    durable_store: bool,
+    cluster: bool,
+    programs: bool,
 }

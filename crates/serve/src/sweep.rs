@@ -24,6 +24,7 @@ use std::sync::{Arc, Mutex};
 use ucsim_bench::{MatrixCross, SweepPolicy};
 use ucsim_model::json::Json;
 use ucsim_model::{FromJson, ToJson, WorkloadRef};
+use ucsim_obs::JobProfile;
 use ucsim_pipeline::{LabeledConfig, SimConfig, SimReport, SweepCellReport, SweepReport};
 
 use crate::api::{self, ErrorCode, ErrorObject, JobSpec, MatrixRequest};
@@ -133,7 +134,7 @@ impl SweepCell {
 }
 
 /// The refinement frontier of an adaptive plan, for `GET /v1/matrix/:id`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, ToJson, FromJson)]
 pub struct Frontier {
     /// The refined axis (`"capacity"`).
     pub axis: String,
@@ -149,31 +150,94 @@ pub struct Frontier {
     pub knee: Option<u64>,
 }
 
-impl Frontier {
-    fn to_json(&self) -> Json {
-        let mut obj = vec![
-            ("axis".to_owned(), Json::Str(self.axis.clone())),
-            ("tolerance".to_owned(), Json::Float(self.tolerance)),
-            (
-                "capacities".to_owned(),
-                Json::Arr(self.capacities.iter().map(|&c| Json::Uint(c)).collect()),
-            ),
-            (
-                "probed".to_owned(),
-                Json::Arr(self.probed.iter().map(|&c| Json::Uint(c)).collect()),
-            ),
-        ];
-        if let Some((lo, hi)) = self.bracket {
-            obj.push((
-                "bracket".to_owned(),
-                Json::Arr(vec![Json::Uint(lo), Json::Uint(hi)]),
-            ));
-        }
-        if let Some(knee) = self.knee {
-            obj.push(("knee".to_owned(), Json::Uint(knee)));
-        }
-        Json::Obj(obj)
-    }
+/// The 202 of `POST /v1/matrix`.
+#[derive(Debug, Clone, ToJson, FromJson)]
+pub struct SweepAccepted {
+    /// The sweep id.
+    pub id: u64,
+    /// Cells materialized so far (0 for an adaptive plan).
+    pub planned: u64,
+    /// The status path, `/v1/matrix/<id>`.
+    pub poll: String,
+}
+
+/// The `GET /v1/matrix/:id` body: plan counters, the adaptive frontier
+/// and the aggregated profile when present, per-cell state, and — once
+/// the plan settles — the aggregated report over the cells that
+/// succeeded.
+#[derive(Debug, Clone, ToJson, FromJson)]
+pub struct SweepStatus {
+    /// The sweep id.
+    pub id: u64,
+    /// `running`, then `done`, `partial` or `failed`.
+    pub state: String,
+    /// Unix seconds when the sweep was registered.
+    pub created_at: u64,
+    /// Fair-share tenant.
+    pub tenant: String,
+    /// Scheduling priority within the tenant.
+    pub priority: u64,
+    /// `full` or `adaptive`.
+    pub mode: String,
+    /// Cells materialized so far (the same count as `planned`).
+    pub total: u64,
+    /// Cells materialized so far.
+    pub planned: u64,
+    /// Cells resolved from the result cache/store, never simulated.
+    pub skipped_from_store: u64,
+    /// Cells fulfilled by a peer node.
+    pub remote_done: u64,
+    /// Done cells that were simulated for this plan.
+    pub simulated: u64,
+    /// Cells done.
+    pub done: u64,
+    /// Cells failed.
+    pub failed: u64,
+    /// The refinement frontier of an adaptive plan.
+    pub frontier: Option<Frontier>,
+    /// The merged execution profile of the cells that ran here.
+    pub profile: Option<Json>,
+    /// Per-cell state, in materialization order.
+    pub cells: Vec<CellStatus>,
+    /// Why a settled plan has no report (a cell payload did not decode).
+    pub aggregate_error: Option<String>,
+    /// The aggregate over the done cells, once the plan settles.
+    pub report: Option<SweepReport>,
+}
+
+/// One cell of a [`SweepStatus`].
+#[derive(Debug, Clone, ToJson, FromJson)]
+pub struct CellStatus {
+    /// Workload name.
+    pub workload: String,
+    /// Configuration label.
+    pub label: String,
+    /// Effective generation seed.
+    pub seed: u64,
+    /// The cell's content key.
+    pub key: String,
+    /// `queued`, `running`, `done` or `failed`.
+    pub state: String,
+    /// A failed cell's error.
+    pub error: Option<ErrorObject>,
+}
+
+/// One `GET /v1/matrix` row.
+#[derive(ToJson)]
+pub(crate) struct SweepRow {
+    id: u64,
+    state: &'static str,
+    created_at: u64,
+    tenant: String,
+    priority: u64,
+    mode: &'static str,
+    planned: u64,
+}
+
+/// `GET /v1/matrix`.
+#[derive(ToJson)]
+pub(crate) struct SweepList {
+    pub(crate) sweeps: Vec<SweepRow>,
 }
 
 /// Creation-time options of a plan.
@@ -377,27 +441,14 @@ impl Sweep {
         flipped
     }
 
-    /// Builds the `GET /v1/matrix/:id` response body: plan counters
-    /// (`planned` / `skipped_from_store` / `simulated` / `failed`),
-    /// per-cell state, the adaptive frontier when present, and — once the
-    /// plan settles — the aggregated [`SweepReport`] over the cells that
-    /// succeeded.
-    ///
-    /// The terminal state is `"done"` when every cell succeeded,
-    /// `"partial"` when some succeeded and some failed, and `"failed"`
-    /// when every cell failed. Failed cells carry a nested
-    /// `"error"` [`ErrorObject`] with a stable code; a sweep
-    /// with failures still completes rather than hanging its pollers.
-    pub fn status_body(&self) -> Arc<Vec<u8>> {
-        if let Some(body) = self.final_body.lock().expect("sweep lock").clone() {
-            return body;
-        }
-        let cells = self.cells();
-        let polls: Vec<CellPoll> = cells.iter().map(|c| c.poll()).collect();
+    /// The plan's state over one poll of its cells, with the done and
+    /// failed counts: `running` until every materialized cell settled,
+    /// then `done` when every cell succeeded, `failed` when every cell
+    /// failed, and `partial` otherwise.
+    fn state_of(&self, polls: &[CellPoll]) -> (&'static str, usize, usize) {
         let done = polls.iter().filter(|(s, _, _, _)| *s == "done").count();
         let failed = polls.iter().filter(|(s, _, _, _)| *s == "failed").count();
-        let materialized = self.materialized.load(Ordering::Acquire);
-        let settled = materialized && done + failed == cells.len();
+        let settled = self.materialized.load(Ordering::Acquire) && done + failed == polls.len();
         let state = if !settled {
             "running"
         } else if failed == 0 {
@@ -407,74 +458,88 @@ impl Sweep {
         } else {
             "partial"
         };
+        (state, done, failed)
+    }
+
+    /// The plan's lifecycle name as [`status_body`](Self::status_body)
+    /// reports it, for `GET /v1/matrix` without building full bodies.
+    pub fn state_name(&self) -> &'static str {
+        let polls: Vec<CellPoll> = self.cells().iter().map(|c| c.poll()).collect();
+        self.state_of(&polls).0
+    }
+
+    /// The `GET /v1/matrix` row of this plan in `state`.
+    pub(crate) fn row(&self, state: &'static str) -> SweepRow {
+        SweepRow {
+            id: self.id,
+            state,
+            created_at: self.created_at,
+            tenant: self.tenant.clone(),
+            priority: self.priority,
+            mode: self.mode(),
+            planned: self.total() as u64,
+        }
+    }
+
+    fn mode(&self) -> &'static str {
+        if self.adaptive {
+            "adaptive"
+        } else {
+            "full"
+        }
+    }
+
+    /// Builds the encoded [`SweepStatus`] of `GET /v1/matrix/:id`. Failed
+    /// cells carry an [`ErrorObject`] with a stable code; a sweep with
+    /// failures still completes rather than hanging its pollers. The
+    /// settled body is built once and kept.
+    pub fn status_body(&self) -> Arc<Vec<u8>> {
+        if let Some(body) = self.final_body.lock().expect("sweep lock").clone() {
+            return body;
+        }
+        let cells = self.cells();
+        let polls: Vec<CellPoll> = cells.iter().map(|c| c.poll()).collect();
+        let (state, done, failed) = self.state_of(&polls);
         let skipped = self.skipped_from_store.load(Ordering::Acquire);
-        let simulated = (done as u64).saturating_sub(skipped);
-
-        let cells_json: Vec<Json> = cells
-            .iter()
-            .zip(&polls)
-            .map(|(cell, (state, _, err, _))| {
-                let mut obj = vec![
-                    ("workload".to_owned(), Json::Str(cell.meta.workload.clone())),
-                    ("label".to_owned(), Json::Str(cell.meta.label.clone())),
-                    ("seed".to_owned(), Json::Uint(cell.meta.seed)),
-                    (
-                        "key".to_owned(),
-                        Json::Str(api::format_key(cell.meta.key_hash)),
-                    ),
-                    ("state".to_owned(), Json::Str((*state).to_owned())),
-                ];
-                if let Some(failure) = err {
-                    let err = ErrorObject::of_failure(failure).to_json();
-                    obj.push(("error".to_owned(), err));
-                }
-                Json::Obj(obj)
-            })
-            .collect();
-
         // Aggregate the execution profiles of every cell that actually ran
         // (cache hits carry none). Omitted entirely when nothing ran.
-        let mut agg_profile = ucsim_obs::JobProfile::default();
-        let mut profiled = false;
-        for (_, _, _, prof) in &polls {
-            if let Some(p) = prof {
-                agg_profile.merge(p);
-                profiled = true;
-            }
+        let mut profile: Option<JobProfile> = None;
+        for prof in polls.iter().filter_map(|(_, _, _, prof)| prof.as_ref()) {
+            profile.get_or_insert_with(JobProfile::default).merge(prof);
         }
-
-        let mut head_obj = vec![
-            ("id".to_owned(), Json::Uint(self.id)),
-            ("state".to_owned(), Json::Str(state.to_owned())),
-            ("created_at".to_owned(), Json::Uint(self.created_at)),
-            ("tenant".to_owned(), Json::Str(self.tenant.clone())),
-            ("priority".to_owned(), Json::Uint(self.priority)),
-            (
-                "mode".to_owned(),
-                Json::Str(if self.adaptive { "adaptive" } else { "full" }.to_owned()),
-            ),
-            ("total".to_owned(), Json::Uint(cells.len() as u64)),
-            ("planned".to_owned(), Json::Uint(cells.len() as u64)),
-            ("skipped_from_store".to_owned(), Json::Uint(skipped)),
-            (
-                "remote_done".to_owned(),
-                Json::Uint(self.remote_done.load(Ordering::Acquire)),
-            ),
-            ("simulated".to_owned(), Json::Uint(simulated)),
-            ("done".to_owned(), Json::Uint(done as u64)),
-            ("failed".to_owned(), Json::Uint(failed as u64)),
-        ];
-        if let Some(frontier) = self.frontier.lock().expect("sweep lock").as_ref() {
-            head_obj.push(("frontier".to_owned(), frontier.to_json()));
-        }
-        if profiled {
-            head_obj.push(("profile".to_owned(), agg_profile.to_json()));
-        }
-        head_obj.push(("cells".to_owned(), Json::Arr(cells_json)));
-        let head = Json::Obj(head_obj);
-
-        if !settled {
-            return Arc::new(head.to_string().into_bytes());
+        let mut status = SweepStatus {
+            id: self.id,
+            state: state.to_owned(),
+            created_at: self.created_at,
+            tenant: self.tenant.clone(),
+            priority: self.priority,
+            mode: self.mode().to_owned(),
+            total: cells.len() as u64,
+            planned: cells.len() as u64,
+            skipped_from_store: skipped,
+            remote_done: self.remote_done.load(Ordering::Acquire),
+            simulated: (done as u64).saturating_sub(skipped),
+            done: done as u64,
+            failed: failed as u64,
+            frontier: self.frontier.lock().expect("sweep lock").clone(),
+            profile: profile.map(|p| p.to_json()),
+            cells: cells
+                .iter()
+                .zip(&polls)
+                .map(|(cell, (state, _, err, _))| CellStatus {
+                    workload: cell.meta.workload.clone(),
+                    label: cell.meta.label.clone(),
+                    seed: cell.meta.seed,
+                    key: api::format_key(cell.meta.key_hash),
+                    state: (*state).to_owned(),
+                    error: err.as_ref().map(ErrorObject::of_failure),
+                })
+                .collect(),
+            aggregate_error: None,
+            report: None,
+        };
+        if state == "running" {
+            return Arc::new(status.to_json_string().into_bytes());
         }
 
         // Every cell settled: aggregate the successful ones. Decode the
@@ -486,57 +551,27 @@ impl Sweep {
             let Some(payload) = payload.as_ref() else {
                 continue;
             };
-            let report = match SimReport::from_json_str(payload) {
-                Ok(r) => r,
+            match SimReport::from_json_str(payload) {
+                Ok(report) => report_cells.push(SweepCellReport {
+                    workload: cell.meta.workload.clone(),
+                    label: cell.meta.label.clone(),
+                    seed: cell.meta.seed,
+                    report,
+                }),
                 Err(e) => {
                     // Undecodable payload (should be impossible): report
                     // the sweep as failed rather than panicking a handler.
-                    let mut out = head.to_string();
-                    out.truncate(out.len() - 1);
-                    out.push_str(&format!(
-                        ",\"aggregate_error\":{}}}",
-                        Json::Str(format!("cell {} payload: {e}", cell.meta.label))
-                    ));
-                    return Arc::new(out.into_bytes());
+                    status.aggregate_error = Some(format!("cell {} payload: {e}", cell.meta.label));
+                    return Arc::new(status.to_json_string().into_bytes());
                 }
-            };
-            report_cells.push(SweepCellReport {
-                workload: cell.meta.workload.clone(),
-                label: cell.meta.label.clone(),
-                seed: cell.meta.seed,
-                report,
-            });
+            }
         }
-        let mut out = head.to_string();
         if !report_cells.is_empty() {
-            let aggregate = SweepReport::from_cells(report_cells);
-            let encoded = aggregate.to_json_string();
-            out.truncate(out.len() - 1); // strip trailing '}'
-            out.push_str(",\"report\":");
-            out.push_str(&encoded);
-            out.push('}');
+            status.report = Some(SweepReport::from_cells(report_cells));
         }
-        let body = Arc::new(out.into_bytes());
+        let body = Arc::new(status.to_json_string().into_bytes());
         *self.final_body.lock().expect("sweep lock") = Some(Arc::clone(&body));
         body
-    }
-
-    /// The plan's lifecycle name as `status_body` would report it, for
-    /// `GET /v1/matrix` state filtering without building full bodies.
-    pub fn state_name(&self) -> &'static str {
-        let cells = self.cells();
-        let polls: Vec<CellPoll> = cells.iter().map(|c| c.poll()).collect();
-        let done = polls.iter().filter(|(s, _, _, _)| *s == "done").count();
-        let failed = polls.iter().filter(|(s, _, _, _)| *s == "failed").count();
-        if !(self.materialized.load(Ordering::Acquire) && done + failed == cells.len()) {
-            "running"
-        } else if failed == 0 {
-            "done"
-        } else if done == 0 {
-            "failed"
-        } else {
-            "partial"
-        }
     }
 }
 

@@ -15,7 +15,8 @@ use ucsim::mem::ReplacementPolicy;
 use ucsim::model::{fnv1a, FromJson, Json, ToJson};
 use ucsim::pipeline::{SimConfig, Simulator};
 use ucsim::serve::{
-    request, Client, ErrorObject, HttpResponse, MatrixRequest, RetryPolicy, SimRequest,
+    request, AdaptiveMode, Client, ErrorObject, HttpResponse, MatrixRequest, ProgramMeta,
+    RetryPolicy, SimRequest, SweepAccepted, SweepStatus,
 };
 use ucsim::trace::{Program, WorkloadProfile};
 use ucsim::uopcache::{CompactionPolicy, UopCacheConfig};
@@ -261,15 +262,7 @@ fn client_matrix(argv: &[String]) {
     let mut addr = DEFAULT_ADDR.to_owned();
     let mut req = MatrixRequest {
         workloads: vec!["bm-cc".to_owned()],
-        capacities: None,
-        policies: None,
-        max_entries: None,
-        seed: None,
-        warmup: None,
-        insts: None,
-        tenant: None,
-        priority: None,
-        mode: None,
+        ..MatrixRequest::default()
     };
     let mut poll_ms: u64 = 500;
     let mut no_retry = false;
@@ -308,22 +301,18 @@ fn client_matrix(argv: &[String]) {
         return cancel(&addr, &format!("/v1/matrix/{id}"));
     }
     if adaptive {
-        let mut inner = vec![("axis".to_owned(), Json::Str("capacity".to_owned()))];
-        if let Some(t) = tolerance {
-            inner.push(("tolerance".to_owned(), Json::Float(t)));
-        }
-        req.mode = Some(Json::Obj(vec![("adaptive".to_owned(), Json::Obj(inner))]));
+        let axis = Some("capacity".to_owned());
+        let mode = AdaptiveMode { axis, tolerance }.to_json();
+        req.mode = Some(Json::Obj(vec![("adaptive".to_owned(), mode)]));
     }
 
     let mut client = retrying_client(&addr, no_retry);
     let body = req.to_json_string().into_bytes();
     let resp = reach(&addr, client.request_retrying("POST", "/v1/matrix", &body));
     let text = expect(resp, &[202]).body_str();
-    let accepted = Json::parse(&text).unwrap_or(Json::Null);
-    let Some(id) = accepted.get("id").and_then(Json::as_u64) else {
+    let Ok(SweepAccepted { id, planned, .. }) = SweepAccepted::from_json_str(&text) else {
         die(1, &format!("malformed accept response: {text}"));
     };
-    let planned = accepted.get("planned").and_then(Json::as_u64).unwrap_or(0);
     eprintln!("sweep {id} accepted: {planned} cells planned");
 
     let path = format!("/v1/matrix/{id}");
@@ -331,36 +320,33 @@ fn client_matrix(argv: &[String]) {
     loop {
         let resp = reach(&addr, client.request_retrying("GET", &path, b""));
         let text = expect(resp, &[200]).body_str();
-        let v = Json::parse(&text).unwrap_or(Json::Null);
-        let count = |name: &str| v.get(name).and_then(Json::as_u64);
-        let done = count("done").unwrap_or(0);
+        let v = SweepStatus::from_json_str(&text)
+            .unwrap_or_else(|e| die(1, &format!("malformed sweep status ({e}): {text}")));
         // Adaptive plans grow: report against the current planned count.
-        let planned = count("planned").unwrap_or(planned);
+        let (done, planned) = (v.done, v.planned);
         if done != last_done {
             eprintln!("  {done}/{planned} cells done");
             last_done = done;
         }
-        match v.get("state").and_then(Json::as_str).unwrap_or("?") {
+        let report = v.report.as_ref().map(|r| r.to_json().to_pretty());
+        match v.state.as_str() {
             "done" => {
-                let skipped = count("skipped_from_store").unwrap_or(0);
-                let simulated = count("simulated").unwrap_or(0);
+                let (simulated, skipped) = (v.simulated, v.skipped_from_store);
                 eprintln!("sweep done: {simulated} cells simulated, {skipped} resolved from store");
-                println!("{}", v.get("report").map_or(text, Json::to_pretty));
+                println!("{}", report.unwrap_or(text));
                 return;
             }
             state @ ("partial" | "failed") => {
-                let failed = count("failed").unwrap_or(0);
-                eprintln!("sweep {state}: {failed}/{planned} cells failed");
-                for c in v.get("cells").and_then(Json::as_arr).into_iter().flatten() {
-                    if let Some(e) = c.get("error").and_then(|e| ErrorObject::from_json(e).ok()) {
-                        let label = c.get("label").and_then(Json::as_str).unwrap_or("?");
-                        eprintln!("  {label}: [{}] {}", e.code, e.message);
+                eprintln!("sweep {state}: {}/{planned} cells failed", v.failed);
+                for c in &v.cells {
+                    if let Some(e) = &c.error {
+                        eprintln!("  {}: [{}] {}", c.label, e.code, e.message);
                     }
                 }
                 // A partial sweep still aggregated its surviving cells:
                 // print that table, but exit non-zero so scripts notice.
-                if let Some(agg) = v.get("report") {
-                    println!("{}", agg.to_pretty());
+                if let Some(report) = report {
+                    println!("{report}");
                 }
                 std::process::exit(1);
             }
@@ -426,14 +412,17 @@ fn client_program(argv: &[String]) {
             };
             let bytes =
                 std::fs::read(path).unwrap_or_else(|e| die(1, &format!("cannot open {path}: {e}")));
-            let resp = expect(send(&addr, "POST", "/v1/programs", &bytes), &[200, 201]);
-            let v = Json::parse(&resp.body_str()).unwrap_or(Json::Null);
-            if let Some(r) = v.get("ref").and_then(Json::as_str) {
-                let created = v.get("created").and_then(Json::as_bool).unwrap_or(false);
-                let note = if created { "uploaded" } else { "already known" };
-                eprintln!("{note}: {r}");
-            }
-            println!("{}", v.to_pretty());
+            let text = expect(send(&addr, "POST", "/v1/programs", &bytes), &[200, 201]).body_str();
+            let Ok(meta) = ProgramMeta::from_json_str(&text) else {
+                die(1, &format!("malformed upload response: {text}"));
+            };
+            let note = if meta.created == Some(true) {
+                "uploaded"
+            } else {
+                "already known"
+            };
+            eprintln!("{note}: {}", meta.r#ref);
+            println!("{}", meta.to_json().to_pretty());
         }
         "list" => {
             let query = kind.map_or_else(String::new, |k| format!("?kind={k}"));
@@ -474,13 +463,7 @@ fn client_main(argv: &[String]) {
     let mut peers: Vec<String> = Vec::new();
     let mut req = SimRequest {
         workload: "bm-cc".to_owned(),
-        config: None,
-        seed: None,
-        warmup: None,
-        insts: None,
-        background: None,
-        tenant: None,
-        priority: None,
+        ..SimRequest::default()
     };
     let mut job: Option<u64> = None;
     let mut metrics = false;

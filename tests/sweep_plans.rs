@@ -248,6 +248,12 @@ fn resubmitted_sweep_resolves_every_cell_from_the_store() {
         .as_arr()
         .unwrap()
         .is_empty());
+    // A filter naming no state is a 400 that lists the states, not an
+    // empty list.
+    let r = request(&addr, "GET", "/v1/matrix?state=bogus", b"").unwrap();
+    assert_eq!(r.status, 400);
+    assert_eq!(envelope_code(&r.body_str()), "bad_request");
+    assert!(r.body_str().contains("running, done, partial, failed"));
     server.shutdown();
 }
 
@@ -514,6 +520,10 @@ fn cancelling_a_queued_job_fails_it_without_running() {
     let failed = failed.get("jobs").unwrap().as_arr().unwrap();
     assert_eq!(failed.len(), 1);
     assert_eq!(failed[0].get("id").unwrap().as_u64(), Some(victim));
+    let r = request(&addr, "GET", "/v1/jobs?state=bogus", b"").unwrap();
+    assert_eq!(r.status, 400);
+    assert_eq!(envelope_code(&r.body_str()), "bad_request");
+    assert!(r.body_str().contains("queued, running, done, failed"));
 
     // Only the blocker ever simulates.
     let deadline = Instant::now() + Duration::from_secs(10);
