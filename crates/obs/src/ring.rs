@@ -165,6 +165,7 @@ pub fn emit(kind: SpanKind, start_us: u64, dur_us: u64, detail: u32) {
 }
 
 /// An open span; [`Span::finish`] emits the event.
+#[derive(Debug)]
 pub struct Span {
     kind: SpanKind,
     start_us: u64,

@@ -83,6 +83,7 @@
 mod api;
 mod cache;
 mod client;
+mod flags;
 mod http;
 mod jobs;
 mod metrics;
@@ -100,6 +101,7 @@ pub use api::{
 };
 pub use cache::{CacheStats, ResultCache};
 pub use client::{request, Client, HttpResponse, RetryPolicy};
+pub use flags::{Flags, Usage};
 pub use http::{HttpConn, ReadOutcome, Request, Response};
 pub use jobs::{JobCell, JobFailure, JobId, JobState, JobTable, Submit};
 pub use metrics::Metrics;
@@ -109,7 +111,7 @@ pub use programs::{
     StoredProgram, MAX_PROGRAM_BYTES,
 };
 pub use prom::render_prometheus;
-pub use router::{LabelId, Params, Route, Router};
+pub use router::{Answer, LabelId, Params, Route, Router};
 pub use server::{Server, ServerConfig};
 pub use signal::{install_signal_handlers, request_shutdown, signalled};
 pub use store::{RecordKind, ResultStore, StoreRecord};

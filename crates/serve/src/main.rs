@@ -2,9 +2,9 @@
 //!
 //! Runs until SIGTERM/ctrl-c, then drains in-flight jobs and exits.
 
-use std::process::ExitCode;
+use std::time::Duration;
 
-use ucsim_serve::{install_signal_handlers, Server, ServerConfig};
+use ucsim_serve::{install_signal_handlers, Flags, Server, ServerConfig, Usage};
 
 const USAGE: &str = "\
 ucsim-serve: long-running simulation job service
@@ -86,98 +86,65 @@ Connections are keep-alive; errors use the uniform envelope
 response echoes an X-Request-Id (client-supplied or server-minted).
 ";
 
-fn main() -> ExitCode {
+static CLI: Usage = Usage {
+    text: USAGE,
+    help_end: "",
+    status: 1,
+};
+
+/// The current flag's value as a positive number of milliseconds.
+fn millis(flags: &mut Flags) -> Duration {
+    flags.value_with("needs a positive number", |v| {
+        let ms = v.parse().ok().filter(|&ms| ms > 0)?;
+        Some(Duration::from_millis(ms))
+    })
+}
+
+/// The current flag's value as a `HOST:PORT` address.
+fn host_port(flags: &mut Flags) -> String {
+    flags.value_with("needs HOST:PORT", |v| v.contains(':').then(|| v.to_owned()))
+}
+
+fn main() {
     let mut cfg = ServerConfig::default();
-    let mut args = std::env::args().skip(1);
-    let bail = |msg: &str| {
-        eprintln!("error: {msg}\n\n{USAGE}");
-        ExitCode::FAILURE
-    };
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            "--addr" => match args.next() {
-                Some(v) => cfg.addr = v,
-                None => return bail("--addr needs a value"),
-            },
-            "--workers" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) => cfg.workers = v,
-                None => return bail("--workers needs a number"),
-            },
-            "--queue" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) => cfg.queue_capacity = v,
-                None => return bail("--queue needs a number"),
-            },
-            "--cache-mb" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(v) => cfg.cache_budget_bytes = v * 1024 * 1024,
-                None => return bail("--cache-mb needs a number"),
-            },
-            "--data-dir" => match args.next() {
-                Some(v) => cfg.data_dir = Some(v.into()),
-                None => return bail("--data-dir needs a path"),
-            },
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let mut flags = Flags::new(&argv, &CLI, "");
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--addr" => cfg.addr = flags.value("needs a value"),
+            "--workers" => cfg.workers = flags.number(),
+            "--queue" => cfg.queue_capacity = flags.number(),
+            "--cache-mb" => cfg.cache_budget_bytes = flags.number::<usize>() * 1024 * 1024,
+            "--data-dir" => cfg.data_dir = Some(flags.value("needs a path").into()),
             "--durable" => cfg.durable_store = true,
-            "--deadline-ms" => match args.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(v) if v > 0 => {
-                    cfg.job_deadline = Some(std::time::Duration::from_millis(v));
-                }
-                _ => return bail("--deadline-ms needs a positive number"),
-            },
-            "--drain-timeout" => match args.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(v) => cfg.drain_timeout = std::time::Duration::from_secs(v),
-                None => return bail("--drain-timeout needs a number of seconds"),
-            },
-            "--tenant-weight" => {
-                let parsed = args.next().and_then(|v| {
-                    let (name, w) = v.split_once('=')?;
-                    let w: u64 = w.parse().ok().filter(|&w| w > 0)?;
-                    Some((name.to_owned(), w))
-                });
-                match parsed {
-                    Some(pair) => cfg.tenant_weights.push(pair),
-                    None => return bail("--tenant-weight needs TENANT=WEIGHT with WEIGHT >= 1"),
-                }
+            "--deadline-ms" => cfg.job_deadline = Some(millis(&mut flags)),
+            "--drain-timeout" => {
+                cfg.drain_timeout = Duration::from_secs(flags.parse("needs a number of seconds"));
             }
-            "--peer" => match args.next() {
-                Some(v) if v.contains(':') => cfg.peers.push(v),
-                _ => return bail("--peer needs HOST:PORT"),
-            },
-            "--advertise" => match args.next() {
-                Some(v) if v.contains(':') => cfg.advertise = Some(v),
-                _ => return bail("--advertise needs HOST:PORT"),
-            },
-            "--peer-deadline-ms" => match args.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(v) if v > 0 => {
-                    cfg.peer_deadline = std::time::Duration::from_millis(v);
-                }
-                _ => return bail("--peer-deadline-ms needs a positive number"),
-            },
-            "--anti-entropy-ms" => match args.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(v) if v > 0 => {
-                    cfg.anti_entropy_interval = std::time::Duration::from_millis(v);
-                }
-                _ => return bail("--anti-entropy-ms needs a positive number"),
-            },
-            other => return bail(&format!("unknown option: {other}")),
+            "--tenant-weight" => {
+                let weight = flags.value_with("needs TENANT=WEIGHT with WEIGHT >= 1", |v| {
+                    let (name, w) = v.split_once('=')?;
+                    Some((name.to_owned(), w.parse().ok().filter(|&w| w > 0)?))
+                });
+                cfg.tenant_weights.push(weight);
+            }
+            "--peer" => cfg.peers.push(host_port(&mut flags)),
+            "--advertise" => cfg.advertise = Some(host_port(&mut flags)),
+            "--peer-deadline-ms" => cfg.peer_deadline = millis(&mut flags),
+            "--anti-entropy-ms" => cfg.anti_entropy_interval = millis(&mut flags),
+            other => CLI.bail(&format!("unknown option: {other}")),
         }
     }
 
     install_signal_handlers();
-    let server = match Server::start(cfg) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: failed to start server: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let server = Server::start(cfg).unwrap_or_else(|e| {
+        eprintln!("error: failed to start server: {e}");
+        std::process::exit(1)
+    });
     eprintln!(
         "ucsim-serve listening on {} (ctrl-c or SIGTERM to drain and stop)",
         server.local_addr()
     );
     server.run_until_shutdown();
     eprintln!("ucsim-serve: drained, bye");
-    ExitCode::SUCCESS
 }

@@ -1,12 +1,12 @@
-//! A typed route table: method + path pattern + handler, replacing the
-//! `match (method, path)` that grew inside the connection handler.
+//! A typed route table: method + path pattern + handler.
 //!
 //! Patterns are literal segments with `:name` captures
 //! (`/v1/jobs/:id`). Dispatch centralizes the 404/405 distinction — a
 //! path that matches some route under a different method is a 405, an
 //! unmatched path a 404 — and every route carries its own metrics label,
 //! so adding an endpoint is one table entry, not a new match arm plus
-//! bookkeeping.
+//! bookkeeping. A handler fails with `?`: its `Err` is the error
+//! envelope, which dispatch answers like any other response.
 
 use crate::api::{self, ErrorCode};
 use crate::http::{Request, Response};
@@ -25,6 +25,11 @@ impl Params {
     }
 }
 
+/// What a handler answers: the response, or the error-envelope response
+/// that stopped it. Helpers that a handler calls with `?` answer
+/// `Answer<T>`.
+pub type Answer<T = Response> = Result<T, Response>;
+
 /// One routing table entry.
 pub struct Route<C> {
     /// Uppercase method this route answers.
@@ -34,7 +39,7 @@ pub struct Route<C> {
     /// Metrics label recorded for requests served by this route.
     pub label: &'static str,
     /// The handler.
-    pub handler: fn(&C, &Request, &Params) -> Response,
+    pub handler: fn(&C, &Request, &Params) -> Answer,
 }
 
 /// An interned metrics label: an index into the router's deduplicated
@@ -93,9 +98,10 @@ impl<C> Router<C> {
         self.labels[id.0]
     }
 
-    /// Dispatches one request: runs the matching handler, or builds the
-    /// centralized 404/405 error-envelope response. Returns the interned
-    /// metrics label alongside the response.
+    /// Dispatches one request: runs the matching handler and answers its
+    /// response or its error envelope, or builds the centralized 404/405
+    /// envelope. Returns the interned metrics label alongside the
+    /// response.
     pub fn dispatch(&self, ctx: &C, req: &Request) -> (LabelId, Response) {
         let mut path_matched = false;
         for (route, id) in &self.routes {
@@ -103,7 +109,8 @@ impl<C> Router<C> {
                 continue;
             };
             if route.method == req.method {
-                return (*id, (route.handler)(ctx, req, &params));
+                let answer = (route.handler)(ctx, req, &params);
+                return (*id, answer.unwrap_or_else(|err| err));
             }
             path_matched = true;
         }
@@ -168,18 +175,19 @@ mod tests {
                 pattern: "/v1/things/:id",
                 label: "GET /v1/things",
                 handler: |ctx, _req, params| {
-                    Response::json(
+                    Ok(Response::json(
                         200,
                         format!("{{\"ctx\":{ctx},\"id\":\"{}\"}}", params.get("id").unwrap())
                             .into_bytes(),
-                    )
+                    ))
                 },
             },
             Route {
                 method: "POST",
                 pattern: "/v1/things",
                 label: "POST /v1/things",
-                handler: |_, _, _| Response::json(202, b"{}".to_vec()),
+                // An `Err` answer goes out as it is.
+                handler: |_, _, _| Err(Response::json(202, b"{}".to_vec())),
             },
         ])
     }
@@ -227,13 +235,13 @@ mod tests {
                 method: "GET",
                 pattern: "/a",
                 label: "shared",
-                handler: |_, _, _| Response::json(200, b"{}".to_vec()),
+                handler: |_, _, _| Ok(Response::json(200, b"{}".to_vec())),
             },
             Route {
                 method: "POST",
                 pattern: "/b",
                 label: "shared",
-                handler: |_, _, _| Response::json(200, b"{}".to_vec()),
+                handler: |_, _, _| Ok(Response::json(200, b"{}".to_vec())),
             },
         ]);
         // One "shared" entry plus the reserved 404/405 labels.

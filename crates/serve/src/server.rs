@@ -20,17 +20,17 @@ use ucsim_pool::{faults, PoolMonitor, PushError, Scheduler, SupervisedPool, Watc
 use ucsim_trace::{load_asm, Program, Trace, TraceStore, WorkloadProfile};
 
 use crate::api::{
-    self, ErrorCode, ErrorObject, JobAccepted, JobList, JobProfileBody, JobRow, JobSpec,
-    MatrixRequest, ReportEnvelope, SimRequest, SweepMode,
+    self, bad_request, ErrorCode, ErrorObject, JobAccepted, JobList, JobProfileBody, JobRow,
+    JobSpec, MatrixRequest, ReportEnvelope, SimRequest, SweepMode,
 };
 use crate::cache::ResultCache;
 use crate::client::HttpResponse;
 use crate::http::{HttpConn, ReadOutcome, Request, Response};
 use crate::jobs::{JobCell, JobFailure, JobState, JobTable, Submit};
 use crate::metrics::{Metrics, QueueStats};
-use crate::peer::{ClusterHealth, PeerSet};
+use crate::peer::{ClusterHealth, Peer, PeerSet};
 use crate::programs::{self, ProgramKind, ProgramList, ProgramRegistry, StoredProgram};
-use crate::router::{Params, Route, Router};
+use crate::router::{Answer, Params, Route, Router};
 use crate::store::{RecordKind, ResultStore, StoreRecord};
 use crate::sweep::{
     self, Frontier, PlanAxes, PlanOptions, Sweep, SweepAccepted, SweepList, SweepTable,
@@ -622,8 +622,6 @@ fn routes() -> Router<Arc<Inner>> {
             label: "GET /v1/version",
             handler: handle_version,
         },
-        // The bare `/healthz` alias was deprecated in v1.0 and removed in
-        // v1.1 (DESIGN.md §4.1); only `/v1/healthz` answers now.
     ])
 }
 
@@ -760,12 +758,9 @@ fn run_spec(
         .map_err(|e| RunError::Rejected(format!("bad workload ref {:?}: {e}", spec.workload)))?;
     let (name, trace) = match &wref {
         WorkloadRef::Program(_) | WorkloadRef::Trace(_) => {
-            let Some(stored) = programs.resolve(&wref) else {
-                return Err(RunError::Rejected(format!(
-                    "unknown program: {}",
-                    spec.workload
-                )));
-            };
+            let stored = programs
+                .resolve(&wref)
+                .ok_or_else(|| RunError::Rejected(format!("unknown program: {}", spec.workload)))?;
             faults::check("worker.simulate");
             let trace = match stored.asm() {
                 // ucasm: lay the arena out for this seed and walk it.
@@ -781,29 +776,21 @@ fn run_spec(
             (spec.workload.as_str(), trace)
         }
         WorkloadRef::Profile(_) => {
+            if !api::workload_known(&spec.workload, test_workloads) {
+                return Err(RunError::Rejected(format!(
+                    "unknown workload: {}",
+                    spec.workload
+                )));
+            }
             let mut profile = if let Some(ms) = api::test_sleep_ms(&spec.workload) {
-                if !test_workloads {
-                    return Err(RunError::Rejected(format!(
-                        "unknown workload: {}",
-                        spec.workload
-                    )));
-                }
                 std::thread::sleep(Duration::from_millis(ms));
                 WorkloadProfile::quick_test()
             } else if api::test_panic(&spec.workload) {
-                if !test_workloads {
-                    return Err(RunError::Rejected(format!(
-                        "unknown workload: {}",
-                        spec.workload
-                    )));
-                }
                 // Deterministic worker panic: integration tests exercise the
                 // panic → supervise → failure-envelope path with this.
                 panic!("test-panic workload requested a worker panic");
             } else {
-                WorkloadProfile::by_name(&spec.workload).ok_or_else(|| {
-                    RunError::Rejected(format!("unknown workload: {}", spec.workload))
-                })?
+                WorkloadProfile::by_name(&spec.workload).expect("a known workload")
             };
             profile.seed = spec.seed;
             faults::check("worker.simulate");
@@ -888,11 +875,10 @@ fn handle_connection(stream: TcpStream, inner: &Arc<Inner>) {
     let mut conn = HttpConn::new(stream);
     let stop = || inner.stopping.load(Ordering::SeqCst) || signal::signalled();
     loop {
-        let mut req = match conn.read_request(KEEP_ALIVE_IDLE, &stop) {
-            Ok(ReadOutcome::Request(req)) => req,
+        let (mut req, parse) = match conn.read_request(KEEP_ALIVE_IDLE, &stop) {
+            Ok(ReadOutcome::Request(req, parse)) => (req, parse),
             Ok(ReadOutcome::Malformed(msg)) => {
-                let resp = api::error_response(ErrorCode::BadRequest, &msg, None);
-                let _ = conn.respond(&resp, true);
+                let _ = conn.respond(&bad_request(&msg), true);
                 return;
             }
             Ok(ReadOutcome::Closed | ReadOutcome::Stopped) | Err(_) => return,
@@ -906,6 +892,7 @@ fn handle_connection(stream: TcpStream, inner: &Arc<Inner>) {
             .unwrap_or_else(next_request_id);
         req.request_id.clone_from(&request_id);
         let _scope = ucsim_obs::request_scope(ucsim_obs::hash_id(&request_id));
+        parse.finish(0);
         let t0 = Instant::now();
         let span = ucsim_obs::span(ucsim_obs::SpanKind::Handle);
         let (label, resp) = inner.router.dispatch(inner, &req);
@@ -921,41 +908,52 @@ fn handle_connection(stream: TcpStream, inner: &Arc<Inner>) {
     }
 }
 
-fn handle_sim(inner: &Arc<Inner>, req: &Request, _params: &Params) -> Response {
+/// The `draining` error answer to new work once shutdown has begun.
+fn draining() -> Response {
+    api::error_response(ErrorCode::Draining, "server shutting down", None)
+}
+
+/// Refuses new work while the server drains.
+fn refuse_while_draining(inner: &Inner) -> Answer<()> {
     if inner.stopping.load(Ordering::SeqCst) {
-        return api::error_response(ErrorCode::Draining, "server shutting down", None);
+        return Err(draining());
     }
-    let body = match req.body_utf8() {
-        Ok(b) => b,
-        Err(msg) => return api::error_response(ErrorCode::BadRequest, &msg, None),
-    };
+    Ok(())
+}
+
+/// The request body as UTF-8 text, or a `code` error answer.
+fn body_text(req: &Request, code: ErrorCode) -> Answer<&str> {
+    std::str::from_utf8(&req.body)
+        .map_err(|_| api::error_response(code, "request body is not valid UTF-8", None))
+}
+
+/// Parses the `:id` route param and looks it up with `get`: a 400
+/// `bad <what> id` when it is not a number, a 404 `no such <what>` when
+/// `get` finds nothing.
+fn lookup<T>(params: &Params, what: &str, get: impl FnOnce(u64) -> Option<T>) -> Answer<T> {
+    let id = params
+        .get("id")
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| bad_request(&format!("bad {what} id")))?;
+    get(id)
+        .ok_or_else(|| api::error_response(ErrorCode::NotFound, &format!("no such {what}"), None))
+}
+
+fn handle_sim(inner: &Arc<Inner>, req: &Request, _params: &Params) -> Answer {
+    refuse_while_draining(inner)?;
+    let body = body_text(req, ErrorCode::BadRequest)?;
     // Forwarded peer traffic (`x-ucsim-forwarded`) carries the sender's
     // fully-resolved canonical spec; parse it verbatim so this node's
     // content hash matches the sender's exactly — and never re-route it
     // (no forwarding loops: the owner executes locally).
     let forwarded = req.header("x-ucsim-forwarded").is_some();
     let (spec, background, tenant, priority) = if forwarded {
-        match JobSpec::from_json_str(body) {
-            Ok(spec) => (spec, false, None, None),
-            Err(e) => {
-                return api::error_response(
-                    ErrorCode::BadRequest,
-                    &format!("bad forwarded spec: {e}"),
-                    None,
-                )
-            }
-        }
+        let spec = JobSpec::from_json_str(body)
+            .map_err(|e| bad_request(&format!("bad forwarded spec: {e}")))?;
+        (spec, false, None, None)
     } else {
-        let sim_req = match SimRequest::parse(body) {
-            Ok(r) => r,
-            Err(e) => {
-                return api::error_response(
-                    ErrorCode::BadRequest,
-                    &format!("bad request: {e}"),
-                    None,
-                )
-            }
-        };
+        let sim_req =
+            SimRequest::parse(body).map_err(|e| bad_request(&format!("bad request: {e}")))?;
         let spec = sim_req.resolve(api::default_seed(&sim_req.workload));
         (
             spec,
@@ -964,12 +962,8 @@ fn handle_sim(inner: &Arc<Inner>, req: &Request, _params: &Params) -> Response {
             sim_req.priority,
         )
     };
-    if let Err(e) = api::check_config(&spec.config) {
-        return api::error_response(ErrorCode::BadRequest, &format!("bad config: {e}"), None);
-    }
-    if let Err(resp) = workload_available(inner, &spec.workload) {
-        return resp;
-    }
+    api::check_config(&spec.config).map_err(|e| bad_request(&format!("bad config: {e}")))?;
+    workload_available(inner, &spec.workload)?;
     let canonical = spec.canonical();
     let hash = api::content_hash(&canonical);
     // Peer mode routes foreground requests to the key's owner. A
@@ -987,23 +981,23 @@ fn handle_sim(inner: &Arc<Inner>, req: &Request, _params: &Params) -> Response {
         route: !forwarded && !background,
     };
     let cell = match admit(inner, &job) {
-        Admission::Hit(payload) => return Response::json(200, api::envelope(hash, true, &payload)),
-        Admission::Known(failure) => return api::failure_response(&failure),
-        Admission::Remote(Forwarded::Report { body, .. }) => return Response::json(200, body),
+        Admission::Hit(payload) => {
+            return Ok(Response::json(200, api::envelope(hash, true, &payload)))
+        }
+        Admission::Known(failure) => return Err(api::failure_response(&failure)),
+        Admission::Remote(Forwarded::Report { body, .. }) => return Ok(Response::json(200, body)),
         Admission::Remote(Forwarded::Refusal(resp)) => {
-            return Response::json(resp.status, resp.body)
+            return Err(Response::json(resp.status, resp.body))
         }
         Admission::Refused { full: true } => {
             inner.metrics.rejected();
-            return api::error_response(
+            return Err(api::error_response(
                 ErrorCode::QueueFull,
                 "job queue full; retry later",
                 Some(inner.cfg.retry_after_secs),
-            );
+            ));
         }
-        Admission::Refused { full: false } => {
-            return api::error_response(ErrorCode::Draining, "server shutting down", None)
-        }
+        Admission::Refused { full: false } => return Err(draining()),
         Admission::Job(cell) => cell,
     };
 
@@ -1013,13 +1007,13 @@ fn handle_sim(inner: &Arc<Inner>, req: &Request, _params: &Params) -> Response {
             key: api::format_key(hash),
             poll: format!("/v1/jobs/{}", cell.id),
         };
-        return Response::encode(202, &accepted);
+        return Ok(Response::encode(202, &accepted));
     }
 
-    match cell.wait() {
-        Ok(payload) => Response::json(200, api::envelope(hash, false, &payload)),
-        Err(failure) => api::failure_response(&failure),
-    }
+    let payload = cell
+        .wait()
+        .map_err(|failure| api::failure_response(&failure))?;
+    Ok(Response::json(200, api::envelope(hash, false, &payload)))
 }
 
 /// A job on its way in: what [`admit`] needs to answer, forward or queue
@@ -1161,17 +1155,13 @@ fn forward(inner: &Inner, ps: &PeerSet, job: &Admit<'_>) -> Option<Forwarded> {
 /// `program:`/`trace:` refs must resolve in the registry — falling back
 /// to an on-demand fetch from cluster peers when the upload landed on a
 /// different node than rendezvous routing sent the job to.
-fn workload_available(inner: &Arc<Inner>, workload: &str) -> Result<(), Response> {
+fn workload_available(inner: &Arc<Inner>, workload: &str) -> Answer<()> {
     match WorkloadRef::parse(workload) {
         Ok(WorkloadRef::Profile(_)) => {
             if api::workload_known(workload, inner.cfg.enable_test_workloads) {
                 Ok(())
             } else {
-                Err(api::error_response(
-                    ErrorCode::UnknownWorkload,
-                    &format!("unknown workload: {workload}"),
-                    None,
-                ))
+                Err(api::unknown_workload(workload))
             }
         }
         Ok(wref) => {
@@ -1187,11 +1177,7 @@ fn workload_available(inner: &Arc<Inner>, workload: &str) -> Result<(), Response
                 ))
             }
         }
-        Err(e) => Err(api::error_response(
-            ErrorCode::BadRequest,
-            &format!("bad workload ref {workload:?}: {e}"),
-            None,
-        )),
+        Err(e) => Err(bad_request(&format!("bad workload ref {workload:?}: {e}"))),
     }
 }
 
@@ -1204,26 +1190,17 @@ fn fetch_program_from_peers(inner: &Arc<Inner>, wref: &WorkloadRef) -> bool {
         return false;
     };
     let path = format!("/v1/programs/{}/raw", api::format_key(hash));
-    for peer in ps.peers() {
-        if !peer.available() {
-            continue;
-        }
-        let Ok(resp) = ps.fetch(peer, &path) else {
-            continue;
-        };
-        if resp.status != 200 {
-            continue;
-        }
-        let Ok(program) = programs::validate_program_bytes(&resp.body) else {
-            continue;
-        };
-        if program.workload_ref() != *wref {
-            continue;
-        }
-        register_program(inner, program);
-        return true;
-    }
-    false
+    let fetch = |peer: &Peer| {
+        let resp = ps.fetch(peer, &path).ok().filter(|r| r.status == 200)?;
+        let program = programs::validate_program_bytes(&resp.body).ok()?;
+        (program.workload_ref() == *wref).then_some(program)
+    };
+    let mut available = ps.peers().iter().filter(|peer| peer.available());
+    let Some(program) = available.find_map(fetch) else {
+        return false;
+    };
+    register_program(inner, program);
+    true
 }
 
 /// Registers a validated program: inserts it into the registry and — on
@@ -1241,35 +1218,18 @@ fn register_program(inner: &Inner, program: StoredProgram) -> (Arc<StoredProgram
     (entry, created)
 }
 
-fn handle_matrix_post(inner: &Arc<Inner>, req: &Request, _params: &Params) -> Response {
-    if inner.stopping.load(Ordering::SeqCst) {
-        return api::error_response(ErrorCode::Draining, "server shutting down", None);
-    }
-    let body = match req.body_utf8() {
-        Ok(b) => b,
-        Err(msg) => return api::error_response(ErrorCode::BadRequest, &msg, None),
-    };
-    let matrix_req = match MatrixRequest::parse(body) {
-        Ok(r) => r,
-        Err(e) => {
-            return api::error_response(ErrorCode::BadRequest, &format!("bad request: {e}"), None)
-        }
-    };
-    let mode = match SweepMode::parse(matrix_req.mode.as_ref()) {
-        Ok(m) => m,
-        Err(msg) => return api::error_response(ErrorCode::BadRequest, &msg, None),
-    };
-    let axes = match PlanAxes::resolve(&matrix_req, inner.cfg.enable_test_workloads) {
-        Ok(a) => a,
-        Err((code, msg)) => return api::error_response(code, &msg, None),
-    };
+fn handle_matrix_post(inner: &Arc<Inner>, req: &Request, _params: &Params) -> Answer {
+    refuse_while_draining(inner)?;
+    let body = body_text(req, ErrorCode::BadRequest)?;
+    let matrix_req =
+        MatrixRequest::parse(body).map_err(|e| bad_request(&format!("bad request: {e}")))?;
+    let mode = SweepMode::parse(matrix_req.mode.as_ref()).map_err(|msg| bad_request(&msg))?;
+    let axes = PlanAxes::resolve(&matrix_req, inner.cfg.enable_test_workloads)?;
     // Every uploaded-program ref must resolve (locally, or fetched from
     // its upload node) before the plan is accepted — a plan never
     // enqueues cells it cannot run.
     for w in &matrix_req.workloads {
-        if let Err(resp) = workload_available(inner, w) {
-            return resp;
-        }
+        workload_available(inner, w)?;
     }
     let opts = PlanOptions {
         tenant: matrix_req
@@ -1318,7 +1278,7 @@ fn handle_matrix_post(inner: &Arc<Inner>, req: &Request, _params: &Params) -> Re
         planned: sweep.total() as u64,
         poll: format!("/v1/matrix/{id}"),
     };
-    Response::encode(202, &accepted)
+    Ok(Response::encode(202, &accepted))
 }
 
 /// Resolves one plan cell through [`admit`]: a store/cache hit fulfills
@@ -1587,49 +1547,40 @@ fn drive_adaptive(
     publish(&bisector);
 }
 
-/// The `?state=` filter of a listing: `Ok(None)` when absent, a 400
-/// naming the accepted values when it is none of `states`.
-fn state_filter<'a>(req: &'a Request, states: &[&str]) -> Result<Option<&'a str>, Response> {
+/// The `?state=` filter of a listing, as a test of a row's state that
+/// every state passes when the filter is absent; a 400 naming the
+/// accepted values when it is none of `states`.
+fn state_filter<'a>(req: &'a Request, states: &[&str]) -> Answer<impl Fn(&str) -> bool + 'a> {
     match req.query("state") {
-        Some(f) if !states.contains(&f) => Err(api::error_response(
-            ErrorCode::BadRequest,
-            &format!("unknown state filter {f:?} (want {})", states.join(", ")),
-            None,
-        )),
-        filter => Ok(filter),
+        Some(f) if !states.contains(&f) => Err(bad_request(&format!(
+            "unknown state filter {f:?} (want {})",
+            states.join(", ")
+        ))),
+        filter => Ok(move |state: &str| filter.is_none_or(|f| f == state)),
     }
 }
 
-fn handle_matrix_list(inner: &Arc<Inner>, req: &Request, _params: &Params) -> Response {
-    let filter = match state_filter(req, &SWEEP_STATES) {
-        Ok(f) => f,
-        Err(resp) => return resp,
-    };
+fn handle_matrix_list(inner: &Arc<Inner>, req: &Request, _params: &Params) -> Answer {
+    let keep = state_filter(req, &SWEEP_STATES)?;
     let sweeps = inner
         .sweeps
         .list()
         .into_iter()
         .filter_map(|s| {
             let state = s.state_name();
-            filter.is_none_or(|f| f == state).then(|| s.row(state))
+            keep(state).then(|| s.row(state))
         })
         .collect();
-    Response::encode(200, &SweepList { sweeps })
+    Ok(Response::encode(200, &SweepList { sweeps }))
 }
 
-fn handle_matrix_delete(inner: &Arc<Inner>, _req: &Request, params: &Params) -> Response {
-    let Some(id) = params.get("id").and_then(|s| s.parse::<u64>().ok()) else {
-        return api::error_response(ErrorCode::BadRequest, "bad sweep id", None);
-    };
-    let Some(sweep) = inner.sweeps.get(id) else {
-        return api::error_response(ErrorCode::NotFound, "no such sweep", None);
-    };
+fn handle_matrix_delete(inner: &Arc<Inner>, _req: &Request, params: &Params) -> Answer {
+    let sweep = lookup(params, "sweep", |id| inner.sweeps.get(id))?;
+    let id = sweep.id;
     if sweep.state_name() != "running" {
-        return api::error_response(
-            ErrorCode::BadRequest,
-            &format!("sweep {id} already settled; nothing to cancel"),
-            None,
-        );
+        return Err(bad_request(&format!(
+            "sweep {id} already settled; nothing to cancel"
+        )));
     }
     // Fail every unsettled cell (first-wins) and flip the cancel tokens:
     // the scheduler preempts still-queued entries before they reach a
@@ -1640,11 +1591,11 @@ fn handle_matrix_delete(inner: &Arc<Inner>, _req: &Request, params: &Params) -> 
         inner.jobs.finish(job);
     }
     inner.metrics.record_cancelled(flipped.len() as u64);
-    api::error_response(
+    Ok(api::error_response(
         ErrorCode::Cancelled,
         &format!("sweep {id} cancelled; {} cells preempted", flipped.len()),
         None,
-    )
+    ))
 }
 
 /// `POST /v1/programs` — upload a user program: ucasm text or a binary
@@ -1654,154 +1605,111 @@ fn handle_matrix_delete(inner: &Arc<Inner>, _req: &Request, params: &Params) -> 
 /// program bytes, so uploads are idempotent and agree across nodes:
 /// 201 on first upload, 200 on re-upload, 422 `invalid_program` when
 /// validation fails.
-fn handle_program_post(inner: &Arc<Inner>, req: &Request, _params: &Params) -> Response {
-    if inner.stopping.load(Ordering::SeqCst) {
-        return api::error_response(ErrorCode::Draining, "server shutting down", None);
-    }
+fn handle_program_post(inner: &Arc<Inner>, req: &Request, _params: &Params) -> Answer {
+    refuse_while_draining(inner)?;
     let first = req.body.iter().find(|b| !b.is_ascii_whitespace());
-    let validated = if first == Some(&b'{') {
+    let program = if first == Some(&b'{') {
         // ucasm can't start with '{', so this is the JSON envelope form.
-        match req.body_utf8() {
-            Ok(text) => programs::decode_program_payload(text),
-            Err(msg) => Err(msg),
-        }
+        programs::decode_program_payload(body_text(req, ErrorCode::InvalidProgram)?)
     } else {
         programs::validate_program_bytes(&req.body)
-    };
-    let program = match validated {
-        Ok(p) => p,
-        Err(msg) => return api::error_response(ErrorCode::InvalidProgram, &msg, None),
-    };
+    }
+    .map_err(|msg| api::error_response(ErrorCode::InvalidProgram, &msg, None))?;
     let (entry, created) = register_program(inner, program);
     let mut meta = entry.meta();
     meta.created = Some(created);
-    Response::encode(if created { 201 } else { 200 }, &meta)
+    Ok(Response::encode(if created { 201 } else { 200 }, &meta))
 }
 
 /// Resolves the `:id` route param (the 16-hex content address) against
 /// the program registry.
-fn lookup_program(inner: &Inner, params: &Params) -> Result<Arc<StoredProgram>, Response> {
-    let Some(hash) = params
+fn lookup_program(inner: &Inner, params: &Params) -> Answer<Arc<StoredProgram>> {
+    let hash = params
         .get("id")
         .filter(|s| !s.is_empty() && s.len() <= 16)
         .and_then(|s| u64::from_str_radix(s, 16).ok())
-    else {
-        return Err(api::error_response(
-            ErrorCode::BadRequest,
-            "bad program id",
-            None,
-        ));
-    };
+        .ok_or_else(|| bad_request("bad program id"))?;
     inner
         .programs
         .get(hash)
         .ok_or_else(|| api::error_response(ErrorCode::NotFound, "no such program", None))
 }
 
-fn handle_program_list(inner: &Arc<Inner>, req: &Request, _params: &Params) -> Response {
-    let kind = match req.query("kind").map(|v| (v, ProgramKind::parse(v))) {
-        None => None,
-        Some((_, Some(pk))) => Some(pk),
-        Some((v, None)) => {
-            return api::error_response(
-                ErrorCode::BadRequest,
-                &format!("unknown kind filter {v:?} (want asm or trace)"),
-                None,
-            )
-        }
-    };
-    let programs = inner.programs.list(kind).iter().map(|p| p.meta()).collect();
-    Response::encode(200, &ProgramList { programs })
+fn handle_program_list(inner: &Arc<Inner>, req: &Request, _params: &Params) -> Answer {
+    let kind = req.query("kind").map(|v| {
+        ProgramKind::parse(v)
+            .ok_or_else(|| bad_request(&format!("unknown kind filter {v:?} (want asm or trace)")))
+    });
+    let programs = inner.programs.list(kind.transpose()?);
+    let programs = programs.iter().map(|p| p.meta()).collect();
+    Ok(Response::encode(200, &ProgramList { programs }))
 }
 
-fn handle_program_get(inner: &Arc<Inner>, _req: &Request, params: &Params) -> Response {
-    match lookup_program(inner, params) {
-        Ok(p) => Response::encode(200, &p.meta()),
-        Err(resp) => resp,
-    }
+fn handle_program_get(inner: &Arc<Inner>, _req: &Request, params: &Params) -> Answer {
+    let meta = lookup_program(inner, params)?.meta();
+    Ok(Response::encode(200, &meta))
 }
 
 /// `GET /v1/programs/:id/raw` — the exact uploaded bytes. Peers use this
 /// for on-demand fetch (re-uploading the body anywhere reproduces the
 /// id); humans use it to recover a source file.
-fn handle_program_raw(inner: &Arc<Inner>, _req: &Request, params: &Params) -> Response {
-    match lookup_program(inner, params) {
-        Ok(p) => Response {
-            status: 200,
-            headers: Vec::new(),
-            body: p.raw().to_vec(),
-            content_type: match p.kind() {
-                ProgramKind::Asm => "text/plain; charset=utf-8",
-                ProgramKind::Trace => "application/octet-stream",
-            },
+fn handle_program_raw(inner: &Arc<Inner>, _req: &Request, params: &Params) -> Answer {
+    let p = lookup_program(inner, params)?;
+    Ok(Response {
+        status: 200,
+        headers: Vec::new(),
+        body: p.raw().to_vec(),
+        content_type: match p.kind() {
+            ProgramKind::Asm => "text/plain; charset=utf-8",
+            ProgramKind::Trace => "application/octet-stream",
         },
-        Err(resp) => resp,
-    }
+    })
 }
 
-fn handle_jobs_list(inner: &Arc<Inner>, req: &Request, _params: &Params) -> Response {
-    let filter = match state_filter(req, &JOB_STATES) {
-        Ok(f) => f,
-        Err(resp) => return resp,
-    };
+fn handle_jobs_list(inner: &Arc<Inner>, req: &Request, _params: &Params) -> Answer {
+    let keep = state_filter(req, &JOB_STATES)?;
     let jobs = inner
         .jobs
         .snapshot()
         .into_iter()
         .filter_map(|cell| {
             let state = cell.state().name();
-            filter
-                .is_none_or(|f| f == state)
-                .then(|| JobRow::new(&cell, state))
+            keep(state).then(|| JobRow::new(&cell, state))
         })
         .collect();
-    Response::encode(200, &JobList { jobs })
+    Ok(Response::encode(200, &JobList { jobs }))
 }
 
-fn handle_job_delete(inner: &Arc<Inner>, req: &Request, params: &Params) -> Response {
-    let Some(id) = params.get("id").and_then(|s| s.parse::<u64>().ok()) else {
-        return api::error_response(ErrorCode::BadRequest, "bad job id", None);
-    };
-    let Some(cell) = inner.jobs.get(id) else {
-        return api::error_response(ErrorCode::NotFound, "no such job", None);
-    };
+fn handle_job_delete(inner: &Arc<Inner>, req: &Request, params: &Params) -> Answer {
+    let cell = lookup(params, "job", |id| inner.jobs.get(id))?;
+    let id = cell.id;
     let failure = JobFailure::new(FailureKind::Cancelled, format!("job {id} cancelled"))
         .with_request_id(&req.request_id);
     if !cell.fail(failure) {
-        return api::error_response(
-            ErrorCode::BadRequest,
-            &format!("job {id} already settled; nothing to cancel"),
-            None,
-        );
+        return Err(bad_request(&format!(
+            "job {id} already settled; nothing to cancel"
+        )));
     }
     cell.cancel_token().cancel();
     inner.jobs.finish(&cell);
     inner.metrics.record_cancelled(1);
-    api::error_response(ErrorCode::Cancelled, &format!("job {id} cancelled"), None)
+    Ok(api::error_response(
+        ErrorCode::Cancelled,
+        &format!("job {id} cancelled"),
+        None,
+    ))
 }
 
-fn handle_matrix_get(inner: &Arc<Inner>, _req: &Request, params: &Params) -> Response {
-    let Some(id) = params.get("id").and_then(|s| s.parse::<u64>().ok()) else {
-        return api::error_response(ErrorCode::BadRequest, "bad sweep id", None);
-    };
-    let Some(sweep) = inner.sweeps.get(id) else {
-        return api::error_response(ErrorCode::NotFound, "no such sweep", None);
-    };
-    Response::json(200, sweep.status_body().to_vec())
+fn handle_matrix_get(inner: &Arc<Inner>, _req: &Request, params: &Params) -> Answer {
+    let sweep = lookup(params, "sweep", |id| inner.sweeps.get(id))?;
+    Ok(Response::json(200, sweep.status_body().to_vec()))
 }
 
-fn handle_job_get(inner: &Arc<Inner>, _req: &Request, params: &Params) -> Response {
-    let Some(id) = params.get("id").and_then(|s| s.parse::<u64>().ok()) else {
-        return api::error_response(ErrorCode::BadRequest, "bad job id", None);
-    };
-    let Some(cell) = inner.jobs.get(id) else {
-        return api::error_response(ErrorCode::NotFound, "no such job", None);
-    };
+fn handle_job_get(inner: &Arc<Inner>, _req: &Request, params: &Params) -> Answer {
+    let cell = lookup(params, "job", |id| inner.jobs.get(id))?;
     let state = cell.state();
-    // Unified v1.1 envelope (DESIGN.md §4.1): `state` and `result` are
-    // canonical; the one-release `status`/`response` aliases are gone.
     let mut row = JobRow::new(&cell, state.name());
-    match state {
+    Ok(match state {
         JobState::Done(payload) => {
             // Splice the finished job's response envelope in verbatim.
             let mut out = row.to_json_string().into_bytes();
@@ -1816,25 +1724,20 @@ fn handle_job_get(inner: &Arc<Inner>, _req: &Request, params: &Params) -> Respon
             Response::encode(200, &row)
         }
         _ => Response::encode(200, &row),
-    }
+    })
 }
 
-fn handle_job_profile(inner: &Arc<Inner>, _req: &Request, params: &Params) -> Response {
-    let Some(id) = params.get("id").and_then(|s| s.parse::<u64>().ok()) else {
-        return api::error_response(ErrorCode::BadRequest, "bad job id", None);
-    };
-    let Some(cell) = inner.jobs.get(id) else {
-        return api::error_response(ErrorCode::NotFound, "no such job", None);
-    };
+fn handle_job_profile(inner: &Arc<Inner>, _req: &Request, params: &Params) -> Answer {
+    let cell = lookup(params, "job", |id| inner.jobs.get(id))?;
     let body = JobProfileBody {
-        id,
+        id: cell.id,
         state: cell.state().name(),
         profile: cell.profile().map_or(Json::Null, |p| p.to_json()),
     };
-    Response::encode(200, &body)
+    Ok(Response::encode(200, &body))
 }
 
-fn handle_metrics(inner: &Arc<Inner>, req: &Request, _params: &Params) -> Response {
+fn handle_metrics(inner: &Arc<Inner>, req: &Request, _params: &Params) -> Answer {
     let stats = inner.cache.stats();
     let (alive, respawned) = inner
         .pool_monitor
@@ -1851,17 +1754,17 @@ fn handle_metrics(inner: &Arc<Inner>, req: &Request, _params: &Params) -> Respon
     // Content negotiation: Prometheus scrapers ask for text/plain; the
     // exposition covers the same counters as the JSON document by
     // construction (see `prom`).
-    if req
+    let prometheus = req
         .header("accept")
-        .is_some_and(|a| a.contains("text/plain"))
-    {
+        .is_some_and(|a| a.contains("text/plain"));
+    Ok(if prometheus {
         Response::text(200, crate::prom::render_prometheus(&doc).into_bytes())
     } else {
         Response::json(200, doc.to_string().into_bytes())
-    }
+    })
 }
 
-fn handle_trace(_inner: &Arc<Inner>, req: &Request, _params: &Params) -> Response {
+fn handle_trace(_inner: &Arc<Inner>, req: &Request, _params: &Params) -> Answer {
     let since = req.query("since").and_then(|v| v.parse().ok()).unwrap_or(0);
     let max = req
         .query("max")
@@ -1884,7 +1787,7 @@ fn handle_trace(_inner: &Arc<Inner>, req: &Request, _params: &Params) -> Respons
         events,
         next_since,
     };
-    Response::encode(200, &page)
+    Ok(Response::encode(200, &page))
 }
 
 /// `GET /v1/trace`: span events after a cursor.
@@ -1945,48 +1848,45 @@ const STORE_PAGE_BYTES: u64 = (crate::client::MAX_RESPONSE_BODY_BYTES / 8) as u6
 /// log, so pollers know to back off. Torn tail records are excluded —
 /// the reader stops at the first checksum mismatch, exactly like
 /// startup replay.
-fn handle_store(inner: &Arc<Inner>, req: &Request, _params: &Params) -> Response {
-    let Some(store) = &inner.store else {
-        return api::error_response(
-            ErrorCode::NotFound,
-            "no persistent store (start with --data-dir)",
-            None,
-        );
-    };
+fn handle_store(inner: &Arc<Inner>, req: &Request, _params: &Params) -> Answer {
+    let store = inner.store.as_ref().ok_or_else(|| {
+        let msg = "no persistent store (start with --data-dir)";
+        api::error_response(ErrorCode::NotFound, msg, None)
+    })?;
     let since = req.query("since").and_then(|v| v.parse().ok()).unwrap_or(0);
     let max = req
         .query("max")
         .and_then(|v| v.parse().ok())
         .unwrap_or(1024);
-    match store.read_since(since, max.min(4096), STORE_PAGE_BYTES) {
-        Ok((records, next, eof)) => {
-            let records = records
-                .into_iter()
-                .map(|r| StoreRow {
-                    kind: r.kind.name().to_owned(),
-                    key: api::format_key(r.key_hash),
-                    canonical: r.canonical,
-                    payload: r.payload,
-                })
-                .collect();
-            let page = StorePage {
-                format: STORE_FORMAT.to_owned(),
-                since,
-                next,
-                eof,
-                records,
-            };
-            Response::encode(200, &page)
-        }
-        Err(e) => api::error_response(
-            ErrorCode::Internal,
-            &format!("store read failed: {e}"),
-            None,
-        ),
-    }
+    let (records, next, eof) = store
+        .read_since(since, max.min(4096), STORE_PAGE_BYTES)
+        .map_err(|e| {
+            api::error_response(
+                ErrorCode::Internal,
+                &format!("store read failed: {e}"),
+                None,
+            )
+        })?;
+    let records = records
+        .into_iter()
+        .map(|r| StoreRow {
+            kind: r.kind.name().to_owned(),
+            key: api::format_key(r.key_hash),
+            canonical: r.canonical,
+            payload: r.payload,
+        })
+        .collect();
+    let page = StorePage {
+        format: STORE_FORMAT.to_owned(),
+        since,
+        next,
+        eof,
+        records,
+    };
+    Ok(Response::encode(200, &page))
 }
 
-fn handle_healthz(inner: &Arc<Inner>, _req: &Request, _params: &Params) -> Response {
+fn handle_healthz(inner: &Arc<Inner>, _req: &Request, _params: &Params) -> Answer {
     let alive = inner
         .pool_monitor
         .get()
@@ -2017,7 +1917,7 @@ fn handle_healthz(inner: &Arc<Inner>, _req: &Request, _params: &Params) -> Respo
         // cluster around it is partitioned.
         peers: inner.peers.as_ref().map(PeerSet::health),
     };
-    Response::encode(if ok { 200 } else { 503 }, &health)
+    Ok(Response::encode(if ok { 200 } else { 503 }, &health))
 }
 
 /// `GET /v1/healthz`.
@@ -2042,7 +1942,7 @@ struct StoreHealth {
     writable: bool,
 }
 
-fn handle_version(inner: &Arc<Inner>, _req: &Request, _params: &Params) -> Response {
+fn handle_version(inner: &Arc<Inner>, _req: &Request, _params: &Params) -> Answer {
     let version = Version {
         version: env!("CARGO_PKG_VERSION"),
         // Wire-contract version: v1.2 added user programs (`/v1/programs`,
@@ -2060,7 +1960,7 @@ fn handle_version(inner: &Arc<Inner>, _req: &Request, _params: &Params) -> Respo
             programs: true,
         },
     };
-    Response::encode(200, &version)
+    Ok(Response::encode(200, &version))
 }
 
 /// `GET /v1/version`.

@@ -27,7 +27,8 @@ use ucsim_model::{FromJson, ToJson, WorkloadRef};
 use ucsim_obs::JobProfile;
 use ucsim_pipeline::{LabeledConfig, SimConfig, SimReport, SweepCellReport, SweepReport};
 
-use crate::api::{self, ErrorCode, ErrorObject, JobSpec, MatrixRequest};
+use crate::api::{self, bad_request, ErrorObject, JobSpec, MatrixRequest};
+use crate::http::Response;
 use crate::jobs::{JobCell, JobFailure, JobState};
 
 /// Hard ceiling on cells per sweep (guards against a typo'd cross
@@ -657,16 +658,10 @@ impl PlanAxes {
     ///
     /// # Errors
     ///
-    /// Returns the envelope error code and message for invalid axes.
-    pub fn resolve(
-        req: &MatrixRequest,
-        test_workloads: bool,
-    ) -> Result<PlanAxes, (ErrorCode, String)> {
+    /// Returns the error answer for invalid axes.
+    pub fn resolve(req: &MatrixRequest, test_workloads: bool) -> Result<PlanAxes, Response> {
         if req.workloads.is_empty() {
-            return Err((
-                ErrorCode::BadRequest,
-                "workloads must name at least one workload".to_owned(),
-            ));
+            return Err(bad_request("workloads must name at least one workload"));
         }
         for w in &req.workloads {
             match WorkloadRef::parse(w) {
@@ -674,34 +669,28 @@ impl PlanAxes {
                 // refs pass through — the server resolves them against its
                 // registry (with a peer fetch) before accepting the plan.
                 Ok(WorkloadRef::Profile(_)) if !api::workload_known(w, test_workloads) => {
-                    return Err((ErrorCode::UnknownWorkload, format!("unknown workload: {w}")));
+                    return Err(api::unknown_workload(w));
                 }
                 Ok(_) => {}
-                Err(e) => return Err((ErrorCode::BadRequest, format!("workload {w:?}: {e}"))),
+                Err(e) => return Err(bad_request(&format!("workload {w:?}: {e}"))),
             }
         }
         let capacities: Vec<usize> = match &req.capacities {
             Some(caps) if caps.is_empty() => {
-                return Err((
-                    ErrorCode::BadRequest,
-                    "capacities must not be empty".to_owned(),
-                ))
+                return Err(bad_request("capacities must not be empty"))
             }
             Some(caps) => caps.iter().map(|&c| c as usize).collect(),
             None => MatrixCross::table1_capacities(),
         };
         let policies: Vec<SweepPolicy> = match &req.policies {
             Some(names) if names.is_empty() => {
-                return Err((
-                    ErrorCode::BadRequest,
-                    "policies must not be empty".to_owned(),
-                ))
+                return Err(bad_request("policies must not be empty"))
             }
             Some(names) => names
                 .iter()
                 .map(|n| {
                     SweepPolicy::parse(n)
-                        .ok_or_else(|| (ErrorCode::BadRequest, format!("unknown policy: {n}")))
+                        .ok_or_else(|| bad_request(&format!("unknown policy: {n}")))
                 })
                 .collect::<Result<_, _>>()?,
             None => vec![SweepPolicy::Baseline],
@@ -713,14 +702,13 @@ impl PlanAxes {
         };
         let total = req.workloads.len() * cross.len();
         if total > MAX_SWEEP_CELLS {
-            return Err((
-                ErrorCode::BadRequest,
-                format!("sweep would expand to {total} cells (max {MAX_SWEEP_CELLS})"),
-            ));
+            return Err(bad_request(&format!(
+                "sweep would expand to {total} cells (max {MAX_SWEEP_CELLS})"
+            )));
         }
         let policies_per_capacity = cross.policies.len();
         let capacities = cross.capacities.clone();
-        let configs = cross.try_expand().map_err(|e| (ErrorCode::BadRequest, e))?;
+        let configs = cross.try_expand().map_err(|e| bad_request(&e))?;
         let axes = PlanAxes {
             workloads: req.workloads.clone(),
             capacities,
@@ -732,7 +720,7 @@ impl PlanAxes {
         };
         for lc in &axes.configs {
             api::check_config(&axes.cell_config(lc))
-                .map_err(|e| (ErrorCode::BadRequest, format!("{}: {e}", lc.label)))?;
+                .map_err(|e| bad_request(&format!("{}: {e}", lc.label)))?;
         }
         Ok(axes)
     }
@@ -817,11 +805,11 @@ impl PlanAxes {
 ///
 /// # Errors
 ///
-/// Returns the envelope error code and message for invalid axes.
+/// Returns the error answer for invalid axes.
 pub fn expand_request(
     req: &MatrixRequest,
     test_workloads: bool,
-) -> Result<Vec<CellMeta>, (ErrorCode, String)> {
+) -> Result<Vec<CellMeta>, Response> {
     Ok(PlanAxes::resolve(req, test_workloads)?.full_metas())
 }
 
@@ -936,18 +924,23 @@ mod tests {
         assert_eq!(metas[5].label, "OC_64K");
     }
 
+    /// The error object of an error answer.
+    fn error_of(resp: &Response) -> ErrorObject {
+        ErrorObject::from_envelope(&resp.body).expect("an error envelope")
+    }
+
     #[test]
     fn invalid_axes_map_to_envelope_codes() {
         let e = expand_request(&parse(r#"{"workloads":["nope"]}"#), false).unwrap_err();
-        assert_eq!(e.0, ErrorCode::UnknownWorkload);
+        assert_eq!(error_of(&e).code, "unknown_workload");
         let e = expand_request(&parse(r#"{"workloads":[]}"#), false).unwrap_err();
-        assert_eq!(e.0, ErrorCode::BadRequest);
+        assert_eq!(error_of(&e).code, "bad_request");
         let e = expand_request(
             &parse(r#"{"workloads":["redis"],"policies":["zap"]}"#),
             false,
         )
         .unwrap_err();
-        assert_eq!(e.0, ErrorCode::BadRequest);
+        assert_eq!(error_of(&e).code, "bad_request");
         // Test workloads only expand when enabled.
         assert!(expand_request(&parse(r#"{"workloads":["test-sleep:5"]}"#), true).is_ok());
         assert!(expand_request(&parse(r#"{"workloads":["test-sleep:5"]}"#), false).is_err());
@@ -961,8 +954,8 @@ mod tests {
             r#"{"workloads":["redis"],"capacities":[1099511627776]}"#,
             r#"{"workloads":["redis"],"policies":["rac"],"max_entries":300}"#,
         ] {
-            let e = expand_request(&parse(body), false).unwrap_err();
-            assert_eq!(e.0, ErrorCode::BadRequest, "{body}: {}", e.1);
+            let e = error_of(&expand_request(&parse(body), false).unwrap_err());
+            assert_eq!(e.code, "bad_request", "{body}: {}", e.message);
         }
         let at_cap = parse(r#"{"workloads":["redis"],"warmup":0,"insts":8000000}"#);
         assert!(expand_request(&at_cap, false).is_ok());

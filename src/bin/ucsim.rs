@@ -9,14 +9,12 @@
 //! [`SimRequest`]/[`MatrixRequest`] JSON the server parses and reads
 //! failures through the server's own [`ErrorObject`] decoder.
 
-use std::str::FromStr;
-
 use ucsim::mem::ReplacementPolicy;
 use ucsim::model::{fnv1a, FromJson, Json, ToJson};
 use ucsim::pipeline::{SimConfig, Simulator};
 use ucsim::serve::{
-    request, AdaptiveMode, Client, ErrorObject, HttpResponse, MatrixRequest, ProgramMeta,
-    RetryPolicy, SimRequest, SweepAccepted, SweepStatus,
+    request, AdaptiveMode, Client, ErrorObject, Flags, HttpResponse, MatrixRequest, ProgramMeta,
+    RetryPolicy, SimRequest, SweepAccepted, SweepStatus, Usage,
 };
 use ucsim::trace::{Program, WorkloadProfile};
 use ucsim::uopcache::{CompactionPolicy, UopCacheConfig};
@@ -100,92 +98,17 @@ MATRIX OPTIONS:
 /// The server `ucsim client` talks to unless `--addr` says otherwise.
 const DEFAULT_ADDR: &str = "127.0.0.1:7199";
 
-/// Reports a usage error and exits with status 2.
-fn bail(m: &str) -> ! {
-    eprintln!("error: {m}\n\n{USAGE}");
-    std::process::exit(2)
-}
+/// `ucsim`'s usage errors exit 2.
+static CLI: Usage = Usage {
+    text: USAGE,
+    help_end: "\n",
+    status: 2,
+};
 
 /// Reports `m` and exits with `status`.
 fn die(status: i32, m: &str) -> ! {
     eprintln!("{m}");
     std::process::exit(status)
-}
-
-/// Prints `USAGE` and exits 0 when `word` is `--help` or `-h`.
-fn exit_on_help(word: &str) {
-    if word == "--help" || word == "-h" {
-        println!("{USAGE}");
-        std::process::exit(0);
-    }
-}
-
-/// One mode's argv, read a word at a time. A value flag takes the next
-/// word; its errors read `<flag> <what>`, e.g. `--insts needs a number`.
-struct Flags<'a> {
-    words: std::slice::Iter<'a, String>,
-    /// The word [`Flags::next`] returned last.
-    flag: &'a str,
-    /// The mode's name in "unknown … option" errors (`"client "`, …).
-    mode: &'static str,
-    /// A missing value reads `<flag> needs a value` (the `client matrix`
-    /// wording) instead of the flag's own `what`.
-    generic_missing: bool,
-}
-
-impl<'a> Flags<'a> {
-    fn new(argv: &'a [String], mode: &'static str) -> Self {
-        Flags {
-            words: argv.iter(),
-            flag: "",
-            mode,
-            generic_missing: false,
-        }
-    }
-
-    /// The next word; `--help`/`-h` prints `USAGE` and exits 0.
-    fn next(&mut self) -> Option<&'a str> {
-        let word = self.words.next()?;
-        exit_on_help(word);
-        self.flag = word;
-        Some(word)
-    }
-
-    /// A usage error `<flag> <what>`.
-    fn fail(&self, what: &str) -> ! {
-        bail(&format!("{} {what}", self.flag))
-    }
-
-    /// The current flag's value.
-    fn value(&mut self, what: &str) -> String {
-        match self.words.next() {
-            Some(v) => v.clone(),
-            None if self.generic_missing => self.fail("needs a value"),
-            None => self.fail(what),
-        }
-    }
-
-    /// The current flag's value parsed as a `T`.
-    fn parse<T: FromStr>(&mut self, what: &str) -> T {
-        self.value(what).parse().unwrap_or_else(|_| self.fail(what))
-    }
-
-    /// The current flag's value as a number.
-    fn number<T: FromStr>(&mut self) -> T {
-        self.parse("needs a number")
-    }
-
-    /// The current flag's value as a comma-separated list.
-    fn list(&mut self) -> Vec<String> {
-        let v = self.value("needs a value");
-        let items = v.split(',').map(str::trim).filter(|s| !s.is_empty());
-        items.map(str::to_owned).collect()
-    }
-
-    /// The usage error for an unknown word.
-    fn unknown(&self) -> ! {
-        bail(&format!("unknown {}option {}", self.mode, self.flag))
-    }
 }
 
 /// Unwraps a transport result, or reports that `addr` cannot be reached
@@ -269,10 +192,8 @@ fn client_matrix(argv: &[String]) {
     let mut adaptive = false;
     let mut tolerance: Option<f64> = None;
     let mut cancel_id: Option<u64> = None;
-    let mut flags = Flags {
-        generic_missing: true,
-        ..Flags::new(argv, "matrix ")
-    };
+    let mut flags = Flags::new(argv, &CLI, "matrix ");
+    flags.generic_missing = true;
     while let Some(flag) = flags.next() {
         match flag {
             "--addr" => addr = flags.value("needs a value"),
@@ -363,7 +284,7 @@ fn client_job(argv: &[String]) {
     let mut id: Option<u64> = None;
     let mut profile = false;
     let mut cancel_it = false;
-    let mut flags = Flags::new(argv, "job ");
+    let mut flags = Flags::new(argv, &CLI, "job ");
     while let Some(flag) = flags.next() {
         match flag {
             "--addr" => addr = flags.value("needs host:port"),
@@ -374,7 +295,7 @@ fn client_job(argv: &[String]) {
         }
     }
     let Some(id) = id else {
-        bail("job needs --id");
+        CLI.bail("job needs --id");
     };
     if cancel_it {
         return cancel(&addr, &format!("/v1/jobs/{id}"));
@@ -388,14 +309,14 @@ fn client_job(argv: &[String]) {
 /// content-addressed user programs on a running server.
 fn client_program(argv: &[String]) {
     let Some((verb, argv)) = argv.split_first() else {
-        bail("program needs upload|list|show");
+        CLI.bail("program needs upload|list|show");
     };
-    exit_on_help(verb);
+    CLI.exit_on_help(verb);
     let mut addr = DEFAULT_ADDR.to_owned();
     let mut kind: Option<String> = None;
     let mut raw = false;
     let mut positional: Vec<&str> = Vec::new();
-    let mut flags = Flags::new(argv, "program ");
+    let mut flags = Flags::new(argv, &CLI, "program ");
     while let Some(flag) = flags.next() {
         match flag {
             "--addr" => addr = flags.value("needs host:port"),
@@ -408,7 +329,7 @@ fn client_program(argv: &[String]) {
     match verb.as_str() {
         "upload" => {
             let Some(path) = positional.first() else {
-                bail("program upload needs a file");
+                CLI.bail("program upload needs a file");
             };
             let bytes =
                 std::fs::read(path).unwrap_or_else(|e| die(1, &format!("cannot open {path}: {e}")));
@@ -431,7 +352,7 @@ fn client_program(argv: &[String]) {
         }
         "show" => {
             let Some(id) = positional.first() else {
-                bail("program show needs an id");
+                CLI.bail("program show needs an id");
             };
             // Accept the bare 16-hex id or a full program:/trace: ref.
             let id = id.rsplit(':').next().unwrap_or(id);
@@ -447,7 +368,7 @@ fn client_program(argv: &[String]) {
                 print_pretty(&resp);
             }
         }
-        other => bail(&format!("unknown program verb {other} (upload|list|show)")),
+        other => CLI.bail(&format!("unknown program verb {other} (upload|list|show)")),
     }
 }
 
@@ -468,7 +389,7 @@ fn client_main(argv: &[String]) {
     let mut job: Option<u64> = None;
     let mut metrics = false;
     let mut no_retry = false;
-    let mut flags = Flags::new(argv, "client ");
+    let mut flags = Flags::new(argv, &CLI, "client ");
     while let Some(flag) = flags.next() {
         match flag {
             "--addr" => addr = flags.value("needs host:port"),
@@ -521,7 +442,7 @@ fn main() {
     let mut loop_cache: u32 = 0;
     let mut insts: u64 = 2_000_000;
     let mut warmup: u64 = 200_000;
-    let mut flags = Flags::new(&argv, "");
+    let mut flags = Flags::new(&argv, &CLI, "");
     while let Some(flag) = flags.next() {
         match flag {
             "--list" => {
@@ -562,7 +483,7 @@ fn main() {
     }
 
     let mut oc = UopCacheConfig::try_baseline_with_capacity(capacity)
-        .unwrap_or_else(|e| bail(&e))
+        .unwrap_or_else(|e| CLI.bail(&e))
         .with_replacement(replacement);
     if let Some(policy) = compaction {
         oc = oc.with_compaction(policy, max_entries);
@@ -570,7 +491,7 @@ fn main() {
         oc = oc.with_clasp();
     }
     if let Err(e) = oc.check() {
-        bail(&e);
+        CLI.bail(&e);
     }
 
     let mut cfg = SimConfig::table1()
